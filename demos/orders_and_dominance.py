@@ -10,7 +10,6 @@ from sepax import (
     enumerate_weak_orders,
     fosd,
     fosd_oracle_utilities,
-    subset_prob,
 )
 
 # a weak order is an ordered partition: "0,1>2" reads "0 and 1 tied on top,
@@ -36,7 +35,7 @@ R = WeakOrder.parse("0>1>2")
 x = Lottery(3, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
 y = Lottery(3, (Fraction(1, 2), Fraction(0), Fraction(1, 2)))
 print("x =", x.texts(), " y =", y.texts(), " at", R.text)
-print("prob x puts on {0,2}:", subset_prob(x, {0, 2}))
+print("prob x puts on {0,2}:", x.mass({0, 2}))
 print("x dominates y:", fosd(x, y, R))
 print("y dominates x:", fosd(y, x, R))
 

@@ -16,11 +16,6 @@ from .axioms import (
     all_separations,
     as_separation,
     check_all_axioms,
-    check_lower_invariant,
-    check_separation_direct,
-    check_separation_monotonic,
-    check_separation_responsive,
-    check_upper_invariant,
     enumerate_separations,
     find_violations,
     verify_certificate,
@@ -40,7 +35,6 @@ from .core import (
     ordered_set_partitions,
     parse_rational,
     strictly_consistent,
-    subset_prob,
 )
 from .lp import Constraint, LinearProgram, LPSolution, solve_lp
 from .mechanisms import (
@@ -100,11 +94,13 @@ from .amd import (
     design_mechanism,
     generate_sp_constraints,
     load_objective,
+    lp_summary,
     mechanism_assignment,
     objective_from_json,
     objective_to_json,
     random_objective,
     solution_to_mechanism,
+    solve_design,
     sp_lp_summary,
     top_class_welfare_objective,
     variable_names,

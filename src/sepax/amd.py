@@ -99,7 +99,14 @@ def generate_sp_constraints(
 def sp_lp_summary(m: int, *, include_lowered_inequality: bool = False) -> dict:
     """Size accounting for the generated system versus the naive pairwise
     encoding (one dominance row per ordered pair per contour set)."""
-    lp = generate_sp_constraints(m, include_lowered_inequality=include_lowered_inequality)
+    return lp_summary(
+        m, generate_sp_constraints(m, include_lowered_inequality=include_lowered_inequality)
+    )
+
+
+def lp_summary(m: int, lp: LinearProgram) -> dict:
+    """`sp_lp_summary` of a system `generate_sp_constraints` already built
+    at size m."""
     by_family: dict[str, int] = {}
     for con in lp.constraints:
         family = con.name.split("[", 1)[0]
@@ -237,6 +244,17 @@ def design_mechanism(
     lp = generate_sp_constraints(
         m, include_lowered_inequality=include_lowered_inequality
     )
+    return solve_design(lp, m, objective, name)
+
+
+def solve_design(
+    lp: LinearProgram,
+    m: int,
+    objective: dict[int, Fraction],
+    name: str = "lp-design",
+) -> tuple[LPSolution, MechanismTable | None]:
+    """`design_mechanism` on a system `generate_sp_constraints` already
+    built at size m; sets the system's objective."""
     lp.objective = dict(objective)
     solution = solve_lp(lp)
     mech = (

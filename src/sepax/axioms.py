@@ -17,27 +17,25 @@ the quadratic scan over all order pairs:
 - lower_invariant: classes ranked below the split class keep their
   probability exactly.
 
-Every checker returns ``None`` on a pass or a `Certificate` pinpointing the
-first failure in canonical separation order; certificates are self-contained
-and re-checkable against the mechanism via `verify_certificate`.
+`find_violations` runs every check in one serial scan over the table's
+integer view (`MechanismTable.integer_view`), where each axiom compares sums
+of ``int`` entries. It reports, per axiom, `Certificate`s pinpointing the
+failures in canonical separation order; certificates carry exact
+`Fraction`s, are self-contained, and are re-checked against the lotteries
+themselves by `verify_certificate`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .core import WeakOrder, enumerate_weak_orders, format_rational
+from .core import WeakOrder, enumerate_weak_orders, format_rational, order_index
 from .mechanisms import MechanismTable
 
 AXIOMS = ("responsive", "direct", "upper_invariant", "lower_invariant")
-
-# Serial scans below this many separations regardless of the workers setting;
-# process startup would dominate the work.
-_MIN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -160,70 +158,6 @@ class Certificate:
         return data
 
 
-def _responsive_violation(
-    mech: MechanismTable, sep: Separation, index: int
-) -> Certificate | None:
-    coarse_lot = mech.lottery(sep.coarse)
-    fine_lot = mech.lottery(sep.fine)
-    lhs = coarse_lot.mass(sep.upper_part)
-    rhs = fine_lot.mass(sep.upper_part)
-    if rhs < lhs:
-        return Certificate("responsive", sep, "upper_part", sep.kappa, lhs, rhs, index)
-    lhs = coarse_lot.mass(sep.lower_part)
-    rhs = fine_lot.mass(sep.lower_part)
-    if rhs > lhs:
-        return Certificate("responsive", sep, "lower_part", sep.kappa, lhs, rhs, index)
-    return None
-
-
-def _direct_violation(
-    mech: MechanismTable, sep: Separation, index: int
-) -> Certificate | None:
-    coarse_lot = mech.lottery(sep.coarse)
-    fine_lot = mech.lottery(sep.fine)
-    triggered = any(
-        coarse_lot.mass(cls) != fine_lot.mass(cls) for cls in sep.coarse.classes
-    )
-    if not triggered:
-        return None
-    for witness, part in (("upper_part", sep.upper_part), ("lower_part", sep.lower_part)):
-        lhs = coarse_lot.mass(part)
-        rhs = fine_lot.mass(part)
-        if lhs == rhs:
-            return Certificate("direct", sep, witness, sep.kappa, lhs, rhs, index)
-    return None
-
-
-def _invariance_violation(
-    mech: MechanismTable, sep: Separation, index: int, axiom: str
-) -> Certificate | None:
-    coarse_lot = mech.lottery(sep.coarse)
-    fine_lot = mech.lottery(sep.fine)
-    if axiom == "upper_invariant":
-        positions = range(1, sep.kappa)
-    else:
-        positions = range(sep.kappa + 1, sep.coarse.num_classes + 1)
-    for k in positions:
-        cls = sep.coarse.classes[k - 1]
-        lhs = coarse_lot.mass(cls)
-        rhs = fine_lot.mass(cls)
-        if lhs != rhs:
-            return Certificate(axiom, sep, "class", k, lhs, rhs, index)
-    return None
-
-
-def _violation(
-    mech: MechanismTable, sep: Separation, index: int, axiom: str
-) -> Certificate | None:
-    if axiom == "responsive":
-        return _responsive_violation(mech, sep, index)
-    if axiom == "direct":
-        return _direct_violation(mech, sep, index)
-    if axiom in ("upper_invariant", "lower_invariant"):
-        return _invariance_violation(mech, sep, index, axiom)
-    raise ValueError(f"unknown axiom {axiom!r}")
-
-
 def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     """Re-derive the certificate's numbers from the mechanism and confirm
     they exhibit the claimed violation."""
@@ -255,32 +189,54 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     return False
 
 
-def _scan_chunk(
-    mech: MechanismTable,
-    axioms: tuple[str, ...],
-    start: int,
-    stop: int,
-    all_violations: bool,
-) -> dict[str, list[Certificate]]:
-    seps = all_separations(mech.m)
-    found: dict[str, list[Certificate]] = {axiom: [] for axiom in axioms}
-    pending = set(axioms)
-    for index in range(start, stop):
-        if not pending and not all_violations:
-            break
-        sep = seps[index]
-        for axiom in axioms:
-            if not all_violations and axiom not in pending:
-                continue
-            cert = _violation(mech, sep, index, axiom)
-            if cert is not None:
-                found[axiom].append(cert)
-                pending.discard(axiom)
-    return found
+@lru_cache(maxsize=8)
+def _separation_layout(m: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """Per separation in canonical order: the canonical indices of its
+    coarse and fine orders, the 0-based position of the split class, and
+    the upper part."""
+    index = order_index(m)
+    return tuple(
+        (index[sep.coarse], index[sep.fine], sep.kappa - 1, sep.upper_part)
+        for sep in all_separations(m)
+    )
 
 
-def _scan_chunk_args(args) -> dict[str, list[Certificate]]:
-    return _scan_chunk(*args)
+def _violation(
+    axiom: str,
+    coarse: tuple[int, ...],
+    fine: tuple[int, ...],
+    k: int,
+    upper: tuple[int, int],
+    lower: tuple[int, int],
+) -> tuple[str, int, int, int] | None:
+    """One axiom on one separation, in the integer view: the first failure
+    as (witness, class position, lhs, rhs), or None. ``coarse`` and ``fine``
+    are the class masses of the two reports, each over its own classes, so
+    the split class ``coarse[k]`` appears in ``fine`` as ``fine[k]`` and
+    ``fine[k + 1]``. ``upper`` and ``lower`` are the (coarse, fine) masses
+    of the two parts."""
+    if axiom == "responsive":
+        if upper[1] < upper[0]:
+            return ("upper_part", k + 1, *upper)
+        if lower[1] > lower[0]:
+            return ("lower_part", k + 1, *lower)
+        return None
+    if axiom == "direct":
+        # both rows sum to D, so the split class moved iff another class did
+        if coarse[:k] == fine[:k] and coarse[k + 1 :] == fine[k + 2 :]:
+            return None
+        for witness, (lhs, rhs) in (("upper_part", upper), ("lower_part", lower)):
+            if lhs == rhs:
+                return (witness, k + 1, lhs, rhs)
+        return None
+    if axiom == "upper_invariant":
+        positions = ((j, j) for j in range(k))
+    else:
+        positions = ((j, j + 1) for j in range(k + 1, len(coarse)))
+    for j, fine_j in positions:
+        if coarse[j] != fine[fine_j]:
+            return ("class", j + 1, coarse[j], fine[fine_j])
+    return None
 
 
 def find_violations(
@@ -288,85 +244,48 @@ def find_violations(
     axioms: Iterable[str] = AXIOMS,
     *,
     all_violations: bool = False,
-    workers: int = 1,
 ) -> dict[str, list[Certificate]]:
     """Scan all separations for the given axioms. Returns, per axiom, the
-    violations in canonical order: just the first unless ``all_violations``.
-    The result does not depend on the worker count."""
+    violations in canonical order: just the first unless ``all_violations``."""
     axioms = tuple(axioms)
     for axiom in axioms:
         if axiom not in AXIOMS:
             raise ValueError(f"unknown axiom {axiom!r}")
     mech.validate()
+    denominator, rows = mech.integer_view
+    class_mass = [
+        tuple(sum(row[alt] for alt in cls) for cls in order.classes)
+        for order, row in zip(enumerate_weak_orders(mech.m), rows)
+    ]
     seps = all_separations(mech.m)
-    n = len(seps)
-    workers = max(1, min(workers, (n + _MIN_CHUNK - 1) // _MIN_CHUNK))
-    if workers == 1:
-        return _scan_chunk(mech, axioms, 0, n, all_violations)
-
-    bounds = [(n * i) // workers for i in range(workers + 1)]
-    tasks = [
-        (mech, axioms, bounds[i], bounds[i + 1], all_violations)
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
-    merged: dict[str, list[Certificate]] = {axiom: [] for axiom in axioms}
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        for part in pool.map(_scan_chunk_args, tasks):
-            for axiom, certs in part.items():
-                merged[axiom].extend(certs)
-    for axiom in axioms:
-        certs = sorted(merged[axiom], key=lambda c: c.separation_index)
-        merged[axiom] = certs if all_violations else certs[:1]
-    return merged
-
-
-def _first(certs: list[Certificate]) -> Certificate | None:
-    return certs[0] if certs else None
-
-
-def check_separation_responsive(
-    mech: MechanismTable, *, workers: int = 1
-) -> Certificate | None:
-    return _first(find_violations(mech, ("responsive",), workers=workers)["responsive"])
-
-
-def check_separation_direct(
-    mech: MechanismTable, *, workers: int = 1
-) -> Certificate | None:
-    return _first(find_violations(mech, ("direct",), workers=workers)["direct"])
-
-
-def check_upper_invariant(
-    mech: MechanismTable, *, workers: int = 1
-) -> Certificate | None:
-    return _first(
-        find_violations(mech, ("upper_invariant",), workers=workers)["upper_invariant"]
-    )
-
-
-def check_lower_invariant(
-    mech: MechanismTable, *, workers: int = 1
-) -> Certificate | None:
-    return _first(
-        find_violations(mech, ("lower_invariant",), workers=workers)["lower_invariant"]
-    )
-
-
-def check_separation_monotonic(
-    mech: MechanismTable, *, workers: int = 1
-) -> Certificate | None:
-    """Responsive and direct combined. The certificate is the first failure
-    of either, ordered by separation and then responsive before direct."""
-    found = find_violations(mech, ("responsive", "direct"), workers=workers)
-    candidates = [
-        (cert.separation_index, priority, cert)
-        for priority, axiom in enumerate(("responsive", "direct"))
-        for cert in found[axiom]
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda item: item[:2])[2]
+    found: dict[str, list[Certificate]] = {axiom: [] for axiom in axioms}
+    pending = set(axioms)
+    for index, (ci, fi, k, upper_part) in enumerate(_separation_layout(mech.m)):
+        if not pending and not all_violations:
+            break
+        coarse, fine = class_mass[ci], class_mass[fi]
+        upper_lhs = sum(rows[ci][alt] for alt in upper_part)
+        upper = (upper_lhs, fine[k])
+        lower = (coarse[k] - upper_lhs, fine[k + 1])
+        for axiom in axioms:
+            if not all_violations and axiom not in pending:
+                continue
+            hit = _violation(axiom, coarse, fine, k, upper, lower)
+            if hit is not None:
+                witness, position, lhs, rhs = hit
+                found[axiom].append(
+                    Certificate(
+                        axiom,
+                        seps[index],
+                        witness,
+                        position,
+                        Fraction(lhs, denominator),
+                        Fraction(rhs, denominator),
+                        index,
+                    )
+                )
+                pending.discard(axiom)
+    return found
 
 
 @dataclass
@@ -391,12 +310,10 @@ class AxiomReport:
 
 
 def check_all_axioms(
-    mech: MechanismTable, *, all_violations: bool = False, workers: int = 1
+    mech: MechanismTable, *, all_violations: bool = False
 ) -> AxiomReport:
     """Run the four base checkers in one scan and derive monotonic."""
-    found = find_violations(
-        mech, AXIOMS, all_violations=all_violations, workers=workers
-    )
+    found = find_violations(mech, AXIOMS, all_violations=all_violations)
     verdicts = {axiom: not found[axiom] for axiom in AXIOMS}
     verdicts["monotonic"] = verdicts["responsive"] and verdicts["direct"]
     return AxiomReport(

@@ -8,7 +8,8 @@ mechanism), zoo (built-in mechanism tables).
 Every run prints one JSON report to stdout; --out additionally writes the
 same report to a file, atomically, and only on success. Exit codes: 0 pass
 or agreement, 1 a mechanism-level violation or an unsolvable design, 2 an
-internal cross-check disagreement (a bug, not a verdict), 3 bad input.
+internal cross-check disagreement (a bug, not a verdict), 3 bad input,
+including bad flags.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
-from fractions import Fraction
 
 from . import amd as amd_mod
 from . import axioms, mechanisms, paths, verify
@@ -44,30 +43,12 @@ class _InputError(Exception):
     """Anything wrong with what the user handed us; exits with code 3."""
 
 
-def _default_workers() -> int:
-    env = os.environ.get("SEPAX_WORKERS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise _InputError(f"SEPAX_WORKERS must be an integer, got {env!r}")
-        if value < 1:
-            raise _InputError("SEPAX_WORKERS must be >= 1")
-        return value
-    return os.cpu_count() or 1
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as bad input, exit 3, instead of
+    argparse's exit 2, which this CLI reserves for internal disagreements."""
 
-
-def _write_atomic(path: str, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    def error(self, message: str):
+        raise _InputError(f"{self.prog}: {message}")
 
 
 def _load_mechanism(path: str) -> mechanisms.MechanismTable:
@@ -105,17 +86,16 @@ def _parse_order(text: str) -> WeakOrder:
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     mech = _load_mechanism(args.mechanism)
-    workers = args.workers
 
     if args.mode == "axioms":
         report = axioms.check_all_axioms(
-            mech, all_violations=args.emit_all_certificates, workers=workers
+            mech, all_violations=args.emit_all_certificates
         )
         ok = all(report.verdicts.values())
         return {"check": report.to_json()}, EXIT_PASS if ok else EXIT_VIOLATION
 
     if args.mode == "sp":
-        violation = verify.check_sp_bruteforce(mech, workers=workers)
+        violation = verify.check_sp_bruteforce(mech)
         result = {
             "mechanism": mech.name,
             "m": mech.m,
@@ -136,7 +116,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
 
     check = _MODE_CHECKS[args.mode]
     try:
-        report = check(mech, workers=workers)
+        report = check(mech)
     except verify.NotDeterministicError as exc:
         raise _InputError(str(exc)) from None
     code = EXIT_PASS if report.agreement else EXIT_INTERNAL
@@ -187,15 +167,15 @@ def cmd_amd(args: argparse.Namespace) -> tuple[dict, int]:
     except OSError as exc:
         raise _InputError(f"cannot read objective file: {exc}") from None
 
-    solution, mech = amd_mod.design_mechanism(
-        m, objective, include_lowered_inequality=args.include_lowered_inequality
+    lp = amd_mod.generate_sp_constraints(
+        m, include_lowered_inequality=args.include_lowered_inequality
     )
+    summary = amd_mod.lp_summary(m, lp)
+    solution, mech = amd_mod.solve_design(lp, m, objective)
     result: dict = {
         "m": m,
         "objective": args.objective,
-        "summary": amd_mod.sp_lp_summary(
-            m, include_lowered_inequality=args.include_lowered_inequality
-        ),
+        "summary": summary,
         "solution": solution.to_json(),
     }
     if mech is None:
@@ -203,7 +183,7 @@ def cmd_amd(args: argparse.Namespace) -> tuple[dict, int]:
         result["sp_check"] = None
         return {"amd": result}, EXIT_VIOLATION
 
-    violation = verify.check_sp_bruteforce(mech, workers=args.workers)
+    violation = verify.check_sp_bruteforce(mech)
     result["sp_check"] = {
         "pass": violation is None,
         "violation": None if violation is None else violation.to_json(),
@@ -247,7 +227,7 @@ def cmd_zoo(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sepax",
         description=(
             "Verify strategyproofness of ordinal mechanisms through local "
@@ -260,12 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="also write the JSON report to this file")
         p.add_argument("--seed", type=int, default=None, help="echoed in the report")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="parallel worker processes (default: SEPAX_WORKERS or all cores)",
-        )
         p.add_argument(
             "--summary", action="store_true", help="print human-readable lines to stderr"
         )
@@ -356,33 +330,26 @@ def _summarize(report: dict, stream) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
-        if args.workers is None:
-            args.workers = _default_workers()
-        if args.workers < 1:
-            raise _InputError("--workers must be >= 1")
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         result, code = _COMMANDS[args.command](args)
-    except _InputError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (_InputError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
 
     report = {
         "command": args.command,
         "seed": args.seed,
-        "workers": args.workers,
+        # every scan is serial; the key keeps the report's shape
+        "workers": 1,
         "result": result,
         "timing_s": round(time.perf_counter() - started, 6),
     }
     payload = json.dumps(report, indent=2)
     print(payload)
     if args.out:
-        _write_atomic(args.out, payload + "\n")
+        mechanisms.write_atomic(args.out, payload + "\n")
     if args.summary:
         _summarize(report, sys.stderr)
     return code

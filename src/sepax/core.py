@@ -258,11 +258,6 @@ def _check_same_m(*sized) -> int:
     return sizes.pop()
 
 
-def subset_prob(x: Lottery, alts) -> Fraction:
-    """Total probability ``x`` places on a set of alternatives."""
-    return x.mass(alts)
-
-
 def fosd(x: Lottery, y: Lottery, order: WeakOrder) -> bool:
     """First-order stochastic dominance of ``x`` over ``y`` at ``order``:
     every upper-contour set receives at least as much probability under

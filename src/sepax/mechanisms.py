@@ -16,11 +16,13 @@ File format (orders listed in canonical enumeration order)::
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import tempfile
 from fractions import Fraction
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import (
     FormatError,
@@ -50,6 +52,15 @@ class MalformedRationalError(MechanismFormatError):
 
 class InvalidLotteryError(MechanismFormatError):
     """A lottery has negative entries or does not sum to one."""
+
+
+class IntegerView(NamedTuple):
+    """A table over one common denominator D: ``rows[i][a] == D * p`` where
+    p is the probability of alternative a at the i-th order in canonical
+    enumeration order."""
+
+    denominator: int
+    rows: tuple[tuple[int, ...], ...]
 
 
 class MechanismTable:
@@ -95,6 +106,20 @@ class MechanismTable:
     @property
     def is_deterministic(self) -> bool:
         return all(lot.is_deterministic for lot in self._entries.values())
+
+    @cached_property
+    def integer_view(self) -> IntegerView:
+        """The table scaled once to integers, so that every verdict compares
+        sums of ``int`` entries. Needs a total table; call `validate` first."""
+        lotteries = [lottery.probs for _, lottery in self.items()]
+        denominator = math.lcm(
+            *{p.denominator for probs in lotteries for p in probs}
+        )
+        rows = tuple(
+            tuple(p.numerator * (denominator // p.denominator) for p in probs)
+            for probs in lotteries
+        )
+        return IntegerView(denominator, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MechanismTable):
@@ -193,9 +218,13 @@ def load_mechanism(path: str | os.PathLike) -> MechanismTable:
 
 
 def save_mechanism(mech: MechanismTable, path: str | os.PathLike) -> None:
-    """Write atomically: the target file appears complete or not at all."""
+    """Validate the table, then write it atomically."""
     mech.validate()
-    payload = json.dumps(mechanism_to_json(mech), indent=2) + "\n"
+    write_atomic(path, json.dumps(mechanism_to_json(mech), indent=2) + "\n")
+
+
+def write_atomic(path: str | os.PathLike, payload: str) -> None:
+    """Write text so that the target file appears complete or not at all."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -1,11 +1,14 @@
 """Global strategyproofness checks and their agreement with the local axiom
 decomposition.
 
-`check_sp_bruteforce` scans every ordered pair of orders (truth, misreport)
-and tests stochastic dominance of the truthful lottery at the truth. The
+`check_sp_bruteforce` decides the definition itself, over every ordered
+pair of orders (truth, misreport): the truthful lottery must stochastically
+dominate the misreport's at the truth. Every quantifier is universal, so it
+runs as a contour-maximum check on the table's integer view. The
 decomposition checks re-derive the same verdict from the separation axioms
 alone and report whether the two routes agree; a disagreement would mean a
-bug in one of them, never a property of the mechanism.
+bug in one of them, never a property of the mechanism. The pairwise scan
+itself lives on as the test oracle in ``tests/oracles.py``.
 
 Also here: closed-form constraint counting (how much smaller the separation
 scan is than the pairwise scan) and seeded random-population scans used by
@@ -16,20 +19,18 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
-from .axioms import AXIOMS, Certificate, all_separations, check_all_axioms
+from .axioms import Certificate, all_separations, check_all_axioms
 from .core import Lottery, WeakOrder, enumerate_weak_orders, format_rational
 from .mechanisms import (
     MechanismTable,
     random_deterministic_mechanism,
     random_mechanism,
 )
-
-_MIN_CHUNK = 64
 
 
 class NotDeterministicError(ValueError):
@@ -76,51 +77,51 @@ def _dominance_gap(
     return None
 
 
-def _sp_chunk(mech: MechanismTable, start: int, stop: int) -> SPViolation | None:
+def _subset_masses(row: tuple[int, ...]) -> list[int]:
+    """Mass of every subset of alternatives, indexed by bitmask (bit a is
+    alternative a)."""
+    masses = [0]
+    for value in row:
+        masses += [mass + value for mass in masses]
+    return masses
+
+
+def _contour_masses(order: WeakOrder, row: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Each upper-contour set of ``order`` as a bitmask, with its mass."""
+    mask = mass = 0
+    for cls in order.classes:
+        for alt in cls:
+            mask |= 1 << alt
+            mass += row[alt]
+        yield mask, mass
+
+
+def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
+    """Exact strategyproofness over all ordered (truth, misreport) pairs.
+    Returns the first violation in canonical pair order (lexicographic by
+    enumeration index), or None.
+
+    Truth i has a profitable misreport iff p_i(S) < best(S) for one of its
+    upper-contour sets S, where best(S) is the largest mass any order's
+    lottery puts on S. So one best(S) per subset, taken over the integer
+    view, settles every truth; only the first failing truth's row is then
+    scanned pairwise, to name its first profitable misreport."""
+    mech.validate()
+    _, rows = mech.integer_view
+    best = [0] * (1 << mech.m)
+    for row in set(rows):
+        best = list(map(max, best, _subset_masses(row)))
     orders = enumerate_weak_orders(mech.m)
-    for i in range(start, stop):
-        truth = orders[i]
+    for truth, row in zip(orders, rows):
+        if all(mass >= best[mask] for mask, mass in _contour_masses(truth, row)):
+            continue
         truthful = mech.lottery(truth)
-        for j, misreport in enumerate(orders):
-            if i == j:
-                continue
+        # no gap ever shows between the truth and itself, so it needs no skip
+        for misreport in orders:
             gap = _dominance_gap(truthful, mech.lottery(misreport), truth)
             if gap is not None:
                 return SPViolation(truth, misreport, *gap)
     return None
-
-
-def _sp_chunk_args(args) -> SPViolation | None:
-    return _sp_chunk(*args)
-
-
-def check_sp_bruteforce(
-    mech: MechanismTable, *, workers: int = 1
-) -> SPViolation | None:
-    """Exhaustive strategyproofness check over all ordered (truth,
-    misreport) pairs. Returns the first violation in canonical pair order
-    (lexicographic by enumeration index), independent of the worker count."""
-    mech.validate()
-    orders = enumerate_weak_orders(mech.m)
-    n = len(orders)
-    workers = max(1, min(workers, (n + _MIN_CHUNK - 1) // _MIN_CHUNK))
-    if workers == 1:
-        return _sp_chunk(mech, 0, n)
-    bounds = [(n * i) // workers for i in range(workers + 1)]
-    tasks = [
-        (mech, bounds[i], bounds[i + 1])
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
-    hits: list[SPViolation] = []
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        for result in pool.map(_sp_chunk_args, tasks):
-            if result is not None:
-                hits.append(result)
-    if not hits:
-        return None
-    index = {order: i for i, order in enumerate(orders)}
-    return min(hits, key=lambda v: (index[v.truth], index[v.misreport]))
 
 
 @dataclass
@@ -161,12 +162,11 @@ def _equivalence(
     mech: MechanismTable,
     statement: str,
     required: tuple[str, ...],
-    workers: int,
 ) -> EquivalenceReport:
-    report = check_all_axioms(mech, workers=workers)
+    report = check_all_axioms(mech)
     verdicts = report.verdicts
     decomposition = all(verdicts[axiom] for axiom in required)
-    violation = check_sp_bruteforce(mech, workers=workers)
+    violation = check_sp_bruteforce(mech)
     sp = violation is None
     certificates = {
         axiom: certs[0] for axiom, certs in report.certificates.items() if certs
@@ -184,41 +184,31 @@ def _equivalence(
     )
 
 
-def check_decomposition(
-    mech: MechanismTable, *, workers: int = 1
-) -> EquivalenceReport:
+def check_decomposition(mech: MechanismTable) -> EquivalenceReport:
     """Strategyproof iff monotonic + upper invariant + lower invariant."""
     return _equivalence(
-        mech,
-        "axioms_vs_sp",
-        ("monotonic", "upper_invariant", "lower_invariant"),
-        workers,
+        mech, "axioms_vs_sp", ("monotonic", "upper_invariant", "lower_invariant")
     )
 
 
-def check_relaxed_decomposition(
-    mech: MechanismTable, *, workers: int = 1
-) -> EquivalenceReport:
+def check_relaxed_decomposition(mech: MechanismTable) -> EquivalenceReport:
     """Same equivalence with directness dropped: responsive + the two
     invariance axioms already pin down strategyproofness."""
     return _equivalence(
         mech,
         "relaxed_axioms_vs_sp",
         ("responsive", "upper_invariant", "lower_invariant"),
-        workers,
     )
 
 
-def check_deterministic_decomposition(
-    mech: MechanismTable, *, workers: int = 1
-) -> EquivalenceReport:
+def check_deterministic_decomposition(mech: MechanismTable) -> EquivalenceReport:
     """For deterministic mechanisms, monotonic alone is equivalent to
     strategyproofness. Raises `NotDeterministicError` on randomized input."""
     if not mech.is_deterministic:
         raise NotDeterministicError(
             f"mechanism {mech.name or '?'} is not deterministic"
         )
-    return _equivalence(mech, "monotonic_vs_sp_deterministic", ("monotonic",), workers)
+    return _equivalence(mech, "monotonic_vs_sp_deterministic", ("monotonic",))
 
 
 _STATEMENT_CHECKS = {
@@ -347,7 +337,6 @@ def scan_random_mechanisms(
     seed: int,
     *,
     statement: str = "axioms_vs_sp",
-    workers: int = 1,
 ) -> ScanReport:
     """Run one equivalence statement over ``count`` seeded random tables."""
     check = _STATEMENT_CHECKS[statement]
@@ -355,7 +344,7 @@ def scan_random_mechanisms(
     report = ScanReport(statement=statement, m=m, checked=count, agreements=0, sp_count=0)
     for i in range(count):
         mech = random_mechanism(m, rng, name=f"random-{m}-{seed}-{i}")
-        result = check(mech, workers=workers)
+        result = check(mech)
         if result.agreement:
             report.agreements += 1
         elif report.first_disagreement is None:
@@ -467,9 +456,7 @@ def scan_deterministic_decomposition(
     return report
 
 
-def scan_random_deterministic_mechanisms(
-    m: int, count: int, seed: int, *, workers: int = 1
-) -> ScanReport:
+def scan_random_deterministic_mechanisms(m: int, count: int, seed: int) -> ScanReport:
     """Like `scan_random_mechanisms` but over deterministic tables, using
     the generic checkers throughout."""
     rng = random.Random(seed)
@@ -482,7 +469,7 @@ def scan_random_deterministic_mechanisms(
     )
     for i in range(count):
         mech = random_deterministic_mechanism(m, rng, name=f"random-det-{m}-{seed}-{i}")
-        result = check_deterministic_decomposition(mech, workers=workers)
+        result = check_deterministic_decomposition(mech)
         if result.agreement:
             report.agreements += 1
         elif report.first_disagreement is None:

@@ -1,6 +1,8 @@
 """Independent reference implementations the tests compare the library
 against. Everything here is written from first principles on purpose; do
-not import algorithmic helpers from sepax into this module."""
+not import algorithmic helpers from sepax into this module. Mechanism
+tables are read only through ``items()``: canonical orders with their
+lotteries."""
 
 from __future__ import annotations
 
@@ -119,3 +121,85 @@ def random_bounded_lp(rng: random.Random, lp_cls, constraint_budget: int = 12):
     )
     lp.objective = {j: Fraction(rng.randint(-5, 5)) for j in range(n)}
     return lp
+
+
+def _text(classes) -> str:
+    return ">".join(",".join(str(alt) for alt in cls) for cls in classes)
+
+
+def _mass(probs, alts) -> Fraction:
+    return sum((probs[alt] for alt in alts), Fraction(0))
+
+
+def sp_pairwise_oracle(mech) -> dict | None:
+    """The definition of strategyproofness, scanned pair by pair in
+    canonical (truth, misreport) order with running Fraction sums: the
+    first pair where the misreport's lottery puts more probability on some
+    upper-contour set of the truth, in the JSON shape of an SP violation,
+    or None when every pair passes."""
+    entries = [(order.classes, lottery.probs) for order, lottery in mech.items()]
+    for truth, truthful in entries:
+        for misreport, other in entries:
+            if misreport == truth:
+                continue
+            cum_t = cum_o = Fraction(0)
+            for cls in truth:
+                cum_t += _mass(truthful, cls)
+                cum_o += _mass(other, cls)
+                if cum_t < cum_o:
+                    return {
+                        "truth": _text(truth),
+                        "misreport": _text(misreport),
+                        "witness_alt": cls[0],
+                        "truth_cumulative": str(cum_t),
+                        "misreport_cumulative": str(cum_o),
+                    }
+    return None
+
+
+def separation_axiom_oracle(mech) -> dict[str, list[dict]]:
+    """Every failure of the four separation axioms, straight from their
+    definitions with Fraction sums, in the JSON shape of a certificate.
+    Separations run by coarse order (canonical), split class, then the
+    ascending bitmask of the upper part over the class members."""
+    entries = [(order.classes, lottery.probs) for order, lottery in mech.items()]
+    lottery_of = dict(entries)
+    found: dict[str, list[dict]] = {
+        "responsive": [], "direct": [], "upper_invariant": [], "lower_invariant": []
+    }
+    for coarse, c_probs in entries:
+        for pos, cls in enumerate(coarse):
+            for mask in range(1, 2 ** len(cls) - 1):
+                upper = tuple(a for j, a in enumerate(cls) if mask >> j & 1)
+                lower = tuple(a for j, a in enumerate(cls) if not mask >> j & 1)
+                fine = coarse[:pos] + (upper, lower) + coarse[pos + 1 :]
+                f_probs = lottery_of[fine]
+
+                def cert(axiom, witness, k, lhs, rhs):
+                    found[axiom].append({
+                        "axiom": axiom, "coarse": _text(coarse), "fine": _text(fine),
+                        "kappa": pos + 1, "M1": list(upper), "M2": list(lower),
+                        "k": k, "witness": witness, "lhs": str(lhs), "rhs": str(rhs),
+                    })
+
+                up = (_mass(c_probs, upper), _mass(f_probs, upper))
+                low = (_mass(c_probs, lower), _mass(f_probs, lower))
+                if up[1] < up[0]:
+                    cert("responsive", "upper_part", pos + 1, *up)
+                elif low[1] > low[0]:
+                    cert("responsive", "lower_part", pos + 1, *low)
+                if any(_mass(c_probs, c) != _mass(f_probs, c) for c in coarse):
+                    if up[0] == up[1]:
+                        cert("direct", "upper_part", pos + 1, *up)
+                    elif low[0] == low[1]:
+                        cert("direct", "lower_part", pos + 1, *low)
+                for axiom, others in (
+                    ("upper_invariant", range(pos)),
+                    ("lower_invariant", range(pos + 1, len(coarse))),
+                ):
+                    for j in others:
+                        lhs, rhs = _mass(c_probs, coarse[j]), _mass(f_probs, coarse[j])
+                        if lhs != rhs:
+                            cert(axiom, "class", j + 1, lhs, rhs)
+                            break
+    return found

@@ -10,11 +10,6 @@ from sepax.axioms import (
     all_separations,
     as_separation,
     check_all_axioms,
-    check_lower_invariant,
-    check_separation_direct,
-    check_separation_monotonic,
-    check_separation_responsive,
-    check_upper_invariant,
     enumerate_separations,
     find_violations,
     verify_certificate,
@@ -169,37 +164,36 @@ def test_direct_violator_certificates():
 
 
 def test_monotonic_prefers_earliest_separation():
-    cert = check_separation_monotonic(k_sensitive_boost(3))
-    assert cert is not None and cert.axiom == "responsive"
+    # monotonic is responsive and direct together; its earliest failure is
+    # the lowest separation index over both, responsive first on a tie
+    report = check_all_axioms(k_sensitive_boost(3))
+    assert report.verdicts["monotonic"] is False
+    assert report.verdicts["direct"] is True
     mech = direct_violator()
-    cert = check_separation_monotonic(mech)
     found = find_violations(mech, ("responsive", "direct"))
     ranked = [
         (c.separation_index, prio, c)
         for prio, axiom in enumerate(("responsive", "direct"))
         for c in found[axiom]
     ]
-    assert cert == min(ranked, key=lambda item: item[:2])[2]
+    earliest = min(ranked, key=lambda item: item[:2])[2]
+    assert (earliest.axiom, earliest.separation_index) == ("responsive", 0)
+    assert found["direct"][0].separation_index == 4
+    assert check_all_axioms(mech).verdicts["monotonic"] is False
 
 
 def test_individual_checkers_match_report():
     for mech in (k_sensitive_boost(3), direct_violator(), uniform_lottery(3)):
         report = check_all_axioms(mech)
-        checks = {
-            "responsive": check_separation_responsive(mech),
-            "direct": check_separation_direct(mech),
-            "upper_invariant": check_upper_invariant(mech),
-            "lower_invariant": check_lower_invariant(mech),
-        }
-        for axiom, cert in checks.items():
-            assert (cert is None) == report.verdicts[axiom]
-            if cert is not None:
-                assert cert == report.certificates[axiom][0]
+        for axiom in AXIOMS:
+            certs = find_violations(mech, (axiom,))[axiom]
+            assert (not certs) == report.verdicts[axiom]
+            assert certs == report.certificates[axiom]
 
 
 def test_verify_certificate_rejects_tampering():
     mech = k_sensitive_boost(3)
-    cert = check_separation_responsive(mech)
+    cert = find_violations(mech, ("responsive",))["responsive"][0]
     assert verify_certificate(mech, cert)
     assert not verify_certificate(mech, dataclasses.replace(cert, lhs=F(1, 7)))
     assert not verify_certificate(mech, dataclasses.replace(cert, rhs=cert.lhs))
@@ -220,8 +214,8 @@ def test_verify_certificate_rejects_tampering():
 
 def test_invariance_k_bounds():
     mech = k_sensitive_boost(3)
-    up = check_upper_invariant(mech)
-    low = check_lower_invariant(mech)
+    found = find_violations(mech, ("upper_invariant", "lower_invariant"))
+    up, low = found["upper_invariant"][0], found["lower_invariant"][0]
     assert up.k < up.separation.kappa
     assert low.k > low.separation.kappa
 
@@ -243,18 +237,11 @@ def test_find_violations_rejects_unknown_axiom():
         find_violations(uniform_lottery(2), ("sneaky",))
 
 
-def test_worker_count_does_not_change_results():
-    mech = k_sensitive_boost(5)
-    serial = find_violations(mech, AXIOMS, all_violations=True, workers=1)
-    parallel = find_violations(mech, AXIOMS, all_violations=True, workers=4)
-    assert serial == parallel
-
-
 def test_certificate_witness_set():
     mech = k_sensitive_boost(3)
-    resp = check_separation_responsive(mech)
+    found = find_violations(mech, ("responsive", "upper_invariant"))
+    resp, up = found["responsive"][0], found["upper_invariant"][0]
     assert resp.witness_set() == resp.separation.upper_part
-    up = check_upper_invariant(mech)
     assert up.witness_set() == up.separation.coarse.classes[up.k - 1]
     with pytest.raises(ValueError):
         dataclasses.replace(resp, witness="nonsense").witness_set()

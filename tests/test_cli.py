@@ -103,7 +103,7 @@ def test_corollary_mode_rejects_randomized(zoo_files):
 
 def test_internal_disagreement_exit_code(zoo_files, monkeypatch):
     # force the two routes apart to prove exit code 2 is wired up
-    def lie(mech, *, workers=1):
+    def lie(mech):
         return None
 
     monkeypatch.setattr(verify, "check_sp_bruteforce", lie)
@@ -270,12 +270,12 @@ def test_report_shape_and_out_file(tmp_path, zoo_files):
     out = tmp_path / "report.json"
     code, report, _ = run_cli(
         ["check", "--mechanism", zoo_files["uniform_lottery"], "--mode", "sp",
-         "--seed", "7", "--workers", "2", "--out", str(out)]
+         "--seed", "7", "--out", str(out)]
     )
     assert code == 0
     assert set(report) == {"command", "seed", "workers", "result", "timing_s"}
     assert report["seed"] == 7
-    assert report["workers"] == 2
+    assert report["workers"] == 1
     on_disk = json.loads(out.read_text())
     assert on_disk == report
 
@@ -303,34 +303,42 @@ def test_reports_reproducible_modulo_timing(zoo_files):
 
 
 def test_workers_env_fallback(zoo_files, monkeypatch):
-    monkeypatch.setenv("SEPAX_WORKERS", "3")
-    code, report, _ = run_cli(
-        ["check", "--mechanism", zoo_files["uniform_lottery"], "--mode", "sp"]
-    )
-    assert code == 0
-    assert report["workers"] == 3
-
-    monkeypatch.setenv("SEPAX_WORKERS", "zero")
-    code, _, err = run_cli(
-        ["check", "--mechanism", zoo_files["uniform_lottery"], "--mode", "sp"]
-    )
-    assert code == 3
-    assert "SEPAX_WORKERS" in json.loads(err)["error"]
-
-    monkeypatch.setenv("SEPAX_WORKERS", "0")
-    code, _, _ = run_cli(
-        ["check", "--mechanism", zoo_files["uniform_lottery"], "--mode", "sp"]
-    )
-    assert code == 3
+    # scans are serial: SEPAX_WORKERS is unread, whatever it holds
+    for value in ("3", "zero", "0"):
+        monkeypatch.setenv("SEPAX_WORKERS", value)
+        code, report, _ = run_cli(
+            ["check", "--mechanism", zoo_files["uniform_lottery"], "--mode", "sp"]
+        )
+        assert code == 0
+        assert report["workers"] == 1
 
 
 def test_workers_flag_overrides_env(zoo_files, monkeypatch):
+    # --workers is an unknown flag, with or without SEPAX_WORKERS set
     monkeypatch.setenv("SEPAX_WORKERS", "3")
-    _, report, _ = run_cli(
+    code, report, err = run_cli(
         ["check", "--mechanism", zoo_files["uniform_lottery"], "--mode", "sp",
-         "--workers", "1"]
+         "--workers", "2"]
     )
-    assert report["workers"] == 1
+    assert code == 3
+    assert report is None
+    assert "--workers" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["enumerate", "--m", "2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check", "--mechanism", "x.json", "--mode", "nope"], "invalid choice"),
+        (["check", "--mode", "sp"], "--mechanism"),
+    ],
+)
+def test_bad_flags_exit_3(argv, fragment):
+    # argparse would exit 2, the code reserved for internal disagreements
+    code, report, err = run_cli(argv)
+    assert code == 3
+    assert report is None
+    assert fragment in json.loads(err)["error"]
 
 
 def test_summary_lines_on_stderr(zoo_files):

@@ -18,7 +18,6 @@ from sepax.core import (
     ordered_set_partitions,
     parse_rational,
     strictly_consistent,
-    subset_prob,
 )
 from tests.oracles import weak_order_count
 
@@ -146,11 +145,11 @@ def test_lottery_mass():
 
 def test_subset_prob():
     lot = Lottery(3, (F(1, 2), F(1, 3), F(1, 6)))
-    assert subset_prob(lot, {0, 2}) == F(2, 3)
-    assert subset_prob(lot, set()) == 0
-    assert subset_prob(lot, {0, 1, 2}) == 1
+    assert lot.mass({0, 2}) == F(2, 3)
+    assert lot.mass(set()) == 0
+    assert lot.mass({0, 1, 2}) == 1
     with pytest.raises(ValueError):
-        subset_prob(lot, {5})
+        lot.mass({5})
 
 
 def test_fosd_pinned_example():

@@ -3,7 +3,12 @@ import itertools
 import pytest
 
 from sepax.core import Lottery, WeakOrder, enumerate_weak_orders
-from sepax.axioms import all_separations, enumerate_separations
+from sepax.axioms import (
+    all_separations,
+    enumerate_separations,
+    find_violations,
+    verify_certificate,
+)
 from sepax.mechanisms import (
     MechanismTable,
     k_sensitive_boost,
@@ -24,7 +29,7 @@ from sepax.verify import (
     scan_random_deterministic_mechanisms,
     scan_random_mechanisms,
 )
-from tests.oracles import weak_order_count
+from tests.oracles import separation_axiom_oracle, sp_pairwise_oracle, weak_order_count
 
 
 def test_fubini_numbers():
@@ -83,11 +88,20 @@ def test_sp_violation_is_canonical_first():
                 assert (index[truth], index[lie]) >= found_key
 
 
-def test_sp_worker_determinism():
-    mech = k_sensitive_boost(4)
-    assert check_sp_bruteforce(mech, workers=1) == check_sp_bruteforce(
-        mech, workers=4
-    )
+def test_integer_kernel_matches_oracles(population):
+    # the m=5 zoo's one violator joins the acceptance population
+    for mech in population + [k_sensitive_boost(5)]:
+        violation = check_sp_bruteforce(mech)
+        expected = sp_pairwise_oracle(mech)
+        assert (None if violation is None else violation.to_json()) == expected, mech.name
+        found = find_violations(mech, all_violations=True)
+        oracle = separation_axiom_oracle(mech)
+        assert {
+            axiom: [cert.to_json() for cert in certs] for axiom, certs in found.items()
+        } == oracle, mech.name
+        for certs in found.values():
+            for cert in certs:
+                assert verify_certificate(mech, cert), mech.name
 
 
 def test_decomposition_report_on_violator():
