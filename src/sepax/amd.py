@@ -180,12 +180,12 @@ def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
     for t, raw in enumerate(terms):
         if not isinstance(raw, dict):
             raise FormatError(f"term {t} must be an object")
-        try:
-            order = WeakOrder.parse(raw["order"])
-        except (KeyError, TypeError):
-            raise FormatError(f"term {t}: missing order") from None
+        order_text = raw.get("order")
+        if not isinstance(order_text, str):
+            raise FormatError(f"term {t}: missing order text")
+        order = WeakOrder.parse(order_text)
         if order.m != m or order not in index:
-            raise FormatError(f"term {t}: order {raw['order']!r} not over 0..{m - 1}")
+            raise FormatError(f"term {t}: order {order_text!r} not over 0..{m - 1}")
         alt = raw.get("alt")
         if not isinstance(alt, int) or isinstance(alt, bool) or not 0 <= alt < m:
             raise FormatError(f"term {t}: bad alternative {alt!r}")

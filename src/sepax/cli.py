@@ -8,8 +8,9 @@ mechanism), zoo (built-in mechanism tables).
 Every run prints one JSON report to stdout; --out additionally writes the
 same report to a file, atomically, and only on success. Exit codes: 0 pass
 or agreement, 1 a mechanism-level violation or an unsolvable design, 2 an
-internal cross-check disagreement (a bug, not a verdict), 3 bad input,
-including bad flags.
+internal cross-check disagreement or any other internal fault (a bug, not a
+verdict), 3 bad input, including bad flags. Bad input and internal faults
+print ``{"error": ...}`` to stderr instead of a report, never a traceback.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INTERNAL = 2
 EXIT_INPUT = 3
+
+# Closed-form counts are big integers: at m=500 they take about 0.2 s and
+# the largest has about 2,400 digits, safely under Python's default limit
+# of 4,300 digits for turning an int into text.
+COUNTS_MAX_M = 500
 
 CHECK_MODES = ("axioms", "sp", "multisep", "theorem1", "corollary1", "remark2")
 
@@ -128,6 +134,8 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     if m is None or m < 1:
         raise _InputError("enumerate needs --m >= 1")
     if args.what == "counts":
+        if m > COUNTS_MAX_M:
+            raise _InputError(f"closed-form counts are capped at m={COUNTS_MAX_M}")
         return {"enumerate": verify.count_constraints(m).to_json()}, EXIT_PASS
     if m > 7:
         raise _InputError("enumeration beyond m=7 is unreasonably large")
@@ -331,13 +339,29 @@ def _summarize(report: dict, stream) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        started = time.perf_counter()
-        result, code = _COMMANDS[args.command](args)
+        return _run(argv)
     except (_InputError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a fault in sepax itself, never a verdict: exit 2, and name where it
+        # was raised instead of printing a traceback
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        fault = {
+            "error": f"internal error: {type(exc).__name__}: {exc}",
+            "at": f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}",
+        }
+        print(json.dumps(fault), file=sys.stderr)
+        return EXIT_INTERNAL
 
+
+def _run(argv: list[str] | None) -> int:
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    result, code = _COMMANDS[args.command](args)
     report = {
         "command": args.command,
         "seed": args.seed,

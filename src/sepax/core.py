@@ -36,8 +36,12 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(token)
     if match is None:
         raise FormatError(f"malformed rational {text!r}")
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) is not None else 1
+    try:
+        numerator = int(match.group(1))
+        denominator = int(match.group(2)) if match.group(2) is not None else 1
+    except ValueError:
+        # beyond the interpreter's limit on digits per integer
+        raise FormatError(f"rational of {len(token)} characters is too long") from None
     if denominator == 0:
         raise FormatError(f"zero denominator in rational {text!r}")
     return Fraction(numerator, denominator)

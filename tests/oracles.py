@@ -123,6 +123,187 @@ def random_bounded_lp(rng: random.Random, lp_cls, constraint_budget: int = 12):
     return lp
 
 
+def fraction_simplex_oracle(lp) -> tuple[str, dict[str, Fraction], Fraction | None]:
+    """The two-phase simplex on a dense `Fraction` tableau with Bland's
+    least-index rule everywhere, as the library ran it before its integer
+    tableau: (status, assignment, objective value). Same pivot rule, so on
+    every program it must reach the very vertex `solve_lp` reports."""
+    n = len(lp.variables)
+    rows: list[tuple[list[Fraction], str, Fraction]] = []
+    for con in lp.constraints:
+        dense = [Fraction(0)] * n
+        for j, c in con.coeffs.items():
+            if not 0 <= j < n:
+                raise ValueError(f"constraint {con.name!r} uses unknown variable {j}")
+            dense[j] = c
+        if con.rhs < 0:
+            dense = [-c for c in dense]
+            relation = {"<=": ">=", ">=": "<=", "=": "="}[con.relation]
+            rows.append((dense, relation, -con.rhs))
+        else:
+            rows.append((dense, con.relation, con.rhs))
+
+    num_rows = len(rows)
+    slack_col: dict[int, int] = {}
+    art_col: dict[int, int] = {}
+    cols = n
+    for i, (_, relation, _) in enumerate(rows):
+        if relation != "=":
+            slack_col[i] = cols
+            cols += 1
+    for i, (_, relation, _) in enumerate(rows):
+        if relation != "<=":
+            art_col[i] = cols
+            cols += 1
+
+    # tableau rows have cols coefficient entries plus the rhs at the end
+    tableau = []
+    basis = []
+    for i, (dense, relation, rhs) in enumerate(rows):
+        row = dense + [Fraction(0)] * (cols - n) + [rhs]
+        if relation == "<=":
+            row[slack_col[i]] = Fraction(1)
+            basis.append(slack_col[i])
+        elif relation == ">=":
+            row[slack_col[i]] = Fraction(-1)
+            row[art_col[i]] = Fraction(1)
+            basis.append(art_col[i])
+        else:
+            row[art_col[i]] = Fraction(1)
+            basis.append(art_col[i])
+        tableau.append(row)
+
+    artificials = set(art_col.values())
+    banned: set[int] = set()
+
+    if artificials:
+        phase_cost = [Fraction(0)] * cols
+        for j in artificials:
+            phase_cost[j] = Fraction(-1)
+        value = _fraction_run_simplex(tableau, basis, phase_cost, banned, drop_leaving=artificials)
+        if value != 0:
+            return "infeasible", {}, None
+        _fraction_expel_artificials(tableau, basis, artificials)
+        banned |= artificials
+
+    cost = [Fraction(0)] * cols
+    for j, c in lp.objective.items():
+        cost[j] = Fraction(c)
+    value = _fraction_run_simplex(tableau, basis, cost, banned, drop_leaving=set())
+    if value is None:
+        return "unbounded", {}, None
+
+    solution = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            solution[b] = tableau[i][-1]
+    assignment = {name: solution[j] for j, name in enumerate(lp.variables)}
+    return "optimal", assignment, value
+
+
+def _fraction_run_simplex(
+    tableau: list[list[Fraction]],
+    basis: list[int],
+    cost: list[Fraction],
+    banned: set[int],
+    drop_leaving: set[int],
+) -> Fraction | None:
+    """Maximize cost over the current tableau in place. Returns the optimal
+    value, or None when unbounded. Columns in ``banned`` never enter;
+    columns in ``drop_leaving`` are banned as soon as they leave the basis
+    (used to keep phase-one artificials from re-entering)."""
+    cols = len(cost)
+    # reduced-cost row, maintained incrementally like any other row
+    z = list(cost) + [Fraction(0)]
+    for i, b in enumerate(basis):
+        if cost[b] != 0:
+            factor = cost[b]
+            row = tableau[i]
+            for j in range(cols + 1):
+                z[j] -= factor * row[j]
+
+    while True:
+        entering = -1
+        for j in range(cols):
+            if j in banned:
+                continue
+            if z[j] > 0:
+                entering = j
+                break
+        if entering < 0:
+            return -z[-1]
+
+        leaving = -1
+        best_ratio: Fraction | None = None
+        for i, row in enumerate(tableau):
+            if row[entering] <= 0:
+                continue
+            ratio = row[-1] / row[entering]
+            if (
+                best_ratio is None
+                or ratio < best_ratio
+                or (ratio == best_ratio and basis[i] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = i
+        if leaving < 0:
+            return None
+
+        left = basis[leaving]
+        if left in drop_leaving:
+            banned.add(left)
+        _fraction_pivot(tableau, z, basis, leaving, entering)
+
+
+def _fraction_pivot(
+    tableau: list[list[Fraction]],
+    z: list[Fraction],
+    basis: list[int],
+    i: int,
+    j: int,
+) -> None:
+    pivot_row = tableau[i]
+    inv = Fraction(1) / pivot_row[j]
+    for k in range(len(pivot_row)):
+        pivot_row[k] *= inv
+    for row in tableau:
+        if row is pivot_row or row[j] == 0:
+            continue
+        factor = row[j]
+        for k in range(len(row)):
+            row[k] -= factor * pivot_row[k]
+    if z[j] != 0:
+        factor = z[j]
+        for k in range(len(z)):
+            z[k] -= factor * pivot_row[k]
+    basis[i] = j
+
+
+def _fraction_expel_artificials(
+    tableau: list[list[Fraction]], basis: list[int], artificials: set[int]
+) -> None:
+    """After a feasible phase one, pivot every basic artificial (necessarily
+    at value zero) onto a structural column, or drop its row as redundant."""
+    for i in range(len(basis) - 1, -1, -1):
+        if basis[i] not in artificials:
+            continue
+        row = tableau[i]
+        pivot_j = next(
+            (
+                j
+                for j in range(len(row) - 1)
+                if j not in artificials and row[j] != 0
+            ),
+            None,
+        )
+        if pivot_j is None:
+            del tableau[i]
+            del basis[i]
+            continue
+        dummy_z = [Fraction(0)] * len(row)
+        _fraction_pivot(tableau, dummy_z, basis, i, pivot_j)
+
+
 def _text(classes) -> str:
     return ">".join(",".join(str(alt) for alt in cls) for cls in classes)
 

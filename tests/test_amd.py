@@ -14,6 +14,7 @@ from sepax.amd import (
     objective_to_json,
     random_objective,
     solution_to_mechanism,
+    solve_design,
     sp_lp_summary,
     top_class_welfare_objective,
     variable_names,
@@ -208,3 +209,19 @@ def test_feasible_set_nonempty_even_with_all_rows():
     assert solution.status == "optimal"
     mech = solution_to_mechanism(solution, 3)
     assert check_sp_bruteforce(mech) is None
+
+
+def test_welfare_design_m4():
+    # the integer tableau solves the 300-variable m=4 system in seconds
+    lp = generate_sp_constraints(4)
+    solution, mech = solve_design(lp, 4, top_class_welfare_objective(4))
+    assert solution.status == "optimal"
+    assert solution.objective_value == 75
+    assert check_sp_bruteforce(mech) is None
+    assert lp.check_assignment(solution.assignment) == []
+
+
+def test_objective_order_must_be_text():
+    for order in (5, None, ["0>1"]):
+        with pytest.raises(FormatError):
+            objective_from_json({"terms": [{"order": order, "alt": 0, "coef": "1"}]}, 2)

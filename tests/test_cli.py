@@ -16,6 +16,7 @@ from sepax.mechanisms import (
     top_class_uniform,
     uniform_lottery,
 )
+from tests.oracles import weak_order_count
 
 
 def run_cli(argv: list[str]) -> tuple[int, dict | None, str]:
@@ -363,3 +364,58 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["enumerate"]["orders"] == 13
+
+
+def test_internal_fault_exits_2_without_traceback(monkeypatch):
+    def boom(args):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setitem(cli._COMMANDS, "zoo", boom)
+    code, report, err = run_cli(["zoo", "list"])
+    assert code == 2
+    assert report is None
+    fault = json.loads(err)
+    assert fault["error"] == "internal error: RuntimeError: simulated fault"
+    assert fault["at"].startswith("test_cli.py:") and fault["at"].endswith(" in boom")
+
+
+def test_inexact_lp_division_exits_2(tmp_path, monkeypatch):
+    # a solver whose common denominator is off must stop, not report
+    import sepax.lp as lp
+
+    real_init = lp._Tableau.__init__
+
+    def wrong_det(self, rows, basis):
+        real_init(self, rows, basis)
+        self.det = 7
+
+    monkeypatch.setattr(lp._Tableau, "__init__", wrong_det)
+    objective = tmp_path / "objective.json"
+    objective.write_text(json.dumps({"sense": "max", "terms": []}))
+    code, report, err = run_cli(["amd", "--m", "3", "--objective", str(objective)])
+    assert code == 2
+    assert report is None
+    fault = json.loads(err)
+    assert fault["error"].startswith("internal error: InexactDivisionError")
+    assert fault["at"].startswith("lp.py:")
+
+
+def test_amd_objective_order_not_text(tmp_path):
+    objective = tmp_path / "objective.json"
+    objective.write_text(
+        json.dumps({"sense": "max", "terms": [{"order": 5, "alt": 0, "coef": "1"}]})
+    )
+    code, report, err = run_cli(["amd", "--m", "2", "--objective", str(objective)])
+    assert code == 3
+    assert report is None
+    assert "order" in json.loads(err)["error"]
+
+
+def test_enumerate_counts_cap():
+    code, report, err = run_cli(["enumerate", "--m", "2000"])
+    assert code == 3
+    assert report is None
+    assert f"m={cli.COUNTS_MAX_M}" in json.loads(err)["error"]
+    code, report, _ = run_cli(["enumerate", "--m", str(cli.COUNTS_MAX_M)])
+    assert code == 0
+    assert report["result"]["enumerate"]["orders"] == weak_order_count(cli.COUNTS_MAX_M)

@@ -30,7 +30,13 @@ def test_parse_rational():
     assert parse_rational(" 0 ") == 0
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5", "1/2/3", "1 2", "/3"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "x", "1/0", "1.5", "1/2/3", "1 2", "/3",
+        pytest.param("1" + "0" * 5000, id="too_many_digits"),
+    ],
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(FormatError):
         parse_rational(bad)

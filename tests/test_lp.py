@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from sepax.lp import Constraint, LinearProgram, solve_lp
-from tests.oracles import lp_vertex_oracle, random_bounded_lp
+from sepax.amd import generate_sp_constraints, random_objective, top_class_welfare_objective
+from sepax.lp import Constraint, InexactDivisionError, LinearProgram, _Tableau, solve_lp
+from tests.oracles import fraction_simplex_oracle, lp_vertex_oracle, random_bounded_lp
 
 
 def simple_lp() -> LinearProgram:
@@ -152,3 +153,63 @@ def test_random_lps_against_vertex_oracle():
             assert lp.objective_value(solution.assignment) == oracle_value
     assert statuses["optimal"] >= 30
     assert statuses["infeasible"] >= 5
+
+
+def cycling_lp() -> LinearProgram:
+    lp = LinearProgram(["x1", "x2", "x3", "x4"])
+    lp.objective = {0: F(3, 4), 1: F(-150), 2: F(1, 50), 3: F(-6)}
+    lp.add_constraint(
+        "r1", {0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)}, "<=", F(0)
+    )
+    lp.add_constraint(
+        "r2", {0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)}, "<=", F(0)
+    )
+    lp.add_constraint("r3", {2: F(1)}, "<=", F(1))
+    return lp
+
+
+def identity_lps():
+    """Every program the integer tableau must solve exactly as the Fraction
+    tableau does: seeded random polytopes, the cycling instance, and the
+    design LPs at m=2 and m=3 under several objectives."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        for _ in range(120):
+            yield random_bounded_lp(rng, LinearProgram)
+    yield cycling_lp()
+    for m in (2, 3):
+        objectives = [top_class_welfare_objective(m), {}]
+        objectives += [random_objective(m, random.Random(seed)) for seed in range(3)]
+        for lowered in (False, True):
+            for objective in objectives:
+                lp = generate_sp_constraints(m, include_lowered_inequality=lowered)
+                lp.objective = dict(objective)
+                yield lp
+
+
+def test_integer_tableau_matches_fraction_oracle():
+    # Bland's rule is blind to positive row and column scaling, so the
+    # integer tableau must take the oracle's pivots and stop at its vertex
+    count = 0
+    for lp in identity_lps():
+        solution = solve_lp(lp)
+        status, assignment, value = fraction_simplex_oracle(lp)
+        assert solution.status == status
+        assert solution.assignment == assignment
+        assert solution.objective_value == value
+        count += 1
+    assert count == 4800 + 1 + 20
+
+
+def test_inexact_division_raises(monkeypatch):
+    # a denominator that is not the basis determinant must fail loudly
+    # instead of flooring its way to a wrong vertex
+    real_init = _Tableau.__init__
+
+    def wrong_det(self, rows, basis):
+        real_init(self, rows, basis)
+        self.det = 7
+
+    monkeypatch.setattr(_Tableau, "__init__", wrong_det)
+    with pytest.raises(InexactDivisionError):
+        solve_lp(cycling_lp())
