@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import amd as amd_mod
-from . import axioms, mechanisms, paths, verify
+from . import axioms, core, mechanisms, paths, verify
 from .core import FormatError, UtilityFn, WeakOrder, enumerate_weak_orders, parse_rational
 
 EXIT_PASS = 0
@@ -36,6 +36,9 @@ EXIT_INPUT = 3
 COUNTS_MAX_M = 500
 
 CHECK_MODES = ("axioms", "sp", "multisep", "theorem1", "corollary1", "remark2")
+
+# modes whose verdict is one SP violation or none
+_SP_CHECKS = {"sp": verify.check_sp_bruteforce, "multisep": paths.check_refinement_sp}
 
 # CLI mode tokens map to the library's descriptive names
 _MODE_CHECKS = {
@@ -79,7 +82,7 @@ def _load_utility(path: str, m: int) -> UtilityFn:
         raise _InputError(f"utility file {path} must hold {m} values")
     try:
         return UtilityFn(m, tuple(parse_rational(v) for v in values))
-    except (FormatError, ValueError, TypeError, AttributeError):
+    except ValueError:
         raise _InputError(f"utility file {path}: values must be \"p/q\" rationals")
 
 
@@ -100,18 +103,8 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         ok = all(report.verdicts.values())
         return {"check": report.to_json()}, EXIT_PASS if ok else EXIT_VIOLATION
 
-    if args.mode == "sp":
-        violation = verify.check_sp_bruteforce(mech)
-        result = {
-            "mechanism": mech.name,
-            "m": mech.m,
-            "pass": violation is None,
-            "violation": None if violation is None else violation.to_json(),
-        }
-        return {"check": result}, EXIT_PASS if violation is None else EXIT_VIOLATION
-
-    if args.mode == "multisep":
-        violation = paths.check_refinement_sp(mech)
+    if args.mode in _SP_CHECKS:
+        violation = _SP_CHECKS[args.mode](mech)
         result = {
             "mechanism": mech.name,
             "m": mech.m,
@@ -137,8 +130,10 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
         if m > COUNTS_MAX_M:
             raise _InputError(f"closed-form counts are capped at m={COUNTS_MAX_M}")
         return {"enumerate": verify.count_constraints(m).to_json()}, EXIT_PASS
-    if m > 7:
-        raise _InputError("enumeration beyond m=7 is unreasonably large")
+    if m > core.ENUMERATION_MAX_M:
+        raise _InputError(
+            f"enumeration beyond m={core.ENUMERATION_MAX_M} is unreasonably large"
+        )
     if args.what == "orders":
         orders = [order.text for order in enumerate_weak_orders(m)]
         return {"enumerate": {"m": m, "orders": orders}}, EXIT_PASS

@@ -32,6 +32,8 @@ def parse_rational(text: str) -> Fraction:
     >>> parse_rational("-2")
     Fraction(-2, 1)
     """
+    if not isinstance(text, str):
+        raise FormatError(f"rational must be text, not {type(text).__name__}")
     token = text.strip()
     match = _RATIONAL_RE.fullmatch(token)
     if match is None:
@@ -165,6 +167,11 @@ def ordered_set_partitions(
         rest = tuple(elems[j] for j in range(n) if not mask >> j & 1)
         for tail in ordered_set_partitions(rest):
             yield (first,) + tail
+
+
+# The largest m whose orders an input file or flag may make sepax enumerate:
+# 47,293 orders at m=7, where m=8 has 545,835 and m=9 7,087,261.
+ENUMERATION_MAX_M = 7
 
 
 @lru_cache(maxsize=8)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import format_rational, parse_rational
+from .core import FormatError, format_rational, parse_rational
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -141,22 +141,49 @@ class LinearProgram:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "LinearProgram":
-        variables = list(data["variables"])
-        index = {name: j for j, name in enumerate(variables)}
+    def from_json(data: object) -> "LinearProgram":
+        """Inverse of `to_json`; anything else raises `FormatError`."""
+        variables = _field(data, "variables", list, "linear program")
+        index = {name: j for j, name in enumerate(variables) if isinstance(name, str)}
+        if len(index) != len(variables):
+            raise FormatError("variable names must be distinct strings")
         lp = LinearProgram(variables)
-        lp.objective = {
-            index[name]: parse_rational(text)
-            for name, text in data.get("objective", {}).items()
-        }
-        for raw in data.get("constraints", []):
-            lp.add_constraint(
-                raw["name"],
-                {index[n]: parse_rational(t) for n, t in raw["coefficients"].items()},
-                raw["relation"],
-                parse_rational(raw["rhs"]),
-            )
+        lp.objective = _coefficients(data.get("objective", {}), index, "objective")
+        constraints = data.get("constraints", [])
+        if not isinstance(constraints, list):
+            raise FormatError("constraints must be a list")
+        for i, raw in enumerate(constraints):
+            where = f"constraint {i}"
+            relation = _field(raw, "relation", str, where)
+            if relation not in RELATIONS:
+                raise FormatError(f"{where}: unknown relation {relation!r}")
+            coeffs = _coefficients(_field(raw, "coefficients", dict, where), index, where)
+            rhs = parse_rational(_field(raw, "rhs", str, where))
+            lp.add_constraint(_field(raw, "name", str, where), coeffs, relation, rhs)
         return lp
+
+
+def _field(raw: object, key: str, kind: type, where: str):
+    """``raw[key]``, which must be a ``kind``, else `FormatError`."""
+    if not isinstance(raw, dict):
+        raise FormatError(f"{where} must be a JSON object")
+    if key not in raw:
+        raise FormatError(f"{where}: missing key {key!r}")
+    if not isinstance(raw[key], kind):
+        raise FormatError(f"{where}: {key!r} must be a {kind.__name__}")
+    return raw[key]
+
+
+def _coefficients(raw: object, index: dict[str, int], where: str) -> dict[int, Fraction]:
+    """Rational text by variable name, keyed by variable index instead."""
+    if not isinstance(raw, dict):
+        raise FormatError(f"{where}: coefficients must be an object")
+    coeffs = {}
+    for name, text in raw.items():
+        if name not in index:
+            raise FormatError(f"{where}: unknown variable {name!r}")
+        coeffs[index[name]] = parse_rational(text)
+    return coeffs
 
 
 @dataclass

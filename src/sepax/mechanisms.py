@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
 
 from .core import (
+    ENUMERATION_MAX_M,
     FormatError,
     Lottery,
     WeakOrder,
@@ -147,8 +148,11 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
     if not isinstance(data, dict):
         raise MechanismFormatError("top level must be an object")
     m = data.get("m")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise MechanismFormatError(f"bad problem size m={m!r}")
+    # checked before anything enumerates orders: m=9 already has 7,087,261
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= ENUMERATION_MAX_M:
+        raise MechanismFormatError(
+            f"bad problem size m={m!r}, not in 1..{ENUMERATION_MAX_M}"
+        )
     raw_entries = data.get("entries")
     if not isinstance(raw_entries, list):
         raise MechanismFormatError("entries must be a list")

@@ -11,8 +11,11 @@ A multiway separation decomposes into a chain of plain separations in two
 standard styles, and any pair of orders is connected through a path of
 refinements derived from the straight-line segment between consistent
 utility functions. Local strategyproofness along these moves is checked
-here; agreement with the full pairwise scan is what the test batteries
-exercise.
+here by one scan, `_local_sp_scan`, that differs between the three moves
+only in the move enumerator. It runs on the table's integer view with the
+same dominance test as `verify.check_sp_bruteforce`; agreement with the
+full pairwise scan, and with a `Fraction` reference scan, is what the test
+batteries exercise.
 """
 
 from __future__ import annotations
@@ -20,22 +23,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .axioms import Separation, as_separation, enumerate_separations
 from .core import (
     UtilityFn,
     WeakOrder,
+    canonical_utility,
     consistent,
     enumerate_weak_orders,
     format_rational,
     order_from_utility,
+    order_index,
     ordered_set_partitions,
     strictly_consistent,
 )
 from .mechanisms import MechanismTable
-from .verify import SPViolation, _dominance_gap
+from .verify import SPViolation, _dominance_gap, _sp_violation
 
 SPLIT_CHAIN_STYLES = ("top_first", "bottom_merge")
 
@@ -146,19 +152,11 @@ def enumerate_refinements(
     each class."""
     per_class = [tuple(ordered_set_partitions(cls)) for cls in coarse.classes]
     for blocks in product(*per_class):
-        refinement = Refinement(coarse, _flatten(coarse, blocks), tuple(blocks))
+        fine = WeakOrder(coarse.m, sum(blocks, ()))
+        refinement = Refinement(coarse, fine, tuple(blocks))
         if refinement.is_identity and not include_identity:
             continue
         yield refinement
-
-
-def _flatten(
-    coarse: WeakOrder, blocks: tuple[tuple[tuple[int, ...], ...], ...]
-) -> WeakOrder:
-    classes: tuple[tuple[int, ...], ...] = ()
-    for b in blocks:
-        classes += b
-    return WeakOrder(coarse.m, classes)
 
 
 def split_chain(
@@ -206,59 +204,41 @@ def split_chain(
 
 
 def _local_sp_scan(
-    mech: MechanismTable, pairs: Iterator[tuple[WeakOrder, WeakOrder]]
+    mech: MechanismTable, moves: Callable[[WeakOrder], Iterable]
 ) -> SPViolation | None:
-    """Check both dominance directions on each (coarse, fine) pair: truthful
-    at the coarse order against reporting fine, and vice versa."""
-    for coarse, fine in pairs:
-        coarse_lot = mech.lottery(coarse)
-        fine_lot = mech.lottery(fine)
-        gap = _dominance_gap(coarse_lot, fine_lot, coarse)
-        if gap is not None:
-            return SPViolation(coarse, fine, *gap)
-        gap = _dominance_gap(fine_lot, coarse_lot, fine)
-        if gap is not None:
-            return SPViolation(fine, coarse, *gap)
+    """Check both dominance directions on each move from every order, in
+    canonical order: truthful at the move's coarse order against reporting
+    its fine one, and vice versa. ``moves`` maps a coarse order to its moves,
+    each naming its ``fine`` order."""
+    mech.validate()
+    denominator, rows = mech.integer_view
+    index = order_index(mech.m)
+    for coarse, coarse_row in zip(enumerate_weak_orders(mech.m), rows):
+        for move in moves(coarse):
+            fine = move.fine
+            fine_row = rows[index[fine]]
+            gap = _dominance_gap(coarse, coarse_row, fine_row)
+            if gap is not None:
+                return _sp_violation(coarse, fine, gap, denominator)
+            gap = _dominance_gap(fine, fine_row, coarse_row)
+            if gap is not None:
+                return _sp_violation(fine, coarse, gap, denominator)
     return None
 
 
 def check_separation_sp(mech: MechanismTable) -> SPViolation | None:
     """No profitable misreport across any single separation, either way."""
-    mech.validate()
-    return _local_sp_scan(
-        mech,
-        (
-            (sep.coarse, sep.fine)
-            for order in enumerate_weak_orders(mech.m)
-            for sep in enumerate_separations(order)
-        ),
-    )
+    return _local_sp_scan(mech, enumerate_separations)
 
 
 def check_multiway_sp(mech: MechanismTable) -> SPViolation | None:
     """No profitable misreport across any multiway separation."""
-    mech.validate()
-    return _local_sp_scan(
-        mech,
-        (
-            (multi.coarse, multi.fine)
-            for order in enumerate_weak_orders(mech.m)
-            for multi in enumerate_multiway_separations(order)
-        ),
-    )
+    return _local_sp_scan(mech, enumerate_multiway_separations)
 
 
 def check_refinement_sp(mech: MechanismTable) -> SPViolation | None:
     """No profitable misreport across any refinement pair."""
-    mech.validate()
-    return _local_sp_scan(
-        mech,
-        (
-            (refinement.coarse, refinement.fine)
-            for order in enumerate_weak_orders(mech.m)
-            for refinement in enumerate_refinements(order, include_identity=False)
-        ),
-    )
+    return _local_sp_scan(mech, partial(enumerate_refinements, include_identity=False))
 
 
 @dataclass(frozen=True)
@@ -364,8 +344,6 @@ def refinement_path(
     """
     if start.m != end.m:
         raise ValueError("orders over different alternative sets")
-    from .core import canonical_utility
-
     if u is None:
         u = canonical_utility(start)
     if v is None:

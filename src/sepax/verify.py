@@ -10,9 +10,13 @@ alone and report whether the two routes agree; a disagreement would mean a
 bug in one of them, never a property of the mechanism. The pairwise scan
 itself lives on as the test oracle in ``tests/oracles.py``.
 
+`_dominance_gap` is the one dominance test behind every SP violation,
+here and in the local scans of `paths`: it compares ``int`` rows of the
+integer view, and `Fraction`s are built only for the violation reported.
+
 Also here: closed-form constraint counting (how much smaller the separation
-scan is than the pairwise scan) and seeded random-population scans used by
-the test batteries.
+scan is than the pairwise scan), seeded random-population scans used by the
+test batteries, and a fast path for deterministic populations.
 """
 
 from __future__ import annotations
@@ -25,12 +29,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .axioms import Certificate, all_separations, check_all_axioms
-from .core import Lottery, WeakOrder, enumerate_weak_orders, format_rational
-from .mechanisms import (
-    MechanismTable,
-    random_deterministic_mechanism,
-    random_mechanism,
-)
+from .core import Lottery, WeakOrder, enumerate_weak_orders, format_rational, order_index
+from .mechanisms import MechanismTable, random_mechanism
 
 
 class NotDeterministicError(ValueError):
@@ -62,19 +62,29 @@ class SPViolation:
 
 
 def _dominance_gap(
-    truthful: Lottery, other: Lottery, truth: WeakOrder
-) -> tuple[int, Fraction, Fraction] | None:
-    """First class (by witness alternative) where dominance of the truthful
-    lottery fails, or None if it dominates."""
-    cum_t = Fraction(0)
-    cum_o = Fraction(0)
+    truth: WeakOrder, truthful: tuple[int, ...], other: tuple[int, ...]
+) -> tuple[int, int, int] | None:
+    """First class of ``truth`` (by witness alternative) where the truthful
+    row's upper-contour mass falls below the other row's, as (witness, the
+    two masses), or None if the truthful row dominates. Rows are the
+    integer view's, so the masses are scaled by its denominator."""
+    cum_t = cum_o = 0
     for cls in truth.classes:
         for alt in cls:
-            cum_t += truthful.probs[alt]
-            cum_o += other.probs[alt]
+            cum_t += truthful[alt]
+            cum_o += other[alt]
         if cum_t < cum_o:
             return cls[0], cum_t, cum_o
     return None
+
+
+def _sp_violation(
+    truth: WeakOrder, misreport: WeakOrder, gap: tuple[int, int, int], denominator: int
+) -> SPViolation:
+    """The violation to report for a gap that `_dominance_gap` found."""
+    witness, cum_t, cum_o = gap
+    scaled = Fraction(cum_t, denominator), Fraction(cum_o, denominator)
+    return SPViolation(truth, misreport, witness, *scaled)
 
 
 def _subset_masses(row: tuple[int, ...]) -> list[int]:
@@ -107,7 +117,7 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
     view, settles every truth; only the first failing truth's row is then
     scanned pairwise, to name its first profitable misreport."""
     mech.validate()
-    _, rows = mech.integer_view
+    denominator, rows = mech.integer_view
     best = [0] * (1 << mech.m)
     for row in set(rows):
         best = list(map(max, best, _subset_masses(row)))
@@ -115,12 +125,11 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
     for truth, row in zip(orders, rows):
         if all(mass >= best[mask] for mask, mass in _contour_masses(truth, row)):
             continue
-        truthful = mech.lottery(truth)
         # no gap ever shows between the truth and itself, so it needs no skip
-        for misreport in orders:
-            gap = _dominance_gap(truthful, mech.lottery(misreport), truth)
+        for misreport, other in zip(orders, rows):
+            gap = _dominance_gap(truth, row, other)
             if gap is not None:
-                return SPViolation(truth, misreport, *gap)
+                return _sp_violation(truth, misreport, gap, denominator)
     return None
 
 
@@ -347,14 +356,16 @@ def scan_random_mechanisms(
 # Deterministic fast path. Tables whose lotteries are all point masses are
 # reduced to a tuple of chosen alternatives; the axiom and SP conditions
 # collapse to set-membership tests on precomputed separation data. The
-# generic Fraction route stays authoritative: scans cross-check a prefix of
-# every population against it.
+# integer route of `check_deterministic_decomposition` stays the reference:
+# scans cross-check a prefix of every population against it. Feeding the
+# same populations through that route as unit rows takes several times as
+# long, which is why this path stays.
 
 
 @lru_cache(maxsize=4)
 def _det_context(m: int):
     orders = enumerate_weak_orders(m)
-    index = {order: i for i, order in enumerate(orders)}
+    index = order_index(m)
     class_ix = tuple(order._class_index for order in orders)
     seps = tuple(
         (
@@ -365,16 +376,7 @@ def _det_context(m: int):
         )
         for sep in all_separations(m)
     )
-    return orders, index, class_ix, seps
-
-
-def _choices(mech: MechanismTable) -> tuple[int, ...]:
-    out = []
-    for _, lottery in mech.items():
-        if not lottery.is_deterministic:
-            raise NotDeterministicError(mech.name or "mechanism")
-        out.append(lottery.probs.index(Fraction(1)))
-    return tuple(out)
+    return orders, class_ix, seps
 
 
 def _det_sp(choices: tuple[int, ...], class_ix) -> bool:
@@ -408,7 +410,7 @@ def scan_deterministic_decomposition(
     """Monotonic-vs-SP agreement over ``count`` random deterministic tables,
     via the fast integer path. The first ``cross_check`` tables are also run
     through the generic checkers; any mismatch raises RuntimeError."""
-    orders, _, class_ix, seps = _det_context(m)
+    orders, class_ix, seps = _det_context(m)
     rng = random.Random(seed)
     report = ScanReport(
         statement="monotonic_vs_sp_deterministic",
@@ -443,27 +445,4 @@ def scan_deterministic_decomposition(
                     f"fast deterministic path disagrees with the generic "
                     f"checkers on {table.name}"
                 )
-    return report
-
-
-def scan_random_deterministic_mechanisms(m: int, count: int, seed: int) -> ScanReport:
-    """Like `scan_random_mechanisms` but over deterministic tables, using
-    the generic checkers throughout."""
-    rng = random.Random(seed)
-    report = ScanReport(
-        statement="monotonic_vs_sp_deterministic",
-        m=m,
-        checked=count,
-        agreements=0,
-        sp_count=0,
-    )
-    for i in range(count):
-        mech = random_deterministic_mechanism(m, rng, name=f"random-det-{m}-{seed}-{i}")
-        result = check_deterministic_decomposition(mech)
-        if result.agreement:
-            report.agreements += 1
-        elif report.first_disagreement is None:
-            report.first_disagreement = mech.name
-        if result.sp_verdict:
-            report.sp_count += 1
     return report

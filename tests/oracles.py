@@ -338,6 +338,48 @@ def sp_pairwise_oracle(mech) -> dict | None:
     return None
 
 
+def _fraction_dominance_gap(truthful, other, truth):
+    """First class (by witness alternative) where dominance of the truthful
+    lottery fails, or None if it dominates."""
+    cum_t = Fraction(0)
+    cum_o = Fraction(0)
+    for cls in truth.classes:
+        for alt in cls:
+            cum_t += truthful.probs[alt]
+            cum_o += other.probs[alt]
+        if cum_t < cum_o:
+            return cls[0], cum_t, cum_o
+    return None
+
+
+def _violation_json(truth, misreport, witness, cum_t, cum_o) -> dict:
+    return {
+        "truth": truth.text,
+        "misreport": misreport.text,
+        "witness_alt": witness,
+        "truth_cumulative": str(cum_t),
+        "misreport_cumulative": str(cum_o),
+    }
+
+
+def local_sp_oracle(mech, pairs) -> dict | None:
+    """The local SP scan with running Fraction sums: check both dominance
+    directions on each (coarse, fine) pair, truthful at the coarse order
+    against reporting fine, and vice versa. The first failure in the JSON
+    shape of an SP violation, or None when every pair passes."""
+    lottery_of = dict(mech.items())
+    for coarse, fine in pairs:
+        coarse_lot = lottery_of[coarse]
+        fine_lot = lottery_of[fine]
+        gap = _fraction_dominance_gap(coarse_lot, fine_lot, coarse)
+        if gap is not None:
+            return _violation_json(coarse, fine, *gap)
+        gap = _fraction_dominance_gap(fine_lot, coarse_lot, fine)
+        if gap is not None:
+            return _violation_json(fine, coarse, *gap)
+    return None
+
+
 def separation_axiom_oracle(mech) -> dict[str, list[dict]]:
     """Every failure of the four separation axioms, straight from their
     definitions with Fraction sums, in the JSON shape of a certificate.

@@ -9,6 +9,7 @@ import pytest
 
 import sepax.cli as cli
 import sepax.verify as verify
+from sepax.core import ENUMERATION_MAX_M
 from sepax.mechanisms import (
     k_sensitive_boost,
     min_top_dictator,
@@ -419,3 +420,17 @@ def test_enumerate_counts_cap():
     code, report, _ = run_cli(["enumerate", "--m", str(cli.COUNTS_MAX_M)])
     assert code == 0
     assert report["result"]["enumerate"]["orders"] == weak_order_count(cli.COUNTS_MAX_M)
+
+
+def test_check_rejects_large_m_before_enumerating(tmp_path, monkeypatch):
+    # m=9 has 7,087,261 orders: the size check must come before any of them
+    def refuse(m):
+        raise AssertionError(f"enumerated the orders at m={m}")
+
+    monkeypatch.setattr("sepax.mechanisms.enumerate_weak_orders", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"m": 9, "entries": []}))
+    code, report, err = run_cli(["check", "--mechanism", str(path)])
+    assert code == 3
+    assert report is None
+    assert f"m=9, not in 1..{ENUMERATION_MAX_M}" in json.loads(err)["error"]

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from sepax.core import (
+    Lottery,
     UtilityFn,
     WeakOrder,
     canonical_utility,
@@ -11,8 +13,16 @@ from sepax.core import (
     order_from_utility,
     strictly_consistent,
 )
-from sepax.axioms import as_separation
-from sepax.mechanisms import k_sensitive_boost, rank_score, top_class_uniform
+from sepax.axioms import as_separation, enumerate_separations
+from sepax.mechanisms import (
+    ZOO,
+    MechanismTable,
+    k_sensitive_boost,
+    random_deterministic_mechanism,
+    random_mechanism,
+    rank_score,
+    top_class_uniform,
+)
 from sepax.paths import (
     SPLIT_CHAIN_STYLES,
     as_multiway_separation,
@@ -28,7 +38,7 @@ from sepax.paths import (
     split_chain,
     utility_segment,
 )
-from tests.oracles import weak_order_count
+from tests.oracles import local_sp_oracle, weak_order_count
 
 
 def wo(text: str) -> WeakOrder:
@@ -121,6 +131,63 @@ def test_split_chain_exhaustive_small_m():
                         assert left.fine == right.coarse
                     for sep in steps:
                         assert as_separation(sep.coarse, sep.fine) == sep
+
+
+LOCAL_MOVES = {
+    check_separation_sp: enumerate_separations,
+    check_multiway_sp: enumerate_multiway_separations,
+    check_refinement_sp: partial(enumerate_refinements, include_identity=False),
+}
+
+
+def perturbed(mech: MechanismTable, rng: random.Random) -> MechanismTable:
+    """Move a share of one entry's mass from a preferred alternative to a
+    less preferred one, at a seeded order deep in the canonical scan."""
+    entries = dict(mech.items())
+    orders = [order for order in entries if order.num_classes > 1]
+    order = rng.choice(orders[len(orders) // 2 :])
+    high = rng.choice([a for a in order.classes[0] if entries[order].probs[a]])
+    low = rng.choice(order.classes[-1])
+    probs = list(entries[order].probs)
+    eps = probs[high] / rng.choice((3, 5, 7))
+    probs[high] -= eps
+    probs[low] += eps
+    entries[order] = Lottery(mech.m, tuple(probs))
+    return MechanismTable(mech.m, entries, name=f"perturbed-{mech.name}")
+
+
+def local_population() -> list[MechanismTable]:
+    """The zoo at m=2..5, then seeded random, deterministic and perturbed
+    tables at m=3 and m=4."""
+    tables = [factory(m) for m in (2, 3, 4, 5) for _, factory in sorted(ZOO.items())]
+    rng = random.Random(4242)
+    for m, count in ((3, 12), (4, 6)):
+        tables += [random_mechanism(m, rng) for _ in range(count)]
+        tables += [random_deterministic_mechanism(m, rng) for _ in range(count)]
+        tables += [
+            perturbed(factory(m), rng)
+            for _ in range(count // 3)
+            for factory in (rank_score, top_class_uniform)
+        ]
+    return tables
+
+
+def test_local_sp_scans_match_fraction_oracle():
+    tables = local_population()
+    assert k_sensitive_boost(5) in tables
+    for mech in tables:
+        for check, moves in LOCAL_MOVES.items():
+            violation = check(mech)
+            pairs = (
+                (move.coarse, move.fine)
+                for order in enumerate_weak_orders(mech.m)
+                for move in moves(order)
+            )
+            expected = local_sp_oracle(mech, pairs)
+            assert (None if violation is None else violation.to_json()) == expected, (
+                mech.name,
+                check.__name__,
+            )
 
 
 def test_local_sp_scans_on_zoo():
