@@ -30,9 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import WeakOrder, enumerate_weak_orders, format_rational, order_index
+from .core import (
+    Classes,
+    WeakOrder,
+    class_splits,
+    classes_index,
+    enumerate_weak_orders,
+    format_rational,
+)
 from .mechanisms import MechanismTable
 
 AXIOMS = ("responsive", "direct", "upper_invariant", "lower_invariant")
@@ -78,35 +85,56 @@ def as_separation(coarse: WeakOrder, fine: WeakOrder) -> Separation | None:
     return Separation(coarse, fine, k + 1, upper, lower)
 
 
+def _split_moves(
+    classes: Classes,
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], Classes]]:
+    """Each separation of the order with these classes, in canonical order,
+    as (0-based position of the split class, upper part, lower part, the
+    fine order's classes)."""
+    for k, cls in enumerate(classes):
+        for upper, lower in class_splits(cls):
+            yield k, upper, lower, classes[:k] + (upper, lower) + classes[k + 1 :]
+
+
 def enumerate_separations(coarse: WeakOrder) -> tuple[Separation, ...]:
     """All separations with this coarse side, in canonical order: by class
     position, then by ascending bitmask of the upper part over the class
     members (bit j = j-th smallest member). A class of size c contributes
     2^c - 2 separations."""
-    out = []
-    for k, cls in enumerate(coarse.classes):
-        c = len(cls)
-        if c < 2:
-            continue
-        for mask in range(1, (1 << c) - 1):
-            upper = tuple(cls[j] for j in range(c) if mask >> j & 1)
-            lower = tuple(cls[j] for j in range(c) if not mask >> j & 1)
-            fine_classes = (
-                coarse.classes[:k] + (upper, lower) + coarse.classes[k + 1 :]
-            )
-            fine = WeakOrder(coarse.m, fine_classes)
-            out.append(Separation(coarse, fine, k + 1, upper, lower))
-    return tuple(out)
+    return tuple(
+        Separation(coarse, WeakOrder(coarse.m, fine), k + 1, upper, lower)
+        for k, upper, lower, fine in _split_moves(coarse.classes)
+    )
+
+
+@lru_cache(maxsize=8)
+def _separation_layout(
+    m: int,
+) -> tuple[tuple[int, int, int, tuple[int, ...], tuple[int, ...]], ...]:
+    """Per separation in canonical order: the canonical indices of its
+    coarse and fine orders, the 0-based position of the split class, and
+    the upper and lower parts. Built from class splits and
+    `classes_index`, so no `WeakOrder` is made."""
+    index = classes_index(m)
+    return tuple(
+        (ci, index[fine], k, upper, lower)
+        for ci, order in enumerate(enumerate_weak_orders(m))
+        for k, upper, lower, fine in _split_moves(order.classes)
+    )
+
+
+def _separation(m: int, ci: int, fi: int, k: int, upper, lower) -> Separation:
+    """The `Separation` one layout entry stands for, on the canonical
+    `WeakOrder` instances."""
+    orders = enumerate_weak_orders(m)
+    return Separation(orders[ci], orders[fi], k + 1, upper, lower)
 
 
 @lru_cache(maxsize=8)
 def all_separations(m: int) -> tuple[Separation, ...]:
     """Every separation at problem size m, grouped by coarse order in
     canonical enumeration order."""
-    out: list[Separation] = []
-    for order in enumerate_weak_orders(m):
-        out.extend(enumerate_separations(order))
-    return tuple(out)
+    return tuple(_separation(m, *entry) for entry in _separation_layout(m))
 
 
 @dataclass(frozen=True)
@@ -189,18 +217,6 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     return False
 
 
-@lru_cache(maxsize=8)
-def _separation_layout(m: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
-    """Per separation in canonical order: the canonical indices of its
-    coarse and fine orders, the 0-based position of the split class, and
-    the upper part."""
-    index = order_index(m)
-    return tuple(
-        (index[sep.coarse], index[sep.fine], sep.kappa - 1, sep.upper_part)
-        for sep in all_separations(m)
-    )
-
-
 def _violation(
     axiom: str,
     coarse: tuple[int, ...],
@@ -257,12 +273,12 @@ def find_violations(
         tuple(sum(row[alt] for alt in cls) for cls in order.classes)
         for order, row in zip(enumerate_weak_orders(mech.m), rows)
     ]
-    seps = all_separations(mech.m)
     found: dict[str, list[Certificate]] = {axiom: [] for axiom in axioms}
     pending = set(axioms)
-    for index, (ci, fi, k, upper_part) in enumerate(_separation_layout(mech.m)):
+    for index, entry in enumerate(_separation_layout(mech.m)):
         if not pending and not all_violations:
             break
+        ci, fi, k, upper_part, _ = entry
         coarse, fine = class_mass[ci], class_mass[fi]
         upper_lhs = sum(rows[ci][alt] for alt in upper_part)
         upper = (upper_lhs, fine[k])
@@ -276,7 +292,7 @@ def find_violations(
                 found[axiom].append(
                     Certificate(
                         axiom,
-                        seps[index],
+                        _separation(mech.m, *entry),
                         witness,
                         position,
                         Fraction(lhs, denominator),

@@ -10,6 +10,7 @@ package touches floating point.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,9 @@ from typing import Iterable, Iterator, Sequence
 class FormatError(ValueError):
     """A textual order, rational, or lottery failed to parse."""
 
+
+# the classes of a weak order, most preferred first
+Classes = tuple[tuple[int, ...], ...]
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?")
 
@@ -147,26 +151,48 @@ class WeakOrder:
         return f"WeakOrder({self.text!r})"
 
 
-def ordered_set_partitions(
-    items: Sequence[int],
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every ordered partition of ``items`` into non-empty blocks.
+@lru_cache(maxsize=1024)
+def class_splits(
+    elems: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every split of the sorted tuple ``elems`` into a non-empty first
+    part and a non-empty rest, as (first, rest), in ascending bitmask order
+    of the first part (bit j stands for ``elems[j]``)."""
+    n = len(elems)
+    return tuple(
+        (
+            tuple(elems[j] for j in range(n) if mask >> j & 1),
+            tuple(elems[j] for j in range(n) if not mask >> j & 1),
+        )
+        for mask in range(1, (1 << n) - 1)
+    )
+
+
+@lru_cache(maxsize=1024)
+def _ordered_partitions(elems: tuple[int, ...]) -> tuple[Classes, ...]:
+    """The ordered partitions of the sorted tuple ``elems``, in the order
+    `ordered_set_partitions` documents. The first block with an empty rest
+    (the whole of ``elems``) has the largest bitmask, so it comes last."""
+    if not elems:
+        return ((),)
+    return tuple(
+        (first,) + tail
+        for first, rest in class_splits(elems)
+        for tail in _ordered_partitions(rest)
+    ) + ((elems,),)
+
+
+def ordered_set_partitions(items: Sequence[int]) -> Iterator[Classes]:
+    """Iterate over every ordered partition of ``items`` into non-empty
+    blocks.
 
     Canonical order: the first block runs through all non-empty subsets of
     the sorted items in ascending bitmask order (bit j stands for the j-th
     smallest item), and the remainder is partitioned recursively the same
     way. The number of results is the ordered Bell number of ``len(items)``.
+    The partitions of each item tuple are computed once and cached.
     """
-    elems = tuple(sorted(items))
-    n = len(elems)
-    if n == 0:
-        yield ()
-        return
-    for mask in range(1, 1 << n):
-        first = tuple(elems[j] for j in range(n) if mask >> j & 1)
-        rest = tuple(elems[j] for j in range(n) if not mask >> j & 1)
-        for tail in ordered_set_partitions(rest):
-            yield (first,) + tail
+    return iter(_ordered_partitions(tuple(sorted(items))))
 
 
 # The largest m whose orders an input file or flag may make sepax enumerate:
@@ -185,13 +211,15 @@ def enumerate_weak_orders(m: int) -> tuple[WeakOrder, ...]:
 
 
 @lru_cache(maxsize=8)
-def order_index(m: int) -> dict[WeakOrder, int]:
-    """Map each weak order on m alternatives to its canonical position."""
-    return {order: i for i, order in enumerate(enumerate_weak_orders(m))}
+def classes_index(m: int) -> dict[Classes, int]:
+    """Map the classes of each weak order on m alternatives to the order's
+    canonical position, so a move can name its fine order by index without
+    building a `WeakOrder`."""
+    return {order.classes: i for i, order in enumerate(enumerate_weak_orders(m))}
 
 
 def _as_fractions(values: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -206,11 +234,14 @@ class Lottery:
         object.__setattr__(self, "probs", _as_fractions(self.probs))
         if len(self.probs) != self.m:
             raise ValueError(f"expected {self.m} probabilities, got {len(self.probs)}")
-        if any(p < 0 for p in self.probs):
+        if any(p.numerator < 0 for p in self.probs):
             raise ValueError("negative probability")
-        total = sum(self.probs)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        # summed as integers over the lcm of the denominators
+        denominator = math.lcm(*(p.denominator for p in self.probs))
+        total = sum(p.numerator * (denominator // p.denominator) for p in self.probs)
+        if total != denominator:
+            total_text = format_rational(Fraction(total, denominator))
+            raise ValueError(f"probabilities sum to {total_text}, not 1")
 
     @staticmethod
     def uniform(m: int) -> "Lottery":

@@ -21,7 +21,7 @@ import os
 import random
 import tempfile
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
 from .core import (
@@ -30,7 +30,6 @@ from .core import (
     Lottery,
     WeakOrder,
     enumerate_weak_orders,
-    format_rational,
     parse_rational,
 )
 
@@ -157,6 +156,8 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
     if not isinstance(raw_entries, list):
         raise MechanismFormatError("entries must be a list")
 
+    by_text = _orders_by_text(m)
+    rationals: dict[str, Fraction] = {}  # each distinct token parsed once
     entries: dict[WeakOrder, Lottery] = {}
     for i, raw in enumerate(raw_entries):
         if not isinstance(raw, dict):
@@ -164,14 +165,17 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
         order_text = raw.get("order")
         if not isinstance(order_text, str):
             raise MechanismFormatError(f"entry {i}: missing order text")
-        try:
-            order = WeakOrder.parse(order_text)
-        except FormatError as exc:
-            raise MechanismFormatError(f"entry {i}: {exc}") from None
-        if order.m != m:
-            raise MechanismFormatError(
-                f"entry {i}: order {order_text!r} is not over 0..{m - 1}"
-            )
+        order = by_text.get(order_text)
+        if order is None:
+            # not a canonical text: "1,0>2", padding, or not an order over 0..m-1
+            try:
+                order = WeakOrder.parse(order_text)
+            except FormatError as exc:
+                raise MechanismFormatError(f"entry {i}: {exc}") from None
+            if order.m != m:
+                raise MechanismFormatError(
+                    f"entry {i}: order {order_text!r} is not over 0..{m - 1}"
+                )
         if order in entries:
             raise DuplicateOrderError(
                 f"entry {i}: duplicate order {order.text!r}"
@@ -187,28 +191,33 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
                 raise MalformedRationalError(
                     f"entry {i} position {position}: probabilities are strings"
                 )
-            try:
-                probs.append(parse_rational(token))
-            except FormatError:
-                raise MalformedRationalError(
-                    f"entry {i} position {position}: malformed rational {token!r}"
-                ) from None
-        if any(p < 0 for p in probs):
+            value = rationals.get(token)
+            if value is None:
+                try:
+                    value = rationals[token] = parse_rational(token)
+                except FormatError:
+                    raise MalformedRationalError(
+                        f"entry {i} position {position}: malformed rational {token!r}"
+                    ) from None
+            probs.append(value)
+        try:
+            entries[order] = Lottery(m, tuple(probs))
+        except ValueError as exc:
             raise InvalidLotteryError(
-                f"entry {i} (order {order.text!r}): negative probability"
-            )
-        total = sum(probs)
-        if total != 1:
-            raise InvalidLotteryError(
-                f"entry {i} (order {order.text!r}): probabilities sum to "
-                f"{format_rational(total)}, not 1"
-            )
-        entries[order] = Lottery(m, tuple(probs))
+                f"entry {i} (order {order.text!r}): {exc}"
+            ) from None
 
     for order in enumerate_weak_orders(m):
         if order not in entries:
             raise MissingOrderError(f"no lottery for order {order.text!r}")
     return MechanismTable(m, entries, name=name)
+
+
+@lru_cache(maxsize=8)
+def _orders_by_text(m: int) -> dict[str, WeakOrder]:
+    """The canonical text of each weak order on m alternatives, mapped to
+    the order's canonical instance."""
+    return {order.text: order for order in enumerate_weak_orders(m)}
 
 
 def load_mechanism(path: str | os.PathLike) -> MechanismTable:

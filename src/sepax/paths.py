@@ -11,11 +11,14 @@ A multiway separation decomposes into a chain of plain separations in two
 standard styles, and any pair of orders is connected through a path of
 refinements derived from the straight-line segment between consistent
 utility functions. Local strategyproofness along these moves is checked
-here by one scan, `_local_sp_scan`, that differs between the three moves
-only in the move enumerator. It runs on the table's integer view with the
-same dominance test as `verify.check_sp_bruteforce`; agreement with the
-full pairwise scan, and with a `Fraction` reference scan, is what the test
-batteries exercise.
+here by one scan, `_local_sp_scan`, over a per-m layout of (coarse index,
+fine index) pairs in canonical index space (`_move_layout`); the three
+moves differ only in the move generator the layout is built from, which
+is also the one behind the public enumerators. Orders are the canonical
+instances of `enumerate_weak_orders`, so the scan builds no `WeakOrder`.
+It runs on the table's integer view with the same dominance test as
+`verify.check_sp_bruteforce`; agreement with the full pairwise scan, and
+with a `Fraction` reference scan, is what the test batteries exercise.
 """
 
 from __future__ import annotations
@@ -23,20 +26,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .axioms import Separation, as_separation, enumerate_separations
+from .axioms import Separation, _split_moves, as_separation
 from .core import (
+    Classes,
     UtilityFn,
     WeakOrder,
     canonical_utility,
+    classes_index,
     consistent,
     enumerate_weak_orders,
     format_rational,
     order_from_utility,
-    order_index,
     ordered_set_partitions,
     strictly_consistent,
 )
@@ -128,21 +132,33 @@ def as_multiway_separation(
     return MultiwaySeparation(coarse, fine, k + 1, refinement.blocks[k])
 
 
+def _multiway_moves(classes: Classes) -> Iterator[tuple[int, Classes, Classes]]:
+    """Each multiway separation of the order with these classes, in
+    canonical order, as (0-based position of the split class, its parts,
+    the fine order's classes)."""
+    for k, cls in enumerate(classes):
+        for parts in ordered_set_partitions(cls):
+            if len(parts) > 1:
+                yield k, parts, classes[:k] + parts + classes[k + 1 :]
+
+
+def _refinement_moves(
+    classes: Classes,
+) -> Iterator[tuple[tuple[Classes, ...], Classes]]:
+    """Each refinement of the order with these classes, in canonical order,
+    as (the blocks of each class, the fine order's classes). The identity,
+    every class kept whole, comes last."""
+    for blocks in product(*map(ordered_set_partitions, classes)):
+        yield blocks, sum(blocks, ())
+
+
 def enumerate_multiway_separations(
     coarse: WeakOrder,
 ) -> Iterator[MultiwaySeparation]:
     """All multiway separations with this coarse side, by class position and
     then the canonical order of ordered partitions of the class."""
-    for k, cls in enumerate(coarse.classes):
-        if len(cls) < 2:
-            continue
-        for parts in ordered_set_partitions(cls):
-            if len(parts) < 2:
-                continue
-            fine_classes = coarse.classes[:k] + parts + coarse.classes[k + 1 :]
-            yield MultiwaySeparation(
-                coarse, WeakOrder(coarse.m, fine_classes), k + 1, parts
-            )
+    for k, parts, fine in _multiway_moves(coarse.classes):
+        yield MultiwaySeparation(coarse, WeakOrder(coarse.m, fine), k + 1, parts)
 
 
 def enumerate_refinements(
@@ -150,13 +166,9 @@ def enumerate_refinements(
 ) -> Iterator[Refinement]:
     """All refinements of ``coarse``: the product of ordered partitions of
     each class."""
-    per_class = [tuple(ordered_set_partitions(cls)) for cls in coarse.classes]
-    for blocks in product(*per_class):
-        fine = WeakOrder(coarse.m, sum(blocks, ()))
-        refinement = Refinement(coarse, fine, tuple(blocks))
-        if refinement.is_identity and not include_identity:
-            continue
-        yield refinement
+    for blocks, fine in _refinement_moves(coarse.classes):
+        if include_identity or len(fine) > coarse.num_classes:
+            yield Refinement(coarse, WeakOrder(coarse.m, fine), blocks)
 
 
 def split_chain(
@@ -203,42 +215,57 @@ def split_chain(
     return steps
 
 
+@lru_cache(maxsize=24)
+def _move_layout(
+    m: int, moves: Callable[[Classes], Iterable[tuple]]
+) -> tuple[tuple[int, int], ...]:
+    """(coarse index, fine index) of every move at problem size m, in
+    canonical order: coarse orders by enumeration index, then each order's
+    moves as ``moves`` lists them, the fine order's classes last in each.
+    Indices come from `classes_index`, so no `WeakOrder` is made. The
+    identity refinement names no other order and is left out."""
+    index = classes_index(m)
+    return tuple(
+        (ci, fi)
+        for ci, order in enumerate(enumerate_weak_orders(m))
+        for move in moves(order.classes)
+        if (fi := index[move[-1]]) != ci
+    )
+
+
 def _local_sp_scan(
-    mech: MechanismTable, moves: Callable[[WeakOrder], Iterable]
+    mech: MechanismTable, moves: Callable[[Classes], Iterable[tuple]]
 ) -> SPViolation | None:
-    """Check both dominance directions on each move from every order, in
+    """Check both dominance directions on each move of `_move_layout`, in
     canonical order: truthful at the move's coarse order against reporting
-    its fine one, and vice versa. ``moves`` maps a coarse order to its moves,
-    each naming its ``fine`` order."""
+    its fine one, and vice versa."""
     mech.validate()
     denominator, rows = mech.integer_view
-    index = order_index(mech.m)
-    for coarse, coarse_row in zip(enumerate_weak_orders(mech.m), rows):
-        for move in moves(coarse):
-            fine = move.fine
-            fine_row = rows[index[fine]]
-            gap = _dominance_gap(coarse, coarse_row, fine_row)
-            if gap is not None:
-                return _sp_violation(coarse, fine, gap, denominator)
-            gap = _dominance_gap(fine, fine_row, coarse_row)
-            if gap is not None:
-                return _sp_violation(fine, coarse, gap, denominator)
+    orders = enumerate_weak_orders(mech.m)
+    for ci, fi in _move_layout(mech.m, moves):
+        coarse, fine = orders[ci], orders[fi]
+        gap = _dominance_gap(coarse, rows[ci], rows[fi])
+        if gap is not None:
+            return _sp_violation(coarse, fine, gap, denominator)
+        gap = _dominance_gap(fine, rows[fi], rows[ci])
+        if gap is not None:
+            return _sp_violation(fine, coarse, gap, denominator)
     return None
 
 
 def check_separation_sp(mech: MechanismTable) -> SPViolation | None:
     """No profitable misreport across any single separation, either way."""
-    return _local_sp_scan(mech, enumerate_separations)
+    return _local_sp_scan(mech, _split_moves)
 
 
 def check_multiway_sp(mech: MechanismTable) -> SPViolation | None:
     """No profitable misreport across any multiway separation."""
-    return _local_sp_scan(mech, enumerate_multiway_separations)
+    return _local_sp_scan(mech, _multiway_moves)
 
 
 def check_refinement_sp(mech: MechanismTable) -> SPViolation | None:
     """No profitable misreport across any refinement pair."""
-    return _local_sp_scan(mech, partial(enumerate_refinements, include_identity=False))
+    return _local_sp_scan(mech, _refinement_moves)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .axioms import Certificate, all_separations, check_all_axioms
-from .core import Lottery, WeakOrder, enumerate_weak_orders, format_rational, order_index
+from .axioms import Certificate, _separation_layout, check_all_axioms
+from .core import Lottery, WeakOrder, enumerate_weak_orders, format_rational
 from .mechanisms import MechanismTable, random_mechanism
 
 
@@ -365,16 +365,10 @@ def scan_random_mechanisms(
 @lru_cache(maxsize=4)
 def _det_context(m: int):
     orders = enumerate_weak_orders(m)
-    index = order_index(m)
     class_ix = tuple(order._class_index for order in orders)
     seps = tuple(
-        (
-            index[sep.coarse],
-            index[sep.fine],
-            frozenset(sep.upper_part),
-            frozenset(sep.lower_part),
-        )
-        for sep in all_separations(m)
+        (ci, fi, frozenset(upper), frozenset(lower))
+        for ci, fi, _, upper, lower in _separation_layout(m)
     )
     return orders, class_ix, seps
 

@@ -162,6 +162,36 @@ def test_invalid_lottery_in_json():
         mechanism_from_json(blob)
 
 
+def test_loader_reads_non_canonical_spellings():
+    blob = mechanism_to_json(rank_score(3))
+    respell = {"0,1>2": "1,0>2", "0>1>2": " 0>1>2 "}
+    for entry in blob["entries"]:
+        entry["order"] = respell.get(entry["order"], entry["order"])
+    assert mechanism_from_json(blob) == rank_score(3)
+    # the same order spelled two ways is still one order
+    blob["entries"].append({"order": "0,1>2", "lottery": ["1", "0", "0"]})
+    with pytest.raises(DuplicateOrderError) as err:
+        mechanism_from_json(blob)
+    assert str(err.value) == "entry 13: duplicate order '0,1>2'"
+
+
+@pytest.mark.parametrize(
+    "lottery,message",
+    [
+        (["1/2", "1/3"], "probabilities sum to 5/6, not 1"),
+        (["1", "1"], "probabilities sum to 2, not 1"),
+        (["2", "-1"], "negative probability"),
+        (["-1/2", "3/2"], "negative probability"),
+    ],
+)
+def test_loader_lottery_error_messages(lottery, message):
+    blob = mechanism_to_json(uniform_lottery(2))
+    blob["entries"][0]["lottery"] = lottery
+    with pytest.raises(InvalidLotteryError) as err:
+        mechanism_from_json(blob)
+    assert str(err.value) == f"entry 0 (order '0>1'): {message}"
+
+
 def test_json_is_serializable_text():
     blob = mechanism_to_json(rank_score(3))
     text = json.dumps(blob)

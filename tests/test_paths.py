@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from functools import partial
@@ -13,7 +14,13 @@ from sepax.core import (
     order_from_utility,
     strictly_consistent,
 )
-from sepax.axioms import as_separation, enumerate_separations
+from sepax.axioms import (
+    _separation_layout,
+    _split_moves,
+    all_separations,
+    as_separation,
+    enumerate_separations,
+)
 from sepax.mechanisms import (
     ZOO,
     MechanismTable,
@@ -25,6 +32,9 @@ from sepax.mechanisms import (
 )
 from sepax.paths import (
     SPLIT_CHAIN_STYLES,
+    _move_layout,
+    _multiway_moves,
+    _refinement_moves,
     as_multiway_separation,
     as_refinement,
     blend_utilities,
@@ -188,6 +198,39 @@ def test_local_sp_scans_match_fraction_oracle():
                 mech.name,
                 check.__name__,
             )
+
+
+def test_move_layouts_match_public_enumerators():
+    moves = {
+        _split_moves: enumerate_separations,
+        _multiway_moves: enumerate_multiway_separations,
+        _refinement_moves: partial(enumerate_refinements, include_identity=False),
+    }
+    for m in range(1, 6):
+        orders = enumerate_weak_orders(m)
+        index = {order: i for i, order in enumerate(orders)}
+        seps = [sep for order in orders for sep in enumerate_separations(order)]
+        assert list(all_separations(m)) == seps
+        assert list(_separation_layout(m)) == [
+            (index[s.coarse], index[s.fine], s.kappa - 1, s.upper_part, s.lower_part)
+            for s in seps
+        ]
+        # all_separations shares the canonical order instances
+        for sep, (ci, fi, *_) in zip(all_separations(m), _separation_layout(m)):
+            assert sep.coarse is orders[ci] and sep.fine is orders[fi]
+        for generator, enumerate_moves in moves.items():
+            assert list(_move_layout(m, generator)) == [
+                (index[move.coarse], index[move.fine])
+                for order in orders
+                for move in enumerate_moves(order)
+            ], (m, generator.__name__)
+    # at m=6, each order has the product of its classes' Fubini numbers as
+    # refinements, the identity among them
+    expected = sum(
+        math.prod(weak_order_count(len(cls)) for cls in order.classes) - 1
+        for order in enumerate_weak_orders(6)
+    )
+    assert len(_move_layout(6, _refinement_moves)) == expected
 
 
 def test_local_sp_scans_on_zoo():
