@@ -29,7 +29,6 @@ from .core import (
     consistent,
     enumerate_weak_orders,
     fosd,
-    fosd_oracle_utilities,
     format_rational,
     order_from_utility,
     ordered_set_partitions,

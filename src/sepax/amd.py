@@ -22,31 +22,27 @@ test batteries re-verify that with the brute-force scan.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 
 from .axioms import all_separations
 from .core import (
     FormatError,
-    Lottery,
     WeakOrder,
     enumerate_weak_orders,
+    order_texts,
     parse_rational,
+    read_json,
 )
 from .lp import LinearProgram, LPSolution, solve_lp
-from .mechanisms import MechanismTable
+from .mechanisms import MechanismTable, integer_row
 from .verify import count_constraints
 
 
 def variable_names(m: int) -> list[str]:
     """One variable per (order, alternative): x[order][alt], orders in
     canonical enumeration order. Index of (order i, alt a) is i * m + a."""
-    return [
-        f"x[{order.text}][{alt}]"
-        for order in enumerate_weak_orders(m)
-        for alt in range(m)
-    ]
+    return [f"x[{text}][{alt}]" for text in order_texts(m) for alt in range(m)]
 
 
 def generate_sp_constraints(
@@ -199,22 +195,18 @@ def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
 
 
 def load_objective(path: str, m: int) -> dict[int, Fraction]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"objective file not valid JSON: {exc}") from None
-    return objective_from_json(data, m)
+    return objective_from_json(read_json(path, "objective file not valid JSON"), m)
 
 
 def mechanism_assignment(mech: MechanismTable) -> dict[str, Fraction]:
     """The LP point corresponding to a mechanism table, for feasibility
     checks against `generate_sp_constraints`."""
-    out: dict[str, Fraction] = {}
-    for order, lottery in mech.items():
-        for alt in range(mech.m):
-            out[f"x[{order.text}][{alt}]"] = lottery.probs[alt]
-    return out
+    mech.validate()
+    return {
+        f"x[{text}][{alt}]": Fraction(x, mech.denominator)
+        for text, row in zip(order_texts(mech.m), mech.rows)
+        for alt, x in enumerate(row)
+    }
 
 
 def solution_to_mechanism(
@@ -224,13 +216,11 @@ def solution_to_mechanism(
     and nonnegativity rows guarantee the entries really are lotteries."""
     if solution.status != "optimal":
         raise ValueError(f"no mechanism in a {solution.status} solution")
-    entries = {}
-    for order in enumerate_weak_orders(m):
-        probs = tuple(
-            solution.assignment[f"x[{order.text}][{alt}]"] for alt in range(m)
-        )
-        entries[order] = Lottery(m, probs)
-    return MechanismTable(m, entries, name=name)
+    rows = (
+        integer_row([solution.assignment[f"x[{text}][{alt}]"] for alt in range(m)])
+        for text in order_texts(m)
+    )
+    return MechanismTable.from_rows(m, rows, name=name)
 
 
 def design_mechanism(

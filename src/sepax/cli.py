@@ -72,11 +72,7 @@ def _load_mechanism(path: str) -> mechanisms.MechanismTable:
 def _load_utility(path: str, m: int) -> UtilityFn:
     if not os.path.exists(path):
         raise _InputError(f"utility file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"utility file {path} not valid JSON: {exc}")
+    data = core.read_json(path, f"utility file {path} not valid JSON", _InputError)
     values = data.get("values") if isinstance(data, dict) else None
     if not isinstance(values, list) or len(values) != m:
         raise _InputError(f"utility file {path} must hold {m} values")
@@ -135,7 +131,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
             f"enumeration beyond m={core.ENUMERATION_MAX_M} is unreasonably large"
         )
     if args.what == "orders":
-        orders = [order.text for order in enumerate_weak_orders(m)]
+        orders = list(core.order_texts(m))
         return {"enumerate": {"m": m, "orders": orders}}, EXIT_PASS
     separations = [sep.to_json() for sep in axioms.all_separations(m)]
     return {"enumerate": {"m": m, "separations": separations}}, EXIT_PASS

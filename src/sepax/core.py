@@ -10,7 +10,8 @@ package touches floating point.
 
 from __future__ import annotations
 
-import math
+import json
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,9 +54,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def read_json(path: str | os.PathLike, label: str, error=FormatError) -> object:
+    """Parse a JSON file. Text that is not UTF-8, not JSON, or nested too
+    deep for the parser raises ``error("<label>: <reason>")``; a file that
+    cannot be opened raises `OSError`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise error(f"{label}: {exc}") from None
+
+
 def format_rational(value: Fraction | int) -> str:
     """Inverse of `parse_rational`: lowest terms, ``"p/q"`` or ``"p"``."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -88,13 +100,6 @@ class WeakOrder:
             raise ValueError(f"classes do not partition 0..{self.m - 1}")
 
     @staticmethod
-    def from_classes(classes: Iterable[Iterable[int]]) -> "WeakOrder":
-        """Build from any iterable of iterables; sorts members, infers m."""
-        norm = tuple(tuple(sorted(cls)) for cls in classes)
-        m = sum(len(cls) for cls in norm)
-        return WeakOrder(m, norm)
-
-    @staticmethod
     def parse(text: str) -> "WeakOrder":
         """Parse the text form, e.g. ``WeakOrder.parse("0,1>2")``."""
         chunks = text.strip().split(">")
@@ -112,7 +117,7 @@ class WeakOrder:
 
     @cached_property
     def text(self) -> str:
-        return ">".join(",".join(str(a) for a in cls) for cls in self.classes)
+        return classes_text(self.classes)
 
     @property
     def num_classes(self) -> int:
@@ -149,6 +154,11 @@ class WeakOrder:
 
     def __repr__(self) -> str:
         return f"WeakOrder({self.text!r})"
+
+
+def classes_text(classes: Classes) -> str:
+    """The text form of a weak order given by its classes."""
+    return ">".join(",".join(map(str, cls)) for cls in classes)
 
 
 @lru_cache(maxsize=1024)
@@ -218,6 +228,13 @@ def classes_index(m: int) -> dict[Classes, int]:
     return {order.classes: i for i, order in enumerate(enumerate_weak_orders(m))}
 
 
+@lru_cache(maxsize=8)
+def order_texts(m: int) -> tuple[str, ...]:
+    """The text of each weak order on m alternatives, in canonical order,
+    built from the classes alone."""
+    return tuple(classes_text(order.classes) for order in enumerate_weak_orders(m))
+
+
 def _as_fractions(values: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
@@ -236,12 +253,9 @@ class Lottery:
             raise ValueError(f"expected {self.m} probabilities, got {len(self.probs)}")
         if any(p.numerator < 0 for p in self.probs):
             raise ValueError("negative probability")
-        # summed as integers over the lcm of the denominators
-        denominator = math.lcm(*(p.denominator for p in self.probs))
-        total = sum(p.numerator * (denominator // p.denominator) for p in self.probs)
-        if total != denominator:
-            total_text = format_rational(Fraction(total, denominator))
-            raise ValueError(f"probabilities sum to {total_text}, not 1")
+        total = sum(self.probs)
+        if total != 1:
+            raise ValueError(f"probabilities sum to {format_rational(total)}, not 1")
 
     @staticmethod
     def uniform(m: int) -> "Lottery":
@@ -313,22 +327,6 @@ def fosd(x: Lottery, y: Lottery, order: WeakOrder) -> bool:
             cum_x += x.probs[alt]
             cum_y += y.probs[alt]
         if cum_x < cum_y:
-            return False
-    return True
-
-
-def fosd_oracle_utilities(x: Lottery, y: Lottery, order: WeakOrder) -> bool:
-    """Independent route to `fosd`, kept separate on purpose: dominance holds
-    iff for every upper-contour set, the 0/1 indicator utility of that set
-    gives ``x`` at least the expected value it gives ``y``."""
-    _check_same_m(x, y, order)
-    for cls in order.classes:
-        contour = order.upper_contour(cls[0])
-        indicator = UtilityFn(
-            order.m,
-            tuple(Fraction(1 if a in contour else 0) for a in range(order.m)),
-        )
-        if indicator.expected(x) < indicator.expected(y):
             return False
     return True
 

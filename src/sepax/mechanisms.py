@@ -2,6 +2,10 @@
 file format, built-in generator mechanisms, and random samplers used by the
 test batteries.
 
+A table is one common denominator and one row of ints per order; the
+loader, the zoo rules and the samplers build the rows directly, and
+`Fraction`s appear only in JSON text and in `Lottery` values for callers.
+
 File format (orders listed in canonical enumeration order)::
 
     {
@@ -21,16 +25,21 @@ import os
 import random
 import tempfile
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     ENUMERATION_MAX_M,
+    Classes,
     FormatError,
     Lottery,
     WeakOrder,
+    classes_index,
     enumerate_weak_orders,
+    format_rational,
+    order_texts,
     parse_rational,
+    read_json,
 )
 
 
@@ -55,48 +64,98 @@ class InvalidLotteryError(MechanismFormatError):
 
 
 class IntegerView(NamedTuple):
-    """A table over one common denominator D: ``rows[i][a] == D * p`` where
-    p is the probability of alternative a at the i-th order in canonical
-    enumeration order."""
+    """A table's whole state: the least common denominator D of its
+    probabilities and one row per order in canonical enumeration order, with
+    ``rows[i][a] == D * p`` for the probability p of alternative a at the
+    i-th order."""
 
     denominator: int
     rows: tuple[tuple[int, ...], ...]
 
 
+def integer_row(probs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Rationals as ``(den, ints)`` over the lcm of their denominators."""
+    den = math.lcm(*(p.denominator for p in probs))
+    return den, tuple(p.numerator * (den // p.denominator) for p in probs)
+
+
+def unit_row(m: int, alt: int) -> tuple[int, ...]:
+    """The integer row of a point mass on ``alt``, over denominator 1."""
+    return tuple(int(a == alt) for a in range(m))
+
+
 class MechanismTable:
     """A mechanism for a fixed problem size m: one lottery per weak order.
-    Treat tables as immutable once built."""
+
+    The table *is* its `IntegerView`: ``denominator`` D and ``rows``, one
+    tuple of ints per order in canonical enumeration order. `lottery` and
+    `items` build `Lottery` values from the rows on request. Treat tables
+    as immutable once built."""
 
     def __init__(
         self, m: int, entries: Mapping[WeakOrder, Lottery], name: str = ""
     ) -> None:
-        self.m = m
-        self.name = name
-        self._entries = dict(entries)
+        """Convert a map from orders to lotteries once. The map may miss
+        orders or hold orders over another m; `validate` reports both."""
+        index = classes_index(m)
+        rows: list = [None] * len(index)
+        for order, lottery in entries.items():
+            if order.classes in index:
+                rows[index[order.classes]] = integer_row(lottery.probs)
+        outside = sorted(order.text for order in entries if order.classes not in index)
+        self._set(m, rows, name, tuple(outside))
+
+    @classmethod
+    def from_rows(
+        cls, m: int, rows: Iterable[tuple[int, Sequence[int]]], name: str = ""
+    ) -> "MechanismTable":
+        """A table from one ``(den, ints)`` pair per order, in canonical
+        enumeration order: the lottery at that order is ints / den. Raises
+        `ValueError` for a row that is not a lottery."""
+        table = cls.__new__(cls)
+        table._set(m, list(rows), name, ())
+        return table
+
+    def _set(self, m: int, pairs: list, name: str, outside: tuple[str, ...]) -> None:
+        """Scale ``(den, ints)`` pairs (None for a missing order) once to
+        the least common denominator of the fractions they hold."""
+        reduced = set()
+        for den, row in filter(None, pairs):
+            if min(row) < 0 or sum(row) != den:
+                raise ValueError(f"row {list(row)} over {den} is not a lottery")
+            reduced.add(den // math.gcd(den, *row))
+        self.m, self.name, self._outside = m, name, outside
+        self.denominator = D = math.lcm(*reduced)
+        self.rows = tuple(
+            None if pair is None else tuple(x * D // pair[0] for x in pair[1])
+            for pair in pairs
+        )
+
+    @property
+    def integer_view(self) -> IntegerView:
+        """The table's state, for verdicts that compare sums of ``int``
+        entries. Needs a total table; call `validate` first."""
+        return IntegerView(self.denominator, self.rows)
 
     def lottery(self, order: WeakOrder) -> Lottery:
-        try:
-            return self._entries[order]
-        except KeyError:
-            raise MissingOrderError(
-                f"no lottery for order {order.text!r}"
-            ) from None
+        i = classes_index(self.m).get(order.classes)
+        row = None if i is None else self.rows[i]
+        if row is None:
+            raise MissingOrderError(f"no lottery for order {order.text!r}")
+        return Lottery(len(row), tuple(Fraction(x, self.denominator) for x in row))
 
     def validate(self) -> None:
         """Check totality over the canonical domain and internal sizes."""
-        domain = enumerate_weak_orders(self.m)
-        for order in domain:
-            if order not in self._entries:
-                raise MissingOrderError(f"no lottery for order {order.text!r}")
-        if len(self._entries) != len(domain):
-            extras = set(self._entries) - set(domain)
-            text = sorted(o.text for o in extras)
-            raise MechanismFormatError(f"entries outside the domain: {text}")
-        for order, lottery in self._entries.items():
-            if order.m != self.m or lottery.m != self.m:
-                raise MechanismFormatError(
-                    f"size mismatch at order {order.text!r}"
-                )
+        texts = order_texts(self.m)
+        if None in self.rows:
+            text = texts[self.rows.index(None)]
+            raise MissingOrderError(f"no lottery for order {text!r}")
+        if self._outside:
+            outside = list(self._outside)
+            raise MechanismFormatError(f"entries outside the domain: {outside}")
+        for text, row in zip(texts, self.rows):
+            if len(row) != self.m:
+                raise MechanismFormatError(f"size mismatch at order {text!r}")
 
     def items(self) -> Iterator[tuple[WeakOrder, Lottery]]:
         """Entries in canonical enumeration order."""
@@ -105,38 +164,32 @@ class MechanismTable:
 
     @property
     def is_deterministic(self) -> bool:
-        return all(lot.is_deterministic for lot in self._entries.values())
-
-    @cached_property
-    def integer_view(self) -> IntegerView:
-        """The table scaled once to integers, so that every verdict compares
-        sums of ``int`` entries. Needs a total table; call `validate` first."""
-        lotteries = [lottery.probs for _, lottery in self.items()]
-        denominator = math.lcm(
-            *{p.denominator for probs in lotteries for p in probs}
-        )
-        rows = tuple(
-            tuple(p.numerator * (denominator // p.denominator) for p in probs)
-            for probs in lotteries
-        )
-        return IntegerView(denominator, rows)
+        # D is least, so every entry is 0 or 1 exactly when D is 1
+        return self.denominator == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MechanismTable):
             return NotImplemented
-        return self.m == other.m and self._entries == other._entries
+        return (self.m, self.integer_view) == (other.m, other.integer_view)
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
-        return f"MechanismTable({label}, m={self.m}, {len(self._entries)} entries)"
+        size = len(self.rows) - self.rows.count(None) + len(self._outside)
+        return f"MechanismTable({label}, m={self.m}, {size} entries)"
 
 
 def mechanism_to_json(mech: MechanismTable) -> dict:
+    """The wire format; each distinct probability is formatted once."""
+    mech.validate()
+    texts = {
+        x: format_rational(Fraction(x, mech.denominator))
+        for x in set(chain.from_iterable(mech.rows))
+    }
     return {
         "m": mech.m,
         "entries": [
-            {"order": order.text, "lottery": lottery.texts()}
-            for order, lottery in mech.items()
+            {"order": text, "lottery": [texts[x] for x in row]}
+            for text, row in zip(order_texts(mech.m), mech.rows)
         ],
     }
 
@@ -156,17 +209,18 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
     if not isinstance(raw_entries, list):
         raise MechanismFormatError("entries must be a list")
 
-    by_text = _orders_by_text(m)
-    rationals: dict[str, Fraction] = {}  # each distinct token parsed once
-    entries: dict[WeakOrder, Lottery] = {}
+    texts = order_texts(m)
+    index_of = {text: k for k, text in enumerate(texts)}
+    ratios: dict[str, tuple[int, int]] = {}  # each distinct token parsed once
+    rows: list = [None] * len(texts)
     for i, raw in enumerate(raw_entries):
         if not isinstance(raw, dict):
             raise MechanismFormatError(f"entry {i} must be an object")
         order_text = raw.get("order")
         if not isinstance(order_text, str):
             raise MechanismFormatError(f"entry {i}: missing order text")
-        order = by_text.get(order_text)
-        if order is None:
+        k = index_of.get(order_text)
+        if k is None:
             # not a canonical text: "1,0>2", padding, or not an order over 0..m-1
             try:
                 order = WeakOrder.parse(order_text)
@@ -176,63 +230,53 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
                 raise MechanismFormatError(
                     f"entry {i}: order {order_text!r} is not over 0..{m - 1}"
                 )
-        if order in entries:
-            raise DuplicateOrderError(
-                f"entry {i}: duplicate order {order.text!r}"
-            )
+            k = classes_index(m)[order.classes]
+        if rows[k] is not None:
+            raise DuplicateOrderError(f"entry {i}: duplicate order {texts[k]!r}")
         raw_lottery = raw.get("lottery")
         if not isinstance(raw_lottery, list) or len(raw_lottery) != m:
             raise MechanismFormatError(
                 f"entry {i}: lottery must list {m} probabilities"
             )
-        probs = []
+        pairs = []
         for position, token in enumerate(raw_lottery):
             if not isinstance(token, str):
                 raise MalformedRationalError(
                     f"entry {i} position {position}: probabilities are strings"
                 )
-            value = rationals.get(token)
-            if value is None:
+            pair = ratios.get(token)
+            if pair is None:
                 try:
-                    value = rationals[token] = parse_rational(token)
+                    value = parse_rational(token)
                 except FormatError:
                     raise MalformedRationalError(
                         f"entry {i} position {position}: malformed rational {token!r}"
                     ) from None
-            probs.append(value)
-        try:
-            entries[order] = Lottery(m, tuple(probs))
-        except ValueError as exc:
-            raise InvalidLotteryError(
-                f"entry {i} (order {order.text!r}): {exc}"
-            ) from None
+                pair = ratios[token] = (value.numerator, value.denominator)
+            pairs.append(pair)
+        den = math.lcm(*(d for _, d in pairs))
+        row = tuple(n * (den // d) for n, d in pairs)
+        if min(row) < 0 or sum(row) != den:
+            try:  # only a bad lottery becomes a `Lottery`, for its message
+                Lottery(m, tuple(Fraction(n, d) for n, d in pairs))
+            except ValueError as exc:
+                where = f"entry {i} (order {texts[k]!r})"
+                raise InvalidLotteryError(f"{where}: {exc}") from None
+        rows[k] = den, row
 
-    for order in enumerate_weak_orders(m):
-        if order not in entries:
-            raise MissingOrderError(f"no lottery for order {order.text!r}")
-    return MechanismTable(m, entries, name=name)
-
-
-@lru_cache(maxsize=8)
-def _orders_by_text(m: int) -> dict[str, WeakOrder]:
-    """The canonical text of each weak order on m alternatives, mapped to
-    the order's canonical instance."""
-    return {order.text: order for order in enumerate_weak_orders(m)}
+    table = MechanismTable.from_rows(m, rows, name=name)
+    table.validate()  # names the first missing order
+    return table
 
 
 def load_mechanism(path: str | os.PathLike) -> MechanismTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MechanismFormatError(f"not valid JSON: {exc}") from None
+    data = read_json(path, "not valid JSON", MechanismFormatError)
     name = os.path.splitext(os.path.basename(path))[0]
     return mechanism_from_json(data, name=name)
 
 
 def save_mechanism(mech: MechanismTable, path: str | os.PathLike) -> None:
     """Validate the table, then write it atomically."""
-    mech.validate()
     write_atomic(path, json.dumps(mechanism_to_json(mech), indent=2) + "\n")
 
 
@@ -251,24 +295,23 @@ def write_atomic(path: str | os.PathLike, payload: str) -> None:
 
 
 def _table(m: int, rule, name: str) -> MechanismTable:
-    entries = {order: rule(order) for order in enumerate_weak_orders(m)}
-    return MechanismTable(m, entries, name=name)
+    """Apply ``rule(classes) -> (den, ints)`` to every order."""
+    return MechanismTable.from_rows(
+        m, (rule(order.classes) for order in enumerate_weak_orders(m)), name
+    )
 
 
 def uniform_lottery(m: int) -> MechanismTable:
     """Ignores the report entirely; constant uniform lottery."""
-    return _table(m, lambda order: Lottery.uniform(m), "uniform_lottery")
+    return _table(m, lambda classes: (m, (1,) * m), "uniform_lottery")
 
 
 def top_class_uniform(m: int) -> MechanismTable:
     """Spreads all probability uniformly over the reported top class."""
 
-    def rule(order: WeakOrder) -> Lottery:
-        top = order.classes[0]
-        share = Fraction(1, len(top))
-        return Lottery(
-            m, tuple(share if a in top else Fraction(0) for a in range(m))
-        )
+    def rule(classes: Classes) -> tuple[int, tuple[int, ...]]:
+        top = classes[0]
+        return len(top), tuple(int(a in top) for a in range(m))
 
     return _table(m, rule, "top_class_uniform")
 
@@ -277,7 +320,7 @@ def min_top_dictator(m: int) -> MechanismTable:
     """Deterministic: picks the smallest-numbered alternative in the
     reported top class."""
     return _table(
-        m, lambda order: Lottery.unit(m, min(order.classes[0])), "min_top_dictator"
+        m, lambda classes: (1, unit_row(m, classes[0][0])), "min_top_dictator"
     )
 
 
@@ -286,16 +329,16 @@ def rank_score(m: int) -> MechanismTable:
     counts the alternatives strictly preferred to a, then normalizes scores
     into a lottery. Ties share the average of the positions they occupy."""
 
-    def rule(order: WeakOrder) -> Lottery:
-        scores = [Fraction(0)] * m
+    def rule(classes: Classes) -> tuple[int, list[int]]:
+        # doubled scores are ints, and on every order they sum to m(m+1)
+        scores = [0] * m
         preceding = 0
-        for cls in order.classes:
-            score = Fraction(m) - preceding - Fraction(len(cls) - 1, 2)
+        for cls in classes:
+            score = 2 * (m - preceding) - len(cls) + 1
             for alt in cls:
                 scores[alt] = score
             preceding += len(cls)
-        total = sum(scores)
-        return Lottery(m, tuple(s / total for s in scores))
+        return m * (m + 1), scores
 
     return _table(m, rule, "rank_score")
 
@@ -305,17 +348,15 @@ def k_sensitive_boost(m: int) -> MechanismTable:
     1/(K+1) uniformly on the rest; everything on the top class when K = 1.
     The top-class boost grows with how finely the rest is subdivided."""
 
-    def rule(order: WeakOrder) -> Lottery:
-        K = order.num_classes
-        top = set(order.classes[0])
+    def rule(classes: Classes) -> tuple[int, tuple[int, ...]]:
+        K = len(classes)
         if K == 1:
-            return Lottery.uniform(m)
-        top_share = Fraction(K, K + 1) / len(top)
-        rest_share = Fraction(1, K + 1) / (m - len(top))
-        return Lottery(
-            m,
-            tuple(top_share if a in top else rest_share for a in range(m)),
-        )
+            return m, (1,) * m
+        top = classes[0]
+        rest = m - len(top)
+        # over (K+1)|top|·rest: K/(K+1)/|top| is K·rest, 1/(K+1)/rest is |top|
+        row = tuple(K * rest if a in top else len(top) for a in range(m))
+        return (K + 1) * len(top) * rest, row
 
     return _table(m, rule, "k_sensitive_boost")
 
@@ -334,14 +375,13 @@ def random_mechanism(
 ) -> MechanismTable:
     """A random table: per order, draw integer weights in [0, weight_cap]
     and normalize. Exercises degenerate entries (zeros) on purpose."""
-    entries = {}
-    for order in enumerate_weak_orders(m):
+    rows = []
+    for _ in enumerate_weak_orders(m):
         weights = [rng.randint(0, weight_cap) for _ in range(m)]
         if not any(weights):
             weights[rng.randrange(m)] = 1
-        total = sum(weights)
-        entries[order] = Lottery(m, tuple(Fraction(w, total) for w in weights))
-    return MechanismTable(m, entries, name=name or "random")
+        rows.append((sum(weights), weights))
+    return MechanismTable.from_rows(m, rows, name=name or "random")
 
 
 def random_deterministic_mechanism(
@@ -349,8 +389,5 @@ def random_deterministic_mechanism(
 ) -> MechanismTable:
     """A random deterministic table: per order, a point mass on a uniformly
     chosen alternative."""
-    entries = {
-        order: Lottery.unit(m, rng.randrange(m))
-        for order in enumerate_weak_orders(m)
-    }
-    return MechanismTable(m, entries, name=name or "random-deterministic")
+    rows = [(1, unit_row(m, rng.randrange(m))) for _ in enumerate_weak_orders(m)]
+    return MechanismTable.from_rows(m, rows, name=name or "random-deterministic")

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
 from .axioms import Certificate, _separation_layout, check_all_axioms
-from .core import Lottery, WeakOrder, enumerate_weak_orders, format_rational
-from .mechanisms import MechanismTable, random_mechanism
+from .core import WeakOrder, enumerate_weak_orders, format_rational
+from .mechanisms import MechanismTable, random_mechanism, unit_row
 
 
 class NotDeterministicError(ValueError):
@@ -276,13 +276,7 @@ class ConstraintCounts:
     separations_max_per_order: int
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "orders": self.orders,
-            "ordered_pairs": self.ordered_pairs,
-            "separations_total": self.separations_total,
-            "separations_max_per_order": self.separations_max_per_order,
-        }
+        return asdict(self)
 
 
 def count_constraints(m: int) -> ConstraintCounts:
@@ -319,15 +313,7 @@ class ScanReport:
         return self.agreements == self.checked
 
     def to_json(self) -> dict:
-        return {
-            "statement": self.statement,
-            "m": self.m,
-            "checked": self.checked,
-            "agreements": self.agreements,
-            "sp_count": self.sp_count,
-            "first_disagreement": self.first_disagreement,
-            "cross_checked": self.cross_checked,
-        }
+        return asdict(self)
 
 
 def scan_random_mechanisms(
@@ -425,14 +411,8 @@ def scan_deterministic_decomposition(
         if sp:
             report.sp_count += 1
         if i < cross_check:
-            table = MechanismTable(
-                m,
-                {
-                    order: Lottery.unit(m, choice)
-                    for order, choice in zip(orders, choices)
-                },
-                name=f"random-det-{m}-{seed}-{i}",
-            )
+            rows = [(1, unit_row(m, choice)) for choice in choices]
+            table = MechanismTable.from_rows(m, rows, name=f"random-det-{m}-{seed}-{i}")
             slow = check_deterministic_decomposition(table)
             if slow.sp_verdict != sp or slow.axiom_verdicts["monotonic"] != monotonic:
                 raise RuntimeError(

@@ -2,14 +2,33 @@
 against. Everything here is written from first principles on purpose; do
 not import algorithmic helpers from sepax into this module. Mechanism
 tables are read only through ``items()``: canonical orders with their
-lotteries."""
+lotteries. The table builders at the end (the `Fraction` zoo rules and the
+`Lottery`-dict loader) use sepax's value types, parsers and error
+classes, because what they pin is how a table is built from those."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd
+
+from sepax.core import (
+    ENUMERATION_MAX_M,
+    FormatError,
+    Lottery,
+    WeakOrder,
+    enumerate_weak_orders,
+    parse_rational,
+)
+from sepax.mechanisms import (
+    DuplicateOrderError,
+    InvalidLotteryError,
+    MalformedRationalError,
+    MechanismFormatError,
+    MissingOrderError,
+)
 
 
 def weak_order_count(m: int) -> int:
@@ -426,3 +445,180 @@ def separation_axiom_oracle(mech) -> dict[str, list[dict]]:
                             cert(axiom, "class", j + 1, lhs, rhs)
                             break
     return found
+
+
+def fosd_oracle_utilities(x, y, order) -> bool:
+    """Independent route to `fosd`: dominance holds iff for every
+    upper-contour set, the 0/1 indicator utility of that set gives ``x`` at
+    least the expected value it gives ``y``."""
+    if not x.m == y.m == order.m:
+        raise ValueError("mixed problem sizes")
+    for cls in order.classes:
+        contour = order.upper_contour(cls[0])
+        indicator = [Fraction(1 if a in contour else 0) for a in range(order.m)]
+        expected_x = sum((u * p for u, p in zip(indicator, x.probs)), Fraction(0))
+        expected_y = sum((u * p for u, p in zip(indicator, y.probs)), Fraction(0))
+        if expected_x < expected_y:
+            return False
+    return True
+
+
+# The zoo rules as `Fraction` arithmetic on each order: rule(m, order)
+# gives the lottery's probabilities.
+
+
+def _uniform_rule(m, order):
+    return tuple(Fraction(1, m) for _ in range(m))
+
+
+def _top_class_uniform_rule(m, order):
+    top = order.classes[0]
+    share = Fraction(1, len(top))
+    return tuple(share if a in top else Fraction(0) for a in range(m))
+
+
+def _min_top_dictator_rule(m, order):
+    choice = min(order.classes[0])
+    return tuple(Fraction(1 if a == choice else 0) for a in range(m))
+
+
+def _rank_score_rule(m, order):
+    scores = [Fraction(0)] * m
+    preceding = 0
+    for cls in order.classes:
+        score = Fraction(m) - preceding - Fraction(len(cls) - 1, 2)
+        for alt in cls:
+            scores[alt] = score
+        preceding += len(cls)
+    total = sum(scores)
+    return tuple(s / total for s in scores)
+
+
+def _k_sensitive_boost_rule(m, order):
+    K = order.num_classes
+    top = set(order.classes[0])
+    if K == 1:
+        return _uniform_rule(m, order)
+    top_share = Fraction(K, K + 1) / len(top)
+    rest_share = Fraction(1, K + 1) / (m - len(top))
+    return tuple(top_share if a in top else rest_share for a in range(m))
+
+
+ZOO_RULE_ORACLES = {
+    "uniform_lottery": _uniform_rule,
+    "top_class_uniform": _top_class_uniform_rule,
+    "min_top_dictator": _min_top_dictator_rule,
+    "rank_score": _rank_score_rule,
+    "k_sensitive_boost": _k_sensitive_boost_rule,
+}
+
+
+def random_lotteries_oracle(m: int, rng: random.Random, weight_cap: int = 12):
+    """`random_mechanism`'s draws as `Fraction` lotteries, one per order in
+    canonical order."""
+    out = []
+    for _ in range(weak_order_count(m)):
+        weights = [rng.randint(0, weight_cap) for _ in range(m)]
+        if not any(weights):
+            weights[rng.randrange(m)] = 1
+        total = sum(weights)
+        out.append(tuple(Fraction(w, total) for w in weights))
+    return out
+
+
+def random_deterministic_lotteries_oracle(m: int, rng: random.Random):
+    """`random_deterministic_mechanism`'s draws as `Fraction` lotteries."""
+    out = []
+    for _ in range(weak_order_count(m)):
+        choice = rng.randrange(m)
+        out.append(tuple(Fraction(1 if a == choice else 0) for a in range(m)))
+    return out
+
+
+def lotteries_json_oracle(m: int, lotteries) -> dict:
+    """The wire format of a table given as one `Fraction` lottery per order
+    in canonical order, each probability printed by `str(Fraction)`."""
+    return {
+        "m": m,
+        "entries": [
+            {"order": order.text, "lottery": [str(p) for p in probs]}
+            for order, probs in zip(enumerate_weak_orders(m), lotteries)
+        ],
+    }
+
+
+def integer_view_oracle(lotteries) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, rows) of a table given as `Fraction` lotteries in canonical order:
+    D the lcm of every denominator, each row the lottery times D."""
+    denominator = 1
+    for probs in lotteries:
+        for p in probs:
+            denominator = denominator * p.denominator // gcd(denominator, p.denominator)
+    rows = tuple(tuple(int(p * denominator) for p in probs) for probs in lotteries)
+    return denominator, rows
+
+
+def lottery_dict_loader(data: object) -> dict:
+    """The mechanism loader over a `WeakOrder -> Lottery` dict of
+    `Fraction`s: the same checks in the same order, raising the same error
+    classes with the same messages. Returns the dict."""
+    if not isinstance(data, dict):
+        raise MechanismFormatError("top level must be an object")
+    m = data.get("m")
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= ENUMERATION_MAX_M:
+        raise MechanismFormatError(
+            f"bad problem size m={m!r}, not in 1..{ENUMERATION_MAX_M}"
+        )
+    raw_entries = data.get("entries")
+    if not isinstance(raw_entries, list):
+        raise MechanismFormatError("entries must be a list")
+    entries: dict = {}
+    for i, raw in enumerate(raw_entries):
+        if not isinstance(raw, dict):
+            raise MechanismFormatError(f"entry {i} must be an object")
+        order_text = raw.get("order")
+        if not isinstance(order_text, str):
+            raise MechanismFormatError(f"entry {i}: missing order text")
+        try:
+            order = WeakOrder.parse(order_text)
+        except FormatError as exc:
+            raise MechanismFormatError(f"entry {i}: {exc}") from None
+        if order.m != m:
+            raise MechanismFormatError(
+                f"entry {i}: order {order_text!r} is not over 0..{m - 1}"
+            )
+        if order in entries:
+            raise DuplicateOrderError(f"entry {i}: duplicate order {order.text!r}")
+        raw_lottery = raw.get("lottery")
+        if not isinstance(raw_lottery, list) or len(raw_lottery) != m:
+            raise MechanismFormatError(f"entry {i}: lottery must list {m} probabilities")
+        probs = []
+        for position, token in enumerate(raw_lottery):
+            if not isinstance(token, str):
+                raise MalformedRationalError(
+                    f"entry {i} position {position}: probabilities are strings"
+                )
+            try:
+                probs.append(parse_rational(token))
+            except FormatError:
+                raise MalformedRationalError(
+                    f"entry {i} position {position}: malformed rational {token!r}"
+                ) from None
+        try:
+            entries[order] = Lottery(m, tuple(probs))
+        except ValueError as exc:
+            raise InvalidLotteryError(f"entry {i} (order {order.text!r}): {exc}") from None
+    for order in enumerate_weak_orders(m):
+        if order not in entries:
+            raise MissingOrderError(f"no lottery for order {order.text!r}")
+    return entries
+
+
+def lottery_dict_load_file(path) -> dict:
+    """`lottery_dict_loader` on a JSON file, with the file-level error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MechanismFormatError(f"not valid JSON: {exc}") from None
+    return lottery_dict_loader(data)

@@ -11,7 +11,6 @@ from sepax.core import (
     WeakOrder,
     enumerate_weak_orders,
     fosd,
-    fosd_oracle_utilities,
 )
 from sepax.axioms import check_all_axioms
 from sepax.mechanisms import ZOO, MechanismTable
@@ -40,7 +39,11 @@ from sepax.amd import (
     top_class_welfare_objective,
 )
 from tests.conftest import POPULATION_SEED, record_acceptance
-from tests.oracles import separation_axiom_oracle, weak_order_count
+from tests.oracles import (
+    fosd_oracle_utilities,
+    separation_axiom_oracle,
+    weak_order_count,
+)
 
 
 def _report(number: int, title: str, ok: bool, detail: str) -> None:

@@ -428,9 +428,37 @@ def test_check_rejects_large_m_before_enumerating(tmp_path, monkeypatch):
         raise AssertionError(f"enumerated the orders at m={m}")
 
     monkeypatch.setattr("sepax.mechanisms.enumerate_weak_orders", refuse)
+    monkeypatch.setattr("sepax.core.enumerate_weak_orders", refuse)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"m": 9, "entries": []}))
     code, report, err = run_cli(["check", "--mechanism", str(path)])
     assert code == 3
     assert report is None
     assert f"m=9, not in 1..{ENUMERATION_MAX_M}" in json.loads(err)["error"]
+
+
+UNREADABLE_FILES = {
+    "not_utf8": b'\xff\xfe{"m":2}',
+    "nested_too_deep": b"[" * 100_000,
+}
+
+
+def _reader_argv(reader: str, path: str) -> list[str]:
+    return {
+        "mechanism": ["check", "--mechanism", path],
+        "objective": ["amd", "--m", "2", "--objective", path],
+        "utilities": ["path", "--from", "0>1", "--to", "1>0", "--utilities-from", path],
+    }[reader]
+
+
+@pytest.mark.parametrize("content", sorted(UNREADABLE_FILES))
+@pytest.mark.parametrize("reader", ["mechanism", "objective", "utilities"])
+def test_unreadable_input_file_exits_3(tmp_path, reader, content):
+    # bytes that are not UTF-8 or JSON nested past the parser's depth are
+    # bad input, not internal faults
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE_FILES[content])
+    code, report, err = run_cli(_reader_argv(reader, str(path)))
+    assert code == 3
+    assert report is None
+    assert "not valid JSON" in json.loads(err)["error"]

@@ -12,14 +12,13 @@ from sepax.core import (
     consistent,
     enumerate_weak_orders,
     fosd,
-    fosd_oracle_utilities,
     format_rational,
     order_from_utility,
     ordered_set_partitions,
     parse_rational,
     strictly_consistent,
 )
-from tests.oracles import weak_order_count
+from tests.oracles import fosd_oracle_utilities, weak_order_count
 
 
 def test_parse_rational():

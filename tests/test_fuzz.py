@@ -22,9 +22,12 @@ from sepax.amd import objective_from_json, objective_to_json
 from sepax.core import FormatError, WeakOrder, enumerate_weak_orders, parse_rational
 from sepax.lp import RELATIONS, LinearProgram
 from sepax.mechanisms import (
+    ZOO,
     MechanismFormatError,
+    load_mechanism,
     mechanism_from_json,
     mechanism_to_json,
+    random_deterministic_mechanism,
     random_mechanism,
 )
 
@@ -122,6 +125,44 @@ def test_mechanism_from_json_total_on_any_json(data):
         mechanism_from_json(data)
     except MechanismFormatError:
         pass
+
+
+TABLES = st.one_of(
+    st.builds(random_mechanism, st.integers(1, 3), st.randoms(use_true_random=False),
+              st.integers(0, 30)),
+    st.builds(random_deterministic_mechanism, st.integers(1, 3),
+              st.randoms(use_true_random=False)),
+    st.builds(lambda name, m: ZOO[name](m), st.sampled_from(sorted(ZOO)), st.integers(1, 3)),
+)
+
+
+@FUZZ
+@given(TABLES)
+def test_mechanism_json_round_trip(mech):
+    again = mechanism_from_json(mechanism_to_json(mech))
+    assert again == mech
+    assert again.integer_view == mech.integer_view
+
+
+@FUZZ
+@given(
+    st.binary(max_size=64)
+    | st.builds(lambda text, junk: text.encode() + junk,
+                st.sampled_from(['{"m": 1, "entries": [{"order": "0", "lottery": ["1"]}]}',
+                                 '{"m": 2, "entries": ']),
+                st.binary(max_size=8))
+)
+@example(b'\xff\xfe{"m":2}')
+@example(b"[" * 100_000)
+def test_mechanism_file_total_on_any_bytes(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mech.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            load_mechanism(path)
+        except MechanismFormatError:
+            pass
 
 
 TERM = st.fixed_dictionaries(

@@ -11,6 +11,7 @@ from sepax.mechanisms import (
     DuplicateOrderError,
     InvalidLotteryError,
     MalformedRationalError,
+    MechanismFormatError,
     MechanismTable,
     MissingOrderError,
     k_sensitive_boost,
@@ -26,6 +27,14 @@ from sepax.mechanisms import (
     uniform_lottery,
 )
 from sepax.verify import check_sp_bruteforce
+from tests.oracles import (
+    ZOO_RULE_ORACLES,
+    integer_view_oracle,
+    lotteries_json_oracle,
+    lottery_dict_load_file,
+    random_deterministic_lotteries_oracle,
+    random_lotteries_oracle,
+)
 
 
 def test_uniform_lottery():
@@ -220,3 +229,121 @@ def test_equality_ignores_name():
     b = MechanismTable(2, dict(a.items()), name="other")
     assert a == b
     assert a != top_class_uniform(2)
+
+
+def _assert_matches_lotteries(mech, lotteries):
+    """The table holds exactly these `Fraction` lotteries, in canonical
+    order: as lotteries, as integer rows, and as JSON."""
+    orders = enumerate_weak_orders(mech.m)
+    assert [mech.lottery(order).probs for order in orders] == lotteries
+    assert [lottery.probs for _, lottery in mech.items()] == lotteries
+    assert tuple(mech.integer_view) == integer_view_oracle(lotteries)
+    assert mechanism_to_json(mech) == lotteries_json_oracle(mech.m, lotteries)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_zoo_rules_match_fraction_oracle(name, m):
+    rule = ZOO_RULE_ORACLES[name]
+    expected = [rule(m, order) for order in enumerate_weak_orders(m)]
+    mech = ZOO[name](m)
+    _assert_matches_lotteries(mech, expected)
+    assert mech.is_deterministic == all(p in (0, 1) for probs in expected for p in probs)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_random_samplers_match_fraction_oracle(m):
+    for seed in range(5):
+        _assert_matches_lotteries(
+            random_mechanism(m, random.Random(seed), weight_cap=3 + seed),
+            random_lotteries_oracle(m, random.Random(seed), weight_cap=3 + seed),
+        )
+        mech = random_deterministic_mechanism(m, random.Random(seed))
+        _assert_matches_lotteries(
+            mech, random_deterministic_lotteries_oracle(m, random.Random(seed))
+        )
+        assert mech.is_deterministic
+
+
+def _respell(blob):
+    respell = {"0,1>2": "1,0>2", "0>1>2": " 0>1>2 "}
+    for entry in blob["entries"]:
+        entry["order"] = respell.get(entry["order"], entry["order"])
+
+
+def _set_entry(index, **fields):
+    def mutate(blob):
+        blob["entries"][index].update(fields)
+    return mutate
+
+
+MALFORMED_FILES = {
+    "bad_order": _set_entry(0, order="0>>1>2"),
+    "order_over_wrong_m": _set_entry(1, order="0>1"),
+    "duplicate_spelled_two_ways": lambda blob: blob["entries"].append(
+        {"order": "2,0>1", "lottery": ["1", "0", "0"]}
+    ),
+    "bad_token": _set_entry(2, lottery=["1/2", "1/x", "1/2"]),
+    "non_string_token": _set_entry(2, lottery=["1/2", 0.5, "0"]),
+    "negative_probability": _set_entry(3, lottery=["2", "-1", "0"]),
+    "sum_5_6": _set_entry(4, lottery=["1/2", "1/3", "0"]),
+    "sum_2": _set_entry(4, lottery=["1", "1", "0"]),
+    "missing_order": lambda blob: blob["entries"].pop(5),
+    "respelled_orders": _respell,
+    "m_9": lambda blob: blob.update(m=9),
+    "short_lottery": _set_entry(6, lottery=["1", "0"]),
+    "bad_json": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_loader_matches_lottery_dict_oracle(tmp_path: Path, case):
+    blob = mechanism_to_json(rank_score(3))
+    path = tmp_path / "mech.json"
+    if MALFORMED_FILES[case] is None:
+        path.write_text(json.dumps(blob)[:-3])
+    else:
+        MALFORMED_FILES[case](blob)
+        path.write_text(json.dumps(blob))
+    try:
+        expected = lottery_dict_load_file(path)
+    except MechanismFormatError as exc:
+        with pytest.raises(MechanismFormatError) as err:
+            load_mechanism(path)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        return
+    assert case == "respelled_orders"
+    mech = load_mechanism(path)
+    assert dict(mech.items()) == expected
+    assert mech == rank_score(3)
+
+
+def test_validate_reports_orders_outside_the_domain_and_size_mismatch():
+    entries = dict(uniform_lottery(2).items())
+    table = MechanismTable(2, {**entries, WeakOrder.parse("0>1>2"): Lottery.uniform(3)})
+    with pytest.raises(MechanismFormatError) as err:
+        table.validate()
+    assert str(err.value) == "entries outside the domain: ['0>1>2']"
+    entries[WeakOrder.parse("1>0")] = Lottery.uniform(3)
+    table = MechanismTable(2, entries)
+    with pytest.raises(MechanismFormatError) as err:
+        table.validate()
+    assert str(err.value) == "size mismatch at order '1>0'"
+
+
+def test_rank_score_emit_makes_a_fraction_per_printed_value_at_most(monkeypatch):
+    # the table is integers; only the writer makes Fractions, one for each
+    # distinct x/D it prints
+    made = []
+    real_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    blob = mechanism_to_json(rank_score(6))
+    monkeypatch.undo()
+    printed = {p for entry in blob["entries"] for p in entry["lottery"]}
+    assert 0 < len(made) <= len(printed)
