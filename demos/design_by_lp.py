@@ -5,15 +5,15 @@
 
 from sepax import (
     check_sp_bruteforce,
-    design_mechanism,
     generate_sp_constraints,
-    sp_lp_summary,
+    lp_summary,
+    solve_design,
     top_class_welfare_objective,
 )
 
 print("constraint system sizes (reduced vs naive pairwise):")
 for m in (2, 3):
-    s = sp_lp_summary(m)
+    s = lp_summary(m, generate_sp_constraints(m))
     print(
         f"  m={m}: {s['variables']} variables, {s['reduced_rows']} reduced rows"
         f" vs {s['naive_rows']} naive rows"
@@ -25,7 +25,8 @@ print(generate_sp_constraints(2).to_text())
 
 # maximize the probability each report gets something from its own top class
 for m in (2, 3):
-    solution, mech = design_mechanism(m, top_class_welfare_objective(m))
+    lp = generate_sp_constraints(m)
+    solution, mech = solve_design(lp, m, top_class_welfare_objective(m))
     print(f"m={m} welfare design: status={solution.status}, "
           f"optimum={solution.objective_value}")
     violation = check_sp_bruteforce(mech)
@@ -34,6 +35,8 @@ for m in (2, 3):
 
 print()
 print("designed m=2 table:")
-solution, mech = design_mechanism(2, top_class_welfare_objective(2))
+solution, mech = solve_design(
+    generate_sp_constraints(2), 2, top_class_welfare_objective(2)
+)
 for order, lottery in mech.items():
     print(f"  {order.text:4s} -> {lottery.texts()}")

@@ -90,7 +90,6 @@ from .verify import (
     scan_random_mechanisms,
 )
 from .amd import (
-    design_mechanism,
     generate_sp_constraints,
     load_objective,
     lp_summary,
@@ -100,7 +99,6 @@ from .amd import (
     random_objective,
     solution_to_mechanism,
     solve_design,
-    sp_lp_summary,
     top_class_welfare_objective,
     variable_names,
 )

@@ -13,7 +13,8 @@ The constraint families, all named by prefix:
   together because everything else is pinned.
 - resp[R|R']: the upper part of the split must not lose probability. The
   matching lower-part inequality is implied by the equalities plus
-  normalization, so it is redundant and only emitted on request.
+  normalization, so it is redundant and never emitted; the builder that
+  still emits it lives on as a test oracle in ``tests/oracles.py``.
 
 Feasible points are exactly the strategyproof mechanisms, so any optimum of
 any objective over these constraints is strategyproof by construction; the
@@ -25,10 +26,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .axioms import all_separations
+from .axioms import _separation_layout
 from .core import (
     FormatError,
     WeakOrder,
+    classes_index,
     enumerate_weak_orders,
     order_texts,
     parse_rational,
@@ -45,64 +47,43 @@ def variable_names(m: int) -> list[str]:
     return [f"x[{text}][{alt}]" for text in order_texts(m) for alt in range(m)]
 
 
-def generate_sp_constraints(
-    m: int, *, include_lowered_inequality: bool = False
-) -> LinearProgram:
+def generate_sp_constraints(m: int) -> LinearProgram:
     """The reduced strategyproofness constraint system at size m, with an
     empty objective. Callers set `lp.objective` before solving."""
     orders = enumerate_weak_orders(m)
-    index = {order: i for i, order in enumerate(orders)}
+    texts = order_texts(m)
     lp = LinearProgram(variable_names(m))
 
-    def var(order_i: int, alt: int) -> int:
-        return order_i * m + alt
+    def moved(ci: int, fi: int, alts) -> dict[int, Fraction]:
+        """The fine order's mass on ``alts`` minus the coarse order's."""
+        coeffs: dict[int, Fraction] = {}
+        for alt in alts:
+            coeffs[fi * m + alt] = Fraction(1)
+            coeffs[ci * m + alt] = Fraction(-1)
+        return coeffs
 
-    for i, order in enumerate(orders):
+    for i, text in enumerate(texts):
         lp.add_constraint(
-            f"norm[{order.text}]",
-            {var(i, alt): Fraction(1) for alt in range(m)},
+            f"norm[{text}]",
+            {i * m + alt: Fraction(1) for alt in range(m)},
             "=",
             1,
         )
 
-    for sep in all_separations(m):
-        ci = index[sep.coarse]
-        fi = index[sep.fine]
-        tag = f"{sep.coarse.text}|{sep.fine.text}"
-        for k, cls in enumerate(sep.coarse.classes, start=1):
-            if k == sep.kappa:
-                continue
-            coeffs: dict[int, Fraction] = {}
-            for alt in cls:
-                coeffs[var(fi, alt)] = Fraction(1)
-                coeffs[var(ci, alt)] = Fraction(-1)
-            family = "upper" if k < sep.kappa else "lower"
-            lp.add_constraint(f"{family}[{tag}][k{k}]", coeffs, "=", 0)
-        coeffs = {}
-        for alt in sep.upper_part:
-            coeffs[var(fi, alt)] = Fraction(1)
-            coeffs[var(ci, alt)] = Fraction(-1)
-        lp.add_constraint(f"resp[{tag}]", coeffs, ">=", 0)
-        if include_lowered_inequality:
-            coeffs = {}
-            for alt in sep.lower_part:
-                coeffs[var(fi, alt)] = Fraction(1)
-                coeffs[var(ci, alt)] = Fraction(-1)
-            lp.add_constraint(f"drop[{tag}]", coeffs, "<=", 0)
+    for ci, fi, split, upper, _ in _separation_layout(m):
+        tag = f"{texts[ci]}|{texts[fi]}"
+        for k, cls in enumerate(orders[ci].classes):
+            if k != split:
+                family = "upper" if k < split else "lower"
+                lp.add_constraint(f"{family}[{tag}][k{k + 1}]", moved(ci, fi, cls), "=", 0)
+        lp.add_constraint(f"resp[{tag}]", moved(ci, fi, upper), ">=", 0)
     return lp
 
 
-def sp_lp_summary(m: int, *, include_lowered_inequality: bool = False) -> dict:
-    """Size accounting for the generated system versus the naive pairwise
-    encoding (one dominance row per ordered pair per contour set)."""
-    return lp_summary(
-        m, generate_sp_constraints(m, include_lowered_inequality=include_lowered_inequality)
-    )
-
-
 def lp_summary(m: int, lp: LinearProgram) -> dict:
-    """`sp_lp_summary` of a system `generate_sp_constraints` already built
-    at size m."""
+    """Size accounting for a system `generate_sp_constraints` built at size
+    m, versus the naive pairwise encoding (one dominance row per ordered
+    pair per contour set)."""
     by_family: dict[str, int] = {}
     for con in lp.constraints:
         family = con.name.split("[", 1)[0]
@@ -115,7 +96,6 @@ def lp_summary(m: int, lp: LinearProgram) -> dict:
         "normalizations": by_family.get("norm", 0),
         "invariance_equalities": by_family.get("upper", 0) + by_family.get("lower", 0),
         "responsiveness_inequalities": by_family.get("resp", 0),
-        "lowered_inequalities": by_family.get("drop", 0),
         "nonnegativity_bounds": len(lp.variables),
         "reduced_rows": reduced,
         "separations": counts.separations_total,
@@ -146,12 +126,12 @@ def random_objective(
 
 
 def objective_to_json(m: int, coeffs: dict[int, Fraction]) -> dict:
-    orders = enumerate_weak_orders(m)
+    texts = order_texts(m)
     return {
         "sense": "max",
         "terms": [
             {
-                "order": orders[j // m].text,
+                "order": texts[j // m],
                 "alt": j % m,
                 "coef": str(Fraction(c)),
             }
@@ -171,7 +151,7 @@ def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise FormatError("objective file needs a terms list")
-    index = {order: i for i, order in enumerate(enumerate_weak_orders(m))}
+    index = classes_index(m)
     coeffs: dict[int, Fraction] = {}
     for t, raw in enumerate(terms):
         if not isinstance(raw, dict):
@@ -179,8 +159,8 @@ def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
         order_text = raw.get("order")
         if not isinstance(order_text, str):
             raise FormatError(f"term {t}: missing order text")
-        order = WeakOrder.parse(order_text)
-        if order.m != m or order not in index:
+        i = index.get(WeakOrder.parse(order_text).classes)
+        if i is None:
             raise FormatError(f"term {t}: order {order_text!r} not over 0..{m - 1}")
         alt = raw.get("alt")
         if not isinstance(alt, int) or isinstance(alt, bool) or not 0 <= alt < m:
@@ -189,7 +169,7 @@ def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
         if not isinstance(coef_text, str):
             raise FormatError(f"term {t}: coefficient must be a string rational")
         coef = parse_rational(coef_text)
-        j = index[order] * m + alt
+        j = i * m + alt
         coeffs[j] = coeffs.get(j, Fraction(0)) + coef
     return {j: c for j, c in coeffs.items() if c != 0}
 
@@ -209,9 +189,7 @@ def mechanism_assignment(mech: MechanismTable) -> dict[str, Fraction]:
     }
 
 
-def solution_to_mechanism(
-    solution: LPSolution, m: int, name: str = "lp-design"
-) -> MechanismTable:
+def solution_to_mechanism(solution: LPSolution, m: int) -> MechanismTable:
     """Read the lottery table out of an optimal solution. The normalization
     and nonnegativity rows guarantee the entries really are lotteries."""
     if solution.status != "optimal":
@@ -220,35 +198,19 @@ def solution_to_mechanism(
         integer_row([solution.assignment[f"x[{text}][{alt}]"] for alt in range(m)])
         for text in order_texts(m)
     )
-    return MechanismTable.from_rows(m, rows, name=name)
-
-
-def design_mechanism(
-    m: int,
-    objective: dict[int, Fraction],
-    *,
-    include_lowered_inequality: bool = False,
-    name: str = "lp-design",
-) -> tuple[LPSolution, MechanismTable | None]:
-    """Solve for an optimal strategyproof mechanism under the objective."""
-    lp = generate_sp_constraints(
-        m, include_lowered_inequality=include_lowered_inequality
-    )
-    return solve_design(lp, m, objective, name)
+    return MechanismTable.from_rows(m, rows, name="lp-design")
 
 
 def solve_design(
-    lp: LinearProgram,
-    m: int,
-    objective: dict[int, Fraction],
-    name: str = "lp-design",
+    lp: LinearProgram, m: int, objective: dict[int, Fraction]
 ) -> tuple[LPSolution, MechanismTable | None]:
-    """`design_mechanism` on a system `generate_sp_constraints` already
-    built at size m; sets the system's objective."""
+    """Solve for an optimal strategyproof mechanism under the objective, on
+    the system `generate_sp_constraints` built at size m; sets the system's
+    objective."""
     lp.objective = dict(objective)
     solution = solve_lp(lp)
     mech = (
-        solution_to_mechanism(solution, m, name=name)
+        solution_to_mechanism(solution, m)
         if solution.status == "optimal"
         else None
     )

@@ -283,7 +283,11 @@ def save_mechanism(mech: MechanismTable, path: str | os.PathLike) -> None:
 def write_atomic(path: str | os.PathLike, payload: str) -> None:
     """Write text so that the target file appears complete or not at all."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        # name the file asked for, not the temporary one beside it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)

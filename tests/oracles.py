@@ -4,7 +4,10 @@ not import algorithmic helpers from sepax into this module. Mechanism
 tables are read only through ``items()``: canonical orders with their
 lotteries. The table builders at the end (the `Fraction` zoo rules and the
 `Lottery`-dict loader) use sepax's value types, parsers and error
-classes, because what they pin is how a table is built from those."""
+classes, because what they pin is how a table is built from those. The
+design LP builder after them walks sepax's `Separation` objects into its
+`LinearProgram`, because what it pins is the row system built from
+those."""
 
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd
 
+from sepax.amd import variable_names
+from sepax.axioms import all_separations
 from sepax.core import (
     ENUMERATION_MAX_M,
     FormatError,
@@ -22,6 +27,7 @@ from sepax.core import (
     enumerate_weak_orders,
     parse_rational,
 )
+from sepax.lp import LinearProgram
 from sepax.mechanisms import (
     DuplicateOrderError,
     InvalidLotteryError,
@@ -622,3 +628,50 @@ def lottery_dict_load_file(path) -> dict:
         except json.JSONDecodeError as exc:
             raise MechanismFormatError(f"not valid JSON: {exc}") from None
     return lottery_dict_loader(data)
+
+
+def sp_constraints_oracle(m: int, *, lowered: bool = False) -> LinearProgram:
+    """The design LP built through `WeakOrder` separations: norm rows, then
+    per separation its invariance equalities and its responsiveness row.
+    With ``lowered``, each responsiveness row is followed by the redundant
+    lower-part inequality drop[R|R'], which the library never emits."""
+    orders = enumerate_weak_orders(m)
+    index = {order: i for i, order in enumerate(orders)}
+    lp = LinearProgram(variable_names(m))
+
+    def var(order_i: int, alt: int) -> int:
+        return order_i * m + alt
+
+    for i, order in enumerate(orders):
+        lp.add_constraint(
+            f"norm[{order.text}]",
+            {var(i, alt): Fraction(1) for alt in range(m)},
+            "=",
+            1,
+        )
+
+    for sep in all_separations(m):
+        ci = index[sep.coarse]
+        fi = index[sep.fine]
+        tag = f"{sep.coarse.text}|{sep.fine.text}"
+        for k, cls in enumerate(sep.coarse.classes, start=1):
+            if k == sep.kappa:
+                continue
+            coeffs: dict[int, Fraction] = {}
+            for alt in cls:
+                coeffs[var(fi, alt)] = Fraction(1)
+                coeffs[var(ci, alt)] = Fraction(-1)
+            family = "upper" if k < sep.kappa else "lower"
+            lp.add_constraint(f"{family}[{tag}][k{k}]", coeffs, "=", 0)
+        coeffs = {}
+        for alt in sep.upper_part:
+            coeffs[var(fi, alt)] = Fraction(1)
+            coeffs[var(ci, alt)] = Fraction(-1)
+        lp.add_constraint(f"resp[{tag}]", coeffs, ">=", 0)
+        if lowered:
+            coeffs = {}
+            for alt in sep.lower_part:
+                coeffs[var(fi, alt)] = Fraction(1)
+                coeffs[var(ci, alt)] = Fraction(-1)
+            lp.add_constraint(f"drop[{tag}]", coeffs, "<=", 0)
+    return lp

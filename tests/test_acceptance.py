@@ -32,10 +32,10 @@ from sepax.verify import (
     scan_deterministic_decomposition,
 )
 from sepax.amd import (
-    design_mechanism,
     generate_sp_constraints,
     mechanism_assignment,
     random_objective,
+    solve_design,
     top_class_welfare_objective,
 )
 from tests.conftest import POPULATION_SEED, record_acceptance
@@ -273,11 +273,15 @@ def test_acceptance_9_design_soundness():
     designs = 0
     for m in (2, 3):
         for _ in range(12):
-            solution, mech = design_mechanism(m, random_objective(m, rng))
+            solution, mech = solve_design(
+                generate_sp_constraints(m), m, random_objective(m, rng)
+            )
             designs += 1
             if solution.status != "optimal" or check_sp_bruteforce(mech) is not None:
                 unsound += 1
-    welfare, _ = design_mechanism(2, top_class_welfare_objective(2))
+    welfare, _ = solve_design(
+        generate_sp_constraints(2), 2, top_class_welfare_objective(2)
+    )
     welfare_ok = welfare.objective_value == 3
     infeasible_zoo = []
     for m in (2, 3):

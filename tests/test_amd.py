@@ -6,22 +6,33 @@ import pytest
 
 from sepax.core import FormatError
 from sepax.amd import (
-    design_mechanism,
     generate_sp_constraints,
     load_objective,
+    lp_summary,
     mechanism_assignment,
     objective_from_json,
     objective_to_json,
     random_objective,
     solution_to_mechanism,
     solve_design,
-    sp_lp_summary,
     top_class_welfare_objective,
     variable_names,
 )
 from sepax.lp import LPSolution, solve_lp
 from sepax.mechanisms import ZOO, k_sensitive_boost
 from sepax.verify import check_decomposition, check_sp_bruteforce
+from tests.oracles import sp_constraints_oracle
+
+
+def _families(lp) -> dict[str, int]:
+    by_family = {"norm": 0, "upper": 0, "lower": 0, "resp": 0, "drop": 0}
+    for con in lp.constraints:
+        by_family[con.name.split("[", 1)[0]] += 1
+    return by_family
+
+
+def _design(m, objective):
+    return solve_design(generate_sp_constraints(m), m, objective)
 
 
 def test_variable_names():
@@ -36,48 +47,51 @@ def test_variable_names():
     ]
 
 
+def test_constraints_match_oracle():
+    # the canonical-index build is the WeakOrder build, row for row
+    for m in range(1, 6):
+        assert generate_sp_constraints(m).to_json() == sp_constraints_oracle(m).to_json()
+
+
 def test_summary_counts():
-    assert sp_lp_summary(2) == {
+    assert lp_summary(2, generate_sp_constraints(2)) == {
         "m": 2,
         "variables": 6,
         "normalizations": 3,
         "invariance_equalities": 0,
         "responsiveness_inequalities": 2,
-        "lowered_inequalities": 0,
         "nonnegativity_bounds": 6,
         "reduced_rows": 2,
         "separations": 2,
         "naive_rows": 12,
     }
-    summary = sp_lp_summary(3)
+    summary = lp_summary(3, generate_sp_constraints(3))
     assert summary["variables"] == 39
     assert summary["normalizations"] == 13
     assert summary["invariance_equalities"] == 12
     assert summary["responsiveness_inequalities"] == 18
     assert summary["reduced_rows"] == 30
     assert summary["naive_rows"] == 468
-    lowered = sp_lp_summary(3, include_lowered_inequality=True)
-    assert lowered["lowered_inequalities"] == 18
-    assert lowered["reduced_rows"] == 48
+    lowered = _families(sp_constraints_oracle(3, lowered=True))
+    assert lowered["drop"] == 18
+    assert sum(lowered.values()) - lowered["norm"] == 48
 
 
 def test_constraint_families_match_summary():
     for m in (1, 2, 3):
-        lp = generate_sp_constraints(m, include_lowered_inequality=True)
-        summary = sp_lp_summary(m, include_lowered_inequality=True)
-        by_family = {"norm": 0, "upper": 0, "lower": 0, "resp": 0, "drop": 0}
-        for con in lp.constraints:
-            by_family[con.name.split("[", 1)[0]] += 1
+        by_family = _families(sp_constraints_oracle(m, lowered=True))
+        summary = lp_summary(m, generate_sp_constraints(m))
         assert by_family["norm"] == summary["normalizations"]
         assert by_family["upper"] + by_family["lower"] == summary[
             "invariance_equalities"
         ]
         assert by_family["resp"] == summary["responsiveness_inequalities"]
-        assert by_family["drop"] == summary["lowered_inequalities"]
+        # one lowered row per responsiveness row
+        assert by_family["drop"] == summary["responsiveness_inequalities"]
 
 
 def test_zoo_sp_mechanisms_are_feasible_points():
-    lp = generate_sp_constraints(3, include_lowered_inequality=True)
+    lp = sp_constraints_oracle(3, lowered=True)
     for name, factory in ZOO.items():
         mech = factory(3)
         violated = lp.check_assignment(mechanism_assignment(mech))
@@ -98,7 +112,7 @@ def test_boost_mechanism_violation_rows():
 
 
 def test_welfare_design_m2():
-    solution, mech = design_mechanism(2, top_class_welfare_objective(2))
+    solution, mech = _design(2, top_class_welfare_objective(2))
     assert solution.status == "optimal"
     assert solution.objective_value == 3
     assert mech is not None
@@ -111,7 +125,7 @@ def test_welfare_design_m2():
 
 
 def test_welfare_design_m3():
-    solution, mech = design_mechanism(3, top_class_welfare_objective(3))
+    solution, mech = _design(3, top_class_welfare_objective(3))
     assert solution.status == "optimal"
     assert solution.objective_value == 13
     report = check_decomposition(mech)
@@ -120,13 +134,13 @@ def test_welfare_design_m3():
 
 def test_lowered_inequality_is_redundant():
     objective = top_class_welfare_objective(3)
-    plain, _ = design_mechanism(3, objective)
-    lowered, _ = design_mechanism(3, objective, include_lowered_inequality=True)
+    plain, _ = _design(3, objective)
+    lowered, _ = solve_design(sp_constraints_oracle(3, lowered=True), 3, objective)
     assert plain.objective_value == lowered.objective_value == 13
 
 
 def test_zero_objective_design_is_sp():
-    solution, mech = design_mechanism(3, {})
+    solution, mech = _design(3, {})
     assert solution.status == "optimal"
     assert solution.objective_value == 0
     assert check_sp_bruteforce(mech) is None
@@ -137,7 +151,7 @@ def test_random_objectives_yield_sp_optima():
     for m in (2, 3):
         for _ in range(6):
             objective = random_objective(m, rng)
-            solution, mech = design_mechanism(m, objective)
+            solution, mech = _design(m, objective)
             assert solution.status == "optimal"
             assert mech is not None
             assert check_sp_bruteforce(mech) is None
@@ -204,7 +218,7 @@ def test_load_objective(tmp_path):
 
 
 def test_feasible_set_nonempty_even_with_all_rows():
-    lp = generate_sp_constraints(3, include_lowered_inequality=True)
+    lp = sp_constraints_oracle(3, lowered=True)
     solution = solve_lp(lp)
     assert solution.status == "optimal"
     mech = solution_to_mechanism(solution, 3)

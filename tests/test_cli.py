@@ -193,6 +193,16 @@ def test_path_with_utility_files(tmp_path):
     )
     assert code == 3
     assert "p/q" in json.loads(err)["error"]
+    # a valid rational that is not a utility: the real reason is reported
+    bad.write_text(json.dumps({"values": ["-1", "0"]}))
+    code, report, err = run_cli(
+        ["path", "--from", "0>1", "--to", "1>0", "--utilities-from", str(bad)]
+    )
+    assert code == 3
+    assert report is None
+    error = json.loads(err)["error"]
+    assert "negative utility" in error
+    assert "p/q" not in error
 
 
 def test_path_size_mismatch():
@@ -282,6 +292,14 @@ def test_report_shape_and_out_file(tmp_path, zoo_files):
     assert on_disk == report
 
 
+def test_unwritable_out_reports_nothing(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    code, report, err = run_cli(["enumerate", "--m", "2", "--out", str(out)])
+    assert code == 3
+    assert report is None
+    assert str(out) in json.loads(err)["error"]
+
+
 def test_out_not_written_on_input_error(tmp_path):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -333,6 +351,11 @@ def test_workers_flag_overrides_env(zoo_files, monkeypatch):
         (["enumerate", "--m", "2", "--bogus"], "unrecognized arguments: --bogus"),
         (["check", "--mechanism", "x.json", "--mode", "nope"], "invalid choice"),
         (["check", "--mode", "sp"], "--mechanism"),
+        (
+            ["amd", "--m", "2", "--objective", "objective.json",
+             "--include-lowered-inequality"],
+            "unrecognized arguments: --include-lowered-inequality",
+        ),
     ],
 )
 def test_bad_flags_exit_3(argv, fragment):
@@ -435,6 +458,20 @@ def test_check_rejects_large_m_before_enumerating(tmp_path, monkeypatch):
     assert code == 3
     assert report is None
     assert f"m=9, not in 1..{ENUMERATION_MAX_M}" in json.loads(err)["error"]
+
+
+def test_path_rejects_large_m_before_walking(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked a path past the size cap")
+
+    monkeypatch.setattr("sepax.paths.refinement_path", refuse)
+    m = cli.PATH_MAX_M + 1
+    start = ">".join(map(str, range(m)))
+    end = ">".join(map(str, reversed(range(m))))
+    code, report, err = run_cli(["path", "--from", start, "--to", end])
+    assert code == 3
+    assert report is None
+    assert f"capped at m={cli.PATH_MAX_M}" in json.loads(err)["error"]
 
 
 UNREADABLE_FILES = {

@@ -6,7 +6,12 @@ import pytest
 from sepax.amd import generate_sp_constraints, random_objective, top_class_welfare_objective
 from sepax.core import FormatError
 from sepax.lp import Constraint, InexactDivisionError, LinearProgram, _Tableau, solve_lp
-from tests.oracles import fraction_simplex_oracle, lp_vertex_oracle, random_bounded_lp
+from tests.oracles import (
+    fraction_simplex_oracle,
+    lp_vertex_oracle,
+    random_bounded_lp,
+    sp_constraints_oracle,
+)
 
 
 def simple_lp() -> LinearProgram:
@@ -202,7 +207,8 @@ def cycling_lp() -> LinearProgram:
 def identity_lps():
     """Every program the integer tableau must solve exactly as the Fraction
     tableau does: seeded random polytopes, the cycling instance, and the
-    design LPs at m=2 and m=3 under several objectives."""
+    design LPs at m=2 and m=3 under several objectives, each also with the
+    oracle's redundant lowered rows."""
     for seed in range(40):
         rng = random.Random(seed)
         for _ in range(120):
@@ -213,7 +219,11 @@ def identity_lps():
         objectives += [random_objective(m, random.Random(seed)) for seed in range(3)]
         for lowered in (False, True):
             for objective in objectives:
-                lp = generate_sp_constraints(m, include_lowered_inequality=lowered)
+                lp = (
+                    sp_constraints_oracle(m, lowered=True)
+                    if lowered
+                    else generate_sp_constraints(m)
+                )
                 lp.objective = dict(objective)
                 yield lp
 
