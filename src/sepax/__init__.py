@@ -5,7 +5,9 @@ The package verifies mechanisms (axiom checkers with re-checkable
 counterexample certificates, brute-force dominance scans, agreement
 reports), walks the structural ladder between orders (separations, multiway
 splits, refinements, utility-segment paths), and designs optimal
-strategyproof mechanisms by compiling the axioms into an exact LP.
+strategyproof mechanisms by compiling the axioms into an exact LP. A
+mechanism is a `MechanismTable`, ``(m, denominator, rows)``, valid once
+built.
 """
 
 from .axioms import (

@@ -181,7 +181,6 @@ def load_objective(path: str, m: int) -> dict[int, Fraction]:
 def mechanism_assignment(mech: MechanismTable) -> dict[str, Fraction]:
     """The LP point corresponding to a mechanism table, for feasibility
     checks against `generate_sp_constraints`."""
-    mech.validate()
     return {
         f"x[{text}][{alt}]": Fraction(x, mech.denominator)
         for text, row in zip(order_texts(mech.m), mech.rows)

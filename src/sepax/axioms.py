@@ -18,11 +18,12 @@ the quadratic scan over all order pairs:
   probability exactly.
 
 `find_violations` runs every check in one serial scan over the table's
-integer view (`MechanismTable.integer_view`), where each axiom compares sums
-of ``int`` entries. It reports, per axiom, `Certificate`s pinpointing the
-failures in canonical separation order; certificates carry exact
-`Fraction`s, are self-contained, and are re-checked against the lotteries
-themselves by `verify_certificate`.
+integer rows (a `MechanismTable` is ``(m, denominator, rows)`` and is valid
+once built), where each axiom compares sums of ``int`` entries. It
+reports, per axiom, `Certificate`s pinpointing the failures in canonical
+separation order; certificates carry exact `Fraction`s, are
+self-contained, and are re-checked against the lotteries themselves by
+`verify_certificate`.
 """
 
 from __future__ import annotations
@@ -188,9 +189,17 @@ class Certificate:
 
 def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     """Re-derive the certificate's numbers from the mechanism and confirm
-    they exhibit the claimed violation."""
+    they exhibit the claimed violation. A witness class outside 1..K (the
+    coarse order's classes), a split part named at any position but the
+    split class, or an unknown witness kind is rejected."""
     sep = cert.separation
     if as_separation(sep.coarse, sep.fine) != sep:
+        return False
+    if not 1 <= cert.k <= sep.coarse.num_classes:
+        return False
+    if cert.witness not in ("class", "upper_part", "lower_part"):
+        return False
+    if cert.witness != "class" and cert.k != sep.kappa:
         return False
     coarse_lot = mech.lottery(sep.coarse)
     fine_lot = mech.lottery(sep.fine)
@@ -225,7 +234,7 @@ def _violation(
     upper: tuple[int, int],
     lower: tuple[int, int],
 ) -> tuple[str, int, int, int] | None:
-    """One axiom on one separation, in the integer view: the first failure
+    """One axiom on one separation, on integer rows: the first failure
     as (witness, class position, lhs, rhs), or None. ``coarse`` and ``fine``
     are the class masses of the two reports, each over its own classes, so
     the split class ``coarse[k]`` appears in ``fine`` as ``fine[k]`` and
@@ -267,8 +276,7 @@ def find_violations(
     for axiom in axioms:
         if axiom not in AXIOMS:
             raise ValueError(f"unknown axiom {axiom!r}")
-    mech.validate()
-    denominator, rows = mech.integer_view
+    rows = mech.rows
     class_mass = [
         tuple(sum(row[alt] for alt in cls) for cls in order.classes)
         for order, row in zip(enumerate_weak_orders(mech.m), rows)
@@ -295,8 +303,8 @@ def find_violations(
                         _separation(mech.m, *entry),
                         witness,
                         position,
-                        Fraction(lhs, denominator),
-                        Fraction(rhs, denominator),
+                        Fraction(lhs, mech.denominator),
+                        Fraction(rhs, mech.denominator),
                         index,
                     )
                 )

@@ -26,7 +26,7 @@ import random
 import tempfile
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     ENUMERATION_MAX_M,
@@ -63,16 +63,6 @@ class InvalidLotteryError(MechanismFormatError):
     """A lottery has negative entries or does not sum to one."""
 
 
-class IntegerView(NamedTuple):
-    """A table's whole state: the least common denominator D of its
-    probabilities and one row per order in canonical enumeration order, with
-    ``rows[i][a] == D * p`` for the probability p of alternative a at the
-    i-th order."""
-
-    denominator: int
-    rows: tuple[tuple[int, ...], ...]
-
-
 def integer_row(probs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """Rationals as ``(den, ints)`` over the lcm of their denominators."""
     den = math.lcm(*(p.denominator for p in probs))
@@ -87,75 +77,74 @@ def unit_row(m: int, alt: int) -> tuple[int, ...]:
 class MechanismTable:
     """A mechanism for a fixed problem size m: one lottery per weak order.
 
-    The table *is* its `IntegerView`: ``denominator`` D and ``rows``, one
-    tuple of ints per order in canonical enumeration order. `lottery` and
-    `items` build `Lottery` values from the rows on request. Treat tables
-    as immutable once built."""
+    A table is ``(m, denominator, rows)``: D the least common denominator
+    of its probabilities and ``rows`` one tuple of ints per order in
+    canonical enumeration order, with ``rows[i][a] == D * p`` for the
+    probability p of alternative a at the i-th order. Both constructors
+    check that every order of the domain has one lottery over the m
+    alternatives, so a table is valid once built. `lottery` and `items`
+    build `Lottery` values from the rows on request. Treat tables as
+    immutable."""
 
     def __init__(
         self, m: int, entries: Mapping[WeakOrder, Lottery], name: str = ""
     ) -> None:
-        """Convert a map from orders to lotteries once. The map may miss
-        orders or hold orders over another m; `validate` reports both."""
+        """Convert a map from orders to lotteries once. Raises
+        `MissingOrderError` for an order the map misses, and
+        `MechanismFormatError` for orders over another m or a lottery over
+        another number of alternatives."""
         index = classes_index(m)
         rows: list = [None] * len(index)
         for order, lottery in entries.items():
             if order.classes in index:
                 rows[index[order.classes]] = integer_row(lottery.probs)
         outside = sorted(order.text for order in entries if order.classes not in index)
-        self._set(m, rows, name, tuple(outside))
+        self._set(m, rows, name, outside)
 
     @classmethod
     def from_rows(
         cls, m: int, rows: Iterable[tuple[int, Sequence[int]]], name: str = ""
     ) -> "MechanismTable":
         """A table from one ``(den, ints)`` pair per order, in canonical
-        enumeration order: the lottery at that order is ints / den. Raises
-        `ValueError` for a row that is not a lottery."""
+        enumeration order: the lottery at that order is ints / den. A None
+        pair is a missing order. Raises `ValueError` for pairs that are not
+        one lottery per order."""
         table = cls.__new__(cls)
-        table._set(m, list(rows), name, ())
+        table._set(m, list(rows), name)
         return table
 
-    def _set(self, m: int, pairs: list, name: str, outside: tuple[str, ...]) -> None:
-        """Scale ``(den, ints)`` pairs (None for a missing order) once to
-        the least common denominator of the fractions they hold."""
+    def _set(self, m: int, pairs: list, name: str, outside: Sequence[str] = ()) -> None:
+        """Check that ``pairs`` hold one lottery over m alternatives per
+        order, naming the first missing order, then orders outside the
+        domain, then a row of the wrong size, then a row that is not a
+        lottery; then scale the pairs once to the least common denominator
+        of the fractions they hold."""
+        texts = order_texts(m)
+        outside = [*outside, *(f"row {i}" for i in range(len(texts), len(pairs)))]
+        pairs = pairs[: len(texts)] + [None] * (len(texts) - len(pairs))
+        if None in pairs:
+            text = texts[pairs.index(None)]
+            raise MissingOrderError(f"no lottery for order {text!r}")
+        if outside:
+            raise MechanismFormatError(f"entries outside the domain: {outside}")
+        for text, (_, row) in zip(texts, pairs):
+            if len(row) != m:
+                raise MechanismFormatError(f"size mismatch at order {text!r}")
         reduced = set()
-        for den, row in filter(None, pairs):
-            if min(row) < 0 or sum(row) != den:
+        for den, row in pairs:
+            if den < 1 or min(row) < 0 or sum(row) != den:
                 raise ValueError(f"row {list(row)} over {den} is not a lottery")
             reduced.add(den // math.gcd(den, *row))
-        self.m, self.name, self._outside = m, name, outside
+        self.m, self.name = m, name
         self.denominator = D = math.lcm(*reduced)
-        self.rows = tuple(
-            None if pair is None else tuple(x * D // pair[0] for x in pair[1])
-            for pair in pairs
-        )
-
-    @property
-    def integer_view(self) -> IntegerView:
-        """The table's state, for verdicts that compare sums of ``int``
-        entries. Needs a total table; call `validate` first."""
-        return IntegerView(self.denominator, self.rows)
+        self.rows = tuple(tuple(x * D // den for x in row) for den, row in pairs)
 
     def lottery(self, order: WeakOrder) -> Lottery:
         i = classes_index(self.m).get(order.classes)
-        row = None if i is None else self.rows[i]
-        if row is None:
+        if i is None:
             raise MissingOrderError(f"no lottery for order {order.text!r}")
-        return Lottery(len(row), tuple(Fraction(x, self.denominator) for x in row))
-
-    def validate(self) -> None:
-        """Check totality over the canonical domain and internal sizes."""
-        texts = order_texts(self.m)
-        if None in self.rows:
-            text = texts[self.rows.index(None)]
-            raise MissingOrderError(f"no lottery for order {text!r}")
-        if self._outside:
-            outside = list(self._outside)
-            raise MechanismFormatError(f"entries outside the domain: {outside}")
-        for text, row in zip(texts, self.rows):
-            if len(row) != self.m:
-                raise MechanismFormatError(f"size mismatch at order {text!r}")
+        D = self.denominator
+        return Lottery(self.m, tuple(Fraction(x, D) for x in self.rows[i]))
 
     def items(self) -> Iterator[tuple[WeakOrder, Lottery]]:
         """Entries in canonical enumeration order."""
@@ -170,17 +159,17 @@ class MechanismTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MechanismTable):
             return NotImplemented
-        return (self.m, self.integer_view) == (other.m, other.integer_view)
+        return (self.m, self.denominator, self.rows) == (
+            other.m, other.denominator, other.rows
+        )
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
-        size = len(self.rows) - self.rows.count(None) + len(self._outside)
-        return f"MechanismTable({label}, m={self.m}, {size} entries)"
+        return f"MechanismTable({label}, m={self.m}, {len(self.rows)} entries)"
 
 
 def mechanism_to_json(mech: MechanismTable) -> dict:
     """The wire format; each distinct probability is formatted once."""
-    mech.validate()
     texts = {
         x: format_rational(Fraction(x, mech.denominator))
         for x in set(chain.from_iterable(mech.rows))
@@ -264,9 +253,8 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
                 raise InvalidLotteryError(f"{where}: {exc}") from None
         rows[k] = den, row
 
-    table = MechanismTable.from_rows(m, rows, name=name)
-    table.validate()  # names the first missing order
-    return table
+    # the table names the first missing order
+    return MechanismTable.from_rows(m, rows, name=name)
 
 
 def load_mechanism(path: str | os.PathLike) -> MechanismTable:
@@ -276,7 +264,7 @@ def load_mechanism(path: str | os.PathLike) -> MechanismTable:
 
 
 def save_mechanism(mech: MechanismTable, path: str | os.PathLike) -> None:
-    """Validate the table, then write it atomically."""
+    """Write the table atomically."""
     write_atomic(path, json.dumps(mechanism_to_json(mech), indent=2) + "\n")
 
 
@@ -285,17 +273,17 @@ def write_atomic(path: str | os.PathLike, payload: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
     except OSError as exc:
         # name the file asked for, not the temporary one beside it
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
 
 
 def _table(m: int, rule, name: str) -> MechanismTable:

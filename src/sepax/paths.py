@@ -16,7 +16,7 @@ fine index) pairs in canonical index space (`_move_layout`); the three
 moves differ only in the move generator the layout is built from, which
 is also the one behind the public enumerators. Orders are the canonical
 instances of `enumerate_weak_orders`, so the scan builds no `WeakOrder`.
-It runs on the table's integer view with the same dominance test as
+It runs on the table's integer rows with the same dominance test as
 `verify.check_sp_bruteforce`; agreement with the full pairwise scan, and
 with a `Fraction` reference scan, is what the test batteries exercise.
 """
@@ -239,17 +239,16 @@ def _local_sp_scan(
     """Check both dominance directions on each move of `_move_layout`, in
     canonical order: truthful at the move's coarse order against reporting
     its fine one, and vice versa."""
-    mech.validate()
-    denominator, rows = mech.integer_view
+    rows = mech.rows
     orders = enumerate_weak_orders(mech.m)
     for ci, fi in _move_layout(mech.m, moves):
         coarse, fine = orders[ci], orders[fi]
         gap = _dominance_gap(coarse, rows[ci], rows[fi])
         if gap is not None:
-            return _sp_violation(coarse, fine, gap, denominator)
+            return _sp_violation(coarse, fine, gap, mech.denominator)
         gap = _dominance_gap(fine, rows[fi], rows[ci])
         if gap is not None:
-            return _sp_violation(fine, coarse, gap, denominator)
+            return _sp_violation(fine, coarse, gap, mech.denominator)
     return None
 
 

@@ -4,7 +4,7 @@ decomposition.
 `check_sp_bruteforce` decides the definition itself, over every ordered
 pair of orders (truth, misreport): the truthful lottery must stochastically
 dominate the misreport's at the truth. Every quantifier is universal, so it
-runs as a contour-maximum check on the table's integer view. The
+runs as a contour-maximum check on the table's integer rows. The
 decomposition checks re-derive the same verdict from the separation axioms
 alone and report whether the two routes agree; a disagreement would mean a
 bug in one of them, never a property of the mechanism. The pairwise scan
@@ -12,7 +12,7 @@ itself lives on as the test oracle in ``tests/oracles.py``.
 
 `_dominance_gap` is the one dominance test behind every SP violation,
 here and in the local scans of `paths`: it compares ``int`` rows of the
-integer view, and `Fraction`s are built only for the violation reported.
+table, and `Fraction`s are built only for the violation reported.
 
 Also here: closed-form constraint counting (how much smaller the separation
 scan is than the pairwise scan), seeded random-population scans used by the
@@ -66,8 +66,8 @@ def _dominance_gap(
 ) -> tuple[int, int, int] | None:
     """First class of ``truth`` (by witness alternative) where the truthful
     row's upper-contour mass falls below the other row's, as (witness, the
-    two masses), or None if the truthful row dominates. Rows are the
-    integer view's, so the masses are scaled by its denominator."""
+    two masses), or None if the truthful row dominates. Rows are a
+    table's, so the masses are scaled by its denominator."""
     cum_t = cum_o = 0
     for cls in truth.classes:
         for alt in cls:
@@ -114,10 +114,9 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
     Truth i has a profitable misreport iff p_i(S) < best(S) for one of its
     upper-contour sets S, where best(S) is the largest mass any order's
     lottery puts on S. So one best(S) per subset, taken over the integer
-    view, settles every truth; only the first failing truth's row is then
+    rows, settles every truth; only the first failing truth's row is then
     scanned pairwise, to name its first profitable misreport."""
-    mech.validate()
-    denominator, rows = mech.integer_view
+    rows = mech.rows
     best = [0] * (1 << mech.m)
     for row in set(rows):
         best = list(map(max, best, _subset_masses(row)))
@@ -129,7 +128,7 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
         for misreport, other in zip(orders, rows):
             gap = _dominance_gap(truth, row, other)
             if gap is not None:
-                return _sp_violation(truth, misreport, gap, denominator)
+                return _sp_violation(truth, misreport, gap, mech.denominator)
     return None
 
 

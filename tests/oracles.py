@@ -553,7 +553,7 @@ def lotteries_json_oracle(m: int, lotteries) -> dict:
     }
 
 
-def integer_view_oracle(lotteries) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def integer_rows_oracle(lotteries) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, rows) of a table given as `Fraction` lotteries in canonical order:
     D the lcm of every denominator, each row the lottery times D."""
     denominator = 1

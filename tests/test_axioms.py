@@ -245,3 +245,34 @@ def test_certificate_witness_set():
     assert up.witness_set() == up.separation.coarse.classes[up.k - 1]
     with pytest.raises(ValueError):
         dataclasses.replace(resp, witness="nonsense").witness_set()
+
+
+def test_verify_certificate_rejects_out_of_range_witnesses():
+    # k=0 must not reach the last coarse class from the end, or a genuine
+    # lower-invariance failure at k == K passes as an upper one at k=0
+    relabelled = 0
+    for mech in (k_sensitive_boost(3), direct_violator()):
+        found = find_violations(mech, all_violations=True)
+        for cert in found["lower_invariant"]:
+            K = cert.separation.coarse.num_classes
+            if cert.k != K:
+                continue
+            assert verify_certificate(mech, cert)
+            forged = dataclasses.replace(cert, axiom="upper_invariant", k=0)
+            assert not verify_certificate(mech, forged)
+            relabelled += 1
+        for certs in found.values():
+            for cert in certs:
+                K = cert.separation.coarse.num_classes
+                for k in (0, -1, K + 1):
+                    assert not verify_certificate(mech, dataclasses.replace(cert, k=k))
+                assert not verify_certificate(
+                    mech, dataclasses.replace(cert, witness="bogus")
+                )
+                if cert.witness != "class":
+                    for k in range(1, K + 1):
+                        if k != cert.separation.kappa:
+                            assert not verify_certificate(
+                                mech, dataclasses.replace(cert, k=k)
+                            )
+    assert relabelled > 0

@@ -300,6 +300,20 @@ def test_unwritable_out_reports_nothing(tmp_path):
     assert str(out) in json.loads(err)["error"]
 
 
+def test_out_onto_a_directory_names_the_target(tmp_path):
+    # the temporary file is made and the rename fails; the error names --out
+    out = tmp_path / "outdir"
+    out.mkdir()
+    code, report, err = run_cli(["enumerate", "--m", "2", "--out", str(out)])
+    assert code == 3
+    assert report is None
+    message = json.loads(err)["error"]
+    assert str(out) in message
+    assert ".tmp" not in message
+    assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+    assert not list(out.iterdir())
+
+
 def test_out_not_written_on_input_error(tmp_path):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(

@@ -9,6 +9,7 @@ module stays a few seconds of the suite."""
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import tempfile
@@ -19,11 +20,18 @@ from hypothesis import strategies as st
 
 import sepax.cli as cli
 from sepax.amd import objective_from_json, objective_to_json
-from sepax.core import FormatError, WeakOrder, enumerate_weak_orders, parse_rational
+from sepax.core import (
+    FormatError,
+    Lottery,
+    WeakOrder,
+    enumerate_weak_orders,
+    parse_rational,
+)
 from sepax.lp import RELATIONS, LinearProgram
 from sepax.mechanisms import (
     ZOO,
     MechanismFormatError,
+    MechanismTable,
     load_mechanism,
     mechanism_from_json,
     mechanism_to_json,
@@ -141,7 +149,80 @@ TABLES = st.one_of(
 def test_mechanism_json_round_trip(mech):
     again = mechanism_from_json(mechanism_to_json(mech))
     assert again == mech
-    assert again.integer_view == mech.integer_view
+    assert (again.denominator, again.rows) == (mech.denominator, mech.rows)
+
+
+def _row(m: int):
+    """A ``(den, ints)`` pair over m alternatives: a lottery, a pair of any
+    length, sign or sum, or None (a missing order)."""
+    lottery = st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(any)
+    return st.one_of(
+        lottery.map(lambda ints: (sum(ints), ints)),
+        st.tuples(st.integers(-2, 12), st.lists(st.integers(-2, 12), max_size=m + 1)),
+        st.none(),
+    )
+
+
+# one pair per order, give or take one
+ROW_TABLES = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(
+            _row(m),
+            min_size=len(enumerate_weak_orders(m)) - 1,
+            max_size=len(enumerate_weak_orders(m)) + 1,
+        ),
+    )
+)
+
+LOTTERY = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any)
+).map(lambda ws: Lottery(len(ws), tuple(Fraction(w, sum(ws)) for w in ws)))
+
+# partial or foreign-m maps, and the total maps of valid tables
+MAP_TABLES = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.dictionaries(
+            st.integers(1, 3).flatmap(lambda k: st.sampled_from(enumerate_weak_orders(k))),
+            LOTTERY,
+            max_size=16,
+        ),
+    )
+) | TABLES.map(lambda mech: (mech.m, dict(mech.items())))
+
+
+def _assert_valid(table: MechanismTable, m: int) -> None:
+    D = table.denominator
+    assert table.m == m
+    assert len(table.rows) == len(enumerate_weak_orders(m))
+    for row in table.rows:
+        assert len(row) == m and min(row) >= 0 and sum(row) == D
+    assert math.gcd(D, *(x for row in table.rows for x in row)) == 1
+
+
+@FUZZ
+@example((2, [(1, (1,)), (1, (1, 0)), (1, (0, 1))]))
+@given(ROW_TABLES)
+def test_from_rows_builds_a_valid_table_or_raises(case):
+    m, rows = case
+    try:
+        table = MechanismTable.from_rows(m, rows)
+    except ValueError:  # MechanismFormatError included
+        return
+    _assert_valid(table, m)
+
+
+@FUZZ
+@given(MAP_TABLES)
+def test_mapping_constructor_builds_a_valid_table_or_raises(case):
+    m, entries = case
+    try:
+        table = MechanismTable(m, entries)
+    except ValueError:
+        return
+    _assert_valid(table, m)
+    assert dict(table.items()) == entries
 
 
 @FUZZ

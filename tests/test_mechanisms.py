@@ -29,7 +29,7 @@ from sepax.mechanisms import (
 from sepax.verify import check_sp_bruteforce
 from tests.oracles import (
     ZOO_RULE_ORACLES,
-    integer_view_oracle,
+    integer_rows_oracle,
     lotteries_json_oracle,
     lottery_dict_load_file,
     random_deterministic_lotteries_oracle,
@@ -132,11 +132,18 @@ def test_save_is_atomic_no_partial_file(tmp_path: Path):
 def test_missing_order_error():
     orders = enumerate_weak_orders(2)
     entries = {orders[0]: Lottery.uniform(2)}
-    table = MechanismTable(2, entries, name="partial")
+    with pytest.raises(MissingOrderError) as err:
+        MechanismTable(2, entries, name="partial")
+    assert str(err.value) == "no lottery for order '1>0'"
+    rows = [(2, (1, 1)), None, (2, (1, 1))]
+    with pytest.raises(MissingOrderError) as err:
+        MechanismTable.from_rows(2, rows)
+    assert str(err.value) == "no lottery for order '1>0'"
+    with pytest.raises(MissingOrderError) as err:
+        MechanismTable.from_rows(2, rows[:1])
+    assert str(err.value) == "no lottery for order '1>0'"
     with pytest.raises(MissingOrderError):
-        table.validate()
-    with pytest.raises(MissingOrderError):
-        table.lottery(orders[1])
+        uniform_lottery(2).lottery(WeakOrder.parse("0>1>2"))
 
 
 def test_duplicate_order_in_json():
@@ -213,13 +220,11 @@ def test_random_mechanism_reproducible():
     assert a == b
     c = random_mechanism(3, random.Random(43))
     assert a != c
-    a.validate()
 
 
 def test_random_deterministic_mechanism():
     mech = random_deterministic_mechanism(3, random.Random(5))
     assert mech.is_deterministic
-    mech.validate()
     again = random_deterministic_mechanism(3, random.Random(5))
     assert mech == again
 
@@ -237,7 +242,7 @@ def _assert_matches_lotteries(mech, lotteries):
     orders = enumerate_weak_orders(mech.m)
     assert [mech.lottery(order).probs for order in orders] == lotteries
     assert [lottery.probs for _, lottery in mech.items()] == lotteries
-    assert tuple(mech.integer_view) == integer_view_oracle(lotteries)
+    assert (mech.denominator, mech.rows) == integer_rows_oracle(lotteries)
     assert mechanism_to_json(mech) == lotteries_json_oracle(mech.m, lotteries)
 
 
@@ -319,17 +324,29 @@ def test_loader_matches_lottery_dict_oracle(tmp_path: Path, case):
     assert mech == rank_score(3)
 
 
-def test_validate_reports_orders_outside_the_domain_and_size_mismatch():
+def test_construction_rejects_orders_outside_the_domain_and_size_mismatch():
     entries = dict(uniform_lottery(2).items())
-    table = MechanismTable(2, {**entries, WeakOrder.parse("0>1>2"): Lottery.uniform(3)})
     with pytest.raises(MechanismFormatError) as err:
-        table.validate()
+        MechanismTable(2, {**entries, WeakOrder.parse("0>1>2"): Lottery.uniform(3)})
     assert str(err.value) == "entries outside the domain: ['0>1>2']"
     entries[WeakOrder.parse("1>0")] = Lottery.uniform(3)
-    table = MechanismTable(2, entries)
     with pytest.raises(MechanismFormatError) as err:
-        table.validate()
+        MechanismTable(2, entries)
     assert str(err.value) == "size mismatch at order '1>0'"
+    # a short row is caught at construction, not by a later reader
+    with pytest.raises(MechanismFormatError) as err:
+        MechanismTable.from_rows(2, [(1, (1,)), (1, (1, 0)), (1, (0, 1))])
+    assert str(err.value) == "size mismatch at order '0>1'"
+    with pytest.raises(MechanismFormatError) as err:
+        MechanismTable.from_rows(2, [(1, (1, 0))] * 4)
+    assert str(err.value) == "entries outside the domain: ['row 3']"
+    # the checks run in a fixed order: missing, outside, size, lottery
+    with pytest.raises(MechanismFormatError) as err:
+        MechanismTable.from_rows(2, [(1, (2, 0)), (1, (1, 0, 0)), (1, (0, 1))])
+    assert str(err.value) == "size mismatch at order '1>0'"
+    with pytest.raises(ValueError) as err:
+        MechanismTable.from_rows(2, [(1, (1, 0)), (1, (2, 0)), (0, (0, 0))])
+    assert str(err.value) == "row [2, 0] over 1 is not a lottery"
 
 
 def test_rank_score_emit_makes_a_fraction_per_printed_value_at_most(monkeypatch):
