@@ -165,6 +165,10 @@ class Certificate:
     separation_index: int
 
     def witness_set(self) -> tuple[int, ...]:
+        """Raises `ValueError` for k outside 1..K, K the coarse order's
+        number of classes, or an unknown witness kind."""
+        if not 1 <= self.k <= self.separation.coarse.num_classes:
+            raise ValueError(f"witness class {self.k} outside 1..K")
         if self.witness == "class":
             return self.separation.coarse.classes[self.k - 1]
         if self.witness == "upper_part":
@@ -195,15 +199,14 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     sep = cert.separation
     if as_separation(sep.coarse, sep.fine) != sep:
         return False
-    if not 1 <= cert.k <= sep.coarse.num_classes:
-        return False
-    if cert.witness not in ("class", "upper_part", "lower_part"):
-        return False
     if cert.witness != "class" and cert.k != sep.kappa:
+        return False
+    try:
+        witness = cert.witness_set()
+    except ValueError:
         return False
     coarse_lot = mech.lottery(sep.coarse)
     fine_lot = mech.lottery(sep.fine)
-    witness = cert.witness_set()
     lhs = coarse_lot.mass(witness)
     rhs = fine_lot.mass(witness)
     if (lhs, rhs) != (cert.lhs, cert.rhs):

@@ -14,6 +14,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -66,8 +67,12 @@ def read_json(path: str | os.PathLike, label: str, error=FormatError) -> object:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Inverse of `parse_rational`: lowest terms, ``"p/q"`` or ``"p"``."""
-    return str(value if type(value) is Fraction else Fraction(value))
+    """Inverse of `parse_rational`: lowest terms, ``"p/q"`` or ``"p"``.
+    Each int is printed through `Decimal`, which has no limit on digits:
+    ``str(int)`` refuses more than 4,300, and exact utilities or path
+    breakpoints can carry more."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,12 @@ def test_certificate_witness_set():
     assert up.witness_set() == up.separation.coarse.classes[up.k - 1]
     with pytest.raises(ValueError):
         dataclasses.replace(resp, witness="nonsense").witness_set()
+    # a class outside 1..K must not wrap around to one counted from the end
+    for cert in (resp, up):
+        K = cert.separation.coarse.num_classes
+        for k in (0, -1, K + 1):
+            with pytest.raises(ValueError):
+                dataclasses.replace(cert, k=k).witness_set()
 
 
 def test_verify_certificate_rejects_out_of_range_witnesses():

@@ -1,15 +1,19 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sepax.cli as cli
+import sepax.mechanisms as mechanisms
 import sepax.verify as verify
-from sepax.core import ENUMERATION_MAX_M
+from sepax.core import ENUMERATION_MAX_M, UtilityFn, WeakOrder
 from sepax.mechanisms import (
     k_sensitive_boost,
     min_top_dictator,
@@ -17,6 +21,7 @@ from sepax.mechanisms import (
     top_class_uniform,
     uniform_lottery,
 )
+from sepax.paths import refinement_path
 from tests.oracles import weak_order_count
 
 
@@ -282,11 +287,10 @@ def test_report_shape_and_out_file(tmp_path, zoo_files):
     out = tmp_path / "report.json"
     code, report, _ = run_cli(
         ["check", "--mechanism", zoo_files["uniform_lottery"], "--mode", "sp",
-         "--seed", "7", "--out", str(out)]
+         "--out", str(out)]
     )
     assert code == 0
-    assert set(report) == {"command", "seed", "workers", "result", "timing_s"}
-    assert report["seed"] == 7
+    assert list(report) == ["command", "workers", "result", "timing_s"]
     assert report["workers"] == 1
     on_disk = json.loads(out.read_text())
     assert on_disk == report
@@ -370,6 +374,17 @@ def test_workers_flag_overrides_env(zoo_files, monkeypatch):
              "--include-lowered-inequality"],
             "unrecognized arguments: --include-lowered-inequality",
         ),
+        *(
+            (argv + extra, "unrecognized arguments: " + " ".join(extra))
+            for argv in (
+                ["check", "--mechanism", "x.json"],
+                ["enumerate", "--m", "2"],
+                ["path", "--from", "0>1", "--to", "1>0"],
+                ["amd", "--m", "2", "--objective", "objective.json"],
+                ["zoo", "list"],
+            )
+            for extra in (["--seed", "7"], ["--summary"])
+        ),
     ],
 )
 def test_bad_flags_exit_3(argv, fragment):
@@ -378,18 +393,6 @@ def test_bad_flags_exit_3(argv, fragment):
     assert code == 3
     assert report is None
     assert fragment in json.loads(err)["error"]
-
-
-def test_summary_lines_on_stderr(zoo_files):
-    code, _, err = run_cli(
-        ["check", "--mechanism", zoo_files["k_sensitive_boost"], "--mode", "axioms",
-         "--summary"]
-    )
-    assert code == 1
-    assert "responsive: FAIL" in err
-    assert "direct: pass" in err
-    code, _, err = run_cli(["zoo", "list", "--summary"])
-    assert "uniform_lottery" in err
 
 
 def test_module_entry_point_subprocess():
@@ -513,3 +516,93 @@ def test_unreadable_input_file_exits_3(tmp_path, reader, content):
     assert code == 3
     assert report is None
     assert "not valid JSON" in json.loads(err)["error"]
+
+
+def test_zoo_rejects_large_m_before_building(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"built a zoo table at m={m}")
+
+    monkeypatch.setitem(mechanisms.ZOO, "rank_score", refuse)
+    code, report, err = run_cli(
+        ["zoo", "emit", "--name", "rank_score", "--m", str(cli.ZOO_MAX_M + 1)]
+    )
+    assert code == 3
+    assert report is None
+    assert json.loads(err)["error"] == "zoo tables beyond m=6 are unreasonably large"
+
+
+def test_table_over_the_size_bound_exits_3(tmp_path, monkeypatch):
+    # 13 rows x 3 entries, each row over its own 10-bit prime: the common
+    # denominator passes 40 bits at the fifth row, long before all 13 fold
+    # into its 131 bits
+    primes = [p for p in range(1009, 2000) if all(p % q for q in range(2, 45))][:13]
+    rows = [(p, (1, 1, p - 2)) for p in primes]
+    path = tmp_path / "wide.json"
+    save_mechanism(mechanisms.MechanismTable.from_rows(3, rows), path)
+    monkeypatch.setattr(mechanisms, "TABLE_MAX_BITS", 13 * 3 * 40)
+    code, report, err = run_cli(["check", "--mechanism", str(path)])
+    assert code == 3
+    assert report is None
+    assert json.loads(err)["error"] == (
+        f"bad mechanism file {path}: 13 rows x 3 entries x 50 bits of common"
+        f" denominator = 1950 bits, over the bound of 1560"
+    )
+
+
+def _exact(text: str) -> Fraction:
+    # Decimal reads and converts ints of any length; int(text) stops at 4,300 digits
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+@pytest.mark.parametrize(
+    "u_values, v_values",
+    [
+        (["7" * 4000, "1", "0"], ["0", "1", "3" * 3999]),
+        (["1" + "0" * 4200, "1", "0"], None),
+    ],
+)
+def test_path_prints_alphas_past_the_int_digit_limit(tmp_path, u_values, v_values):
+    # each value parses, but the path's alphas have 16,000 digits and more
+    argv = ["path", "--from", "0>1>2", "--to", "2>1>0"]
+    u = UtilityFn(3, tuple(Fraction(int(x)) for x in u_values))
+    (tmp_path / "u.json").write_text(json.dumps({"values": u_values}))
+    argv += ["--utilities-from", str(tmp_path / "u.json")]
+    v = None
+    if v_values is not None:
+        v = UtilityFn(3, tuple(Fraction(int(x)) for x in v_values))
+        (tmp_path / "v.json").write_text(json.dumps({"values": v_values}))
+        argv += ["--utilities-to", str(tmp_path / "v.json")]
+    code, report, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    path = report["result"]["path"]
+    expected = refinement_path(WeakOrder.parse("0>1>2"), WeakOrder.parse("2>1>0"), u, v)
+    assert [_exact(a) for a in path["alphas"]] == list(expected.alphas)
+    assert [_exact(b) for b in path["breakpoints"]] == list(expected.segment.breakpoints)
+    assert max(map(len, path["alphas"])) > 16_000
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("sepax ")
+    ]
+
+
+def test_readme_examples_parse(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
+        if argv[0] in ("enumerate", "path") or argv[:2] == ["zoo", "list"]:
+            code, report, err = run_cli(argv)
+            assert (code, err) == (0, ""), argv
+            assert report["command"] == argv[0]
+            ran += 1
+    assert ran >= 4
