@@ -6,7 +6,8 @@ counterexample certificates, brute-force dominance scans, agreement
 reports), walks the structural ladder between orders (separations, multiway
 splits, refinements, utility-segment paths), and designs optimal
 strategyproof mechanisms by compiling the axioms into an exact LP. A
-mechanism is a `MechanismTable`, ``(m, denominator, rows)``, valid once
+mechanism is a `MechanismTable`, ``(m, denominator, rows)``, built by its
+one constructor from one ``(den, ints)`` pair per order and valid once
 built.
 """
 

@@ -113,15 +113,13 @@ def top_class_welfare_objective(m: int) -> dict[int, Fraction]:
     return coeffs
 
 
-def random_objective(
-    m: int, rng: random.Random, coef_cap: int = 12
-) -> dict[int, Fraction]:
-    """Integer coefficients in [-coef_cap, coef_cap], most entries zero."""
+def random_objective(m: int, rng: random.Random) -> dict[int, Fraction]:
+    """Integer coefficients in [-12, 12], most entries zero."""
     coeffs: dict[int, Fraction] = {}
     total = len(enumerate_weak_orders(m)) * m
     for j in range(total):
         if rng.randrange(3) == 0:
-            coeffs[j] = Fraction(rng.randint(-coef_cap, coef_cap))
+            coeffs[j] = Fraction(rng.randint(-12, 12))
     return coeffs
 
 
@@ -197,7 +195,7 @@ def solution_to_mechanism(solution: LPSolution, m: int) -> MechanismTable:
         integer_row([solution.assignment[f"x[{text}][{alt}]"] for alt in range(m)])
         for text in order_texts(m)
     )
-    return MechanismTable.from_rows(m, rows, name="lp-design")
+    return MechanismTable(m, rows, name="lp-design")
 
 
 def solve_design(

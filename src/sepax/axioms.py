@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (
     Classes,
@@ -195,8 +195,11 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     """Re-derive the certificate's numbers from the mechanism and confirm
     they exhibit the claimed violation. A witness class outside 1..K (the
     coarse order's classes), a split part named at any position but the
-    split class, or an unknown witness kind is rejected."""
+    split class, an unknown witness kind, or a separation over another
+    problem size is rejected."""
     sep = cert.separation
+    if sep.coarse.m != mech.m or sep.fine.m != mech.m:
+        return False
     if as_separation(sep.coarse, sep.fine) != sep:
         return False
     if cert.witness != "class" and cert.k != sep.kappa:
@@ -268,24 +271,18 @@ def _violation(
 
 
 def find_violations(
-    mech: MechanismTable,
-    axioms: Iterable[str] = AXIOMS,
-    *,
-    all_violations: bool = False,
+    mech: MechanismTable, *, all_violations: bool = False
 ) -> dict[str, list[Certificate]]:
-    """Scan all separations for the given axioms. Returns, per axiom, the
-    violations in canonical order: just the first unless ``all_violations``."""
-    axioms = tuple(axioms)
-    for axiom in axioms:
-        if axiom not in AXIOMS:
-            raise ValueError(f"unknown axiom {axiom!r}")
+    """Scan all separations for every axiom of `AXIOMS`. Returns, per
+    axiom, the violations in canonical order: just the first unless
+    ``all_violations``."""
     rows = mech.rows
     class_mass = [
         tuple(sum(row[alt] for alt in cls) for cls in order.classes)
         for order, row in zip(enumerate_weak_orders(mech.m), rows)
     ]
-    found: dict[str, list[Certificate]] = {axiom: [] for axiom in axioms}
-    pending = set(axioms)
+    found: dict[str, list[Certificate]] = {axiom: [] for axiom in AXIOMS}
+    pending = set(AXIOMS)
     for index, entry in enumerate(_separation_layout(mech.m)):
         if not pending and not all_violations:
             break
@@ -294,7 +291,7 @@ def find_violations(
         upper_lhs = sum(rows[ci][alt] for alt in upper_part)
         upper = (upper_lhs, fine[k])
         lower = (coarse[k] - upper_lhs, fine[k + 1])
-        for axiom in axioms:
+        for axiom in AXIOMS:
             if not all_violations and axiom not in pending:
                 continue
             hit = _violation(axiom, coarse, fine, k, upper, lower)
@@ -340,7 +337,7 @@ def check_all_axioms(
     mech: MechanismTable, *, all_violations: bool = False
 ) -> AxiomReport:
     """Run the four base checkers in one scan and derive monotonic."""
-    found = find_violations(mech, AXIOMS, all_violations=all_violations)
+    found = find_violations(mech, all_violations=all_violations)
     verdicts = {axiom: not found[axiom] for axiom in AXIOMS}
     verdicts["monotonic"] = verdicts["responsive"] and verdicts["direct"]
     return AxiomReport(

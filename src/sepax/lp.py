@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import FormatError, format_rational, parse_rational
+from .core import format_rational
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -117,73 +117,6 @@ class LinearProgram:
             sign = "- " if coef < 0 else ("+ " if terms else "")
             terms.append(f"{sign}{format_rational(abs(coef))} {self.variables[j]}")
         return " ".join(terms)
-
-    def to_json(self) -> dict:
-        return {
-            "sense": "max",
-            "variables": list(self.variables),
-            "objective": {
-                self.variables[j]: format_rational(c)
-                for j, c in sorted(self.objective.items())
-            },
-            "constraints": [
-                {
-                    "name": con.name,
-                    "coefficients": {
-                        self.variables[j]: format_rational(c)
-                        for j, c in sorted(con.coeffs.items())
-                    },
-                    "relation": con.relation,
-                    "rhs": format_rational(con.rhs),
-                }
-                for con in self.constraints
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: object) -> "LinearProgram":
-        """Inverse of `to_json`; anything else raises `FormatError`."""
-        variables = _field(data, "variables", list, "linear program")
-        index = {name: j for j, name in enumerate(variables) if isinstance(name, str)}
-        if len(index) != len(variables):
-            raise FormatError("variable names must be distinct strings")
-        lp = LinearProgram(variables)
-        lp.objective = _coefficients(data.get("objective", {}), index, "objective")
-        constraints = data.get("constraints", [])
-        if not isinstance(constraints, list):
-            raise FormatError("constraints must be a list")
-        for i, raw in enumerate(constraints):
-            where = f"constraint {i}"
-            relation = _field(raw, "relation", str, where)
-            if relation not in RELATIONS:
-                raise FormatError(f"{where}: unknown relation {relation!r}")
-            coeffs = _coefficients(_field(raw, "coefficients", dict, where), index, where)
-            rhs = parse_rational(_field(raw, "rhs", str, where))
-            lp.add_constraint(_field(raw, "name", str, where), coeffs, relation, rhs)
-        return lp
-
-
-def _field(raw: object, key: str, kind: type, where: str):
-    """``raw[key]``, which must be a ``kind``, else `FormatError`."""
-    if not isinstance(raw, dict):
-        raise FormatError(f"{where} must be a JSON object")
-    if key not in raw:
-        raise FormatError(f"{where}: missing key {key!r}")
-    if not isinstance(raw[key], kind):
-        raise FormatError(f"{where}: {key!r} must be a {kind.__name__}")
-    return raw[key]
-
-
-def _coefficients(raw: object, index: dict[str, int], where: str) -> dict[int, Fraction]:
-    """Rational text by variable name, keyed by variable index instead."""
-    if not isinstance(raw, dict):
-        raise FormatError(f"{where}: coefficients must be an object")
-    coeffs = {}
-    for name, text in raw.items():
-        if name not in index:
-            raise FormatError(f"{where}: unknown variable {name!r}")
-        coeffs[index[name]] = parse_rational(text)
-    return coeffs
 
 
 @dataclass

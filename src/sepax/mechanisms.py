@@ -2,8 +2,9 @@
 file format, built-in generator mechanisms, and random samplers used by the
 test batteries.
 
-A table is one common denominator and one row of ints per order; the
-loader, the zoo rules and the samplers build the rows directly, and
+A table is one common denominator and one row of ints per order, built by
+its one constructor from one ``(den, ints)`` pair per order; the loader,
+the zoo rules and the samplers hand it those pairs directly, and
 `Fraction`s appear only in JSON text and in `Lottery` values for callers.
 
 File format (orders listed in canonical enumeration order)::
@@ -26,7 +27,7 @@ import random
 import tempfile
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     ENUMERATION_MAX_M,
@@ -90,48 +91,26 @@ class MechanismTable:
     A table is ``(m, denominator, rows)``: D the least common denominator
     of its probabilities and ``rows`` one tuple of ints per order in
     canonical enumeration order, with ``rows[i][a] == D * p`` for the
-    probability p of alternative a at the i-th order. Both constructors
-    check that every order of the domain has one lottery over the m
+    probability p of alternative a at the i-th order. The constructor
+    checks that every order of the domain has one lottery over the m
     alternatives, so a table is valid once built. `lottery` and `items`
     build `Lottery` values from the rows on request. Treat tables as
     immutable."""
 
     def __init__(
-        self, m: int, entries: Mapping[WeakOrder, Lottery], name: str = ""
+        self, m: int, rows: Iterable[tuple[int, Sequence[int]] | None], name: str = ""
     ) -> None:
-        """Convert a map from orders to lotteries once. Raises
-        `MissingOrderError` for an order the map misses, and
-        `MechanismFormatError` for orders over another m or a lottery over
-        another number of alternatives."""
-        index = classes_index(m)
-        rows: list = [None] * len(index)
-        for order, lottery in entries.items():
-            if order.classes in index:
-                rows[index[order.classes]] = integer_row(lottery.probs)
-        outside = sorted(order.text for order in entries if order.classes not in index)
-        self._set(m, rows, name, outside)
-
-    @classmethod
-    def from_rows(
-        cls, m: int, rows: Iterable[tuple[int, Sequence[int]]], name: str = ""
-    ) -> "MechanismTable":
         """A table from one ``(den, ints)`` pair per order, in canonical
-        enumeration order: the lottery at that order is ints / den. A None
-        pair is a missing order. Raises `ValueError` for pairs that are not
-        one lottery per order."""
-        table = cls.__new__(cls)
-        table._set(m, list(rows), name)
-        return table
-
-    def _set(self, m: int, pairs: list, name: str, outside: Sequence[str] = ()) -> None:
-        """Check that ``pairs`` hold one lottery over m alternatives per
-        order, naming the first missing order, then orders outside the
-        domain, then a row of the wrong size, then a row that is not a
-        lottery; then fold the least common denominator of the fractions
-        they hold, refusing it as soon as rows x m x its bits passes
-        `TABLE_MAX_BITS`, and scale the pairs to it once."""
+        enumeration order: the lottery at that order is ints / den. Checks
+        the pairs, naming the first missing (None) order, then rows past
+        the domain, then a row of the wrong size (all three
+        `MechanismFormatError`), then a row that is not a lottery
+        (`ValueError`); then folds the least common denominator of the
+        fractions they hold, refusing it as soon as rows x m x its bits
+        passes `TABLE_MAX_BITS`, and scales the pairs to it once."""
+        pairs = list(rows)
         texts = order_texts(m)
-        outside = [*outside, *(f"row {i}" for i in range(len(texts), len(pairs)))]
+        outside = [f"row {i}" for i in range(len(texts), len(pairs))]
         pairs = pairs[: len(texts)] + [None] * (len(texts) - len(pairs))
         if None in pairs:
             text = texts[pairs.index(None)]
@@ -275,7 +254,7 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
         rows[k] = den, row
 
     # the table names the first missing order
-    return MechanismTable.from_rows(m, rows, name=name)
+    return MechanismTable(m, rows, name=name)
 
 
 def load_mechanism(path: str | os.PathLike) -> MechanismTable:
@@ -309,7 +288,7 @@ def write_atomic(path: str | os.PathLike, payload: str) -> None:
 
 def _table(m: int, rule, name: str) -> MechanismTable:
     """Apply ``rule(classes) -> (den, ints)`` to every order."""
-    return MechanismTable.from_rows(
+    return MechanismTable(
         m, (rule(order.classes) for order in enumerate_weak_orders(m)), name
     )
 
@@ -394,7 +373,7 @@ def random_mechanism(
         if not any(weights):
             weights[rng.randrange(m)] = 1
         rows.append((sum(weights), weights))
-    return MechanismTable.from_rows(m, rows, name=name or "random")
+    return MechanismTable(m, rows, name=name or "random")
 
 
 def random_deterministic_mechanism(
@@ -403,4 +382,4 @@ def random_deterministic_mechanism(
     """A random deterministic table: per order, a point mass on a uniformly
     chosen alternative."""
     rows = [(1, unit_row(m, rng.randrange(m))) for _ in enumerate_weak_orders(m)]
-    return MechanismTable.from_rows(m, rows, name=name or "random-deterministic")
+    return MechanismTable(m, rows, name=name or "random-deterministic")

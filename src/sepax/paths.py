@@ -161,14 +161,11 @@ def enumerate_multiway_separations(
         yield MultiwaySeparation(coarse, WeakOrder(coarse.m, fine), k + 1, parts)
 
 
-def enumerate_refinements(
-    coarse: WeakOrder, *, include_identity: bool = True
-) -> Iterator[Refinement]:
-    """All refinements of ``coarse``: the product of ordered partitions of
-    each class."""
+def enumerate_refinements(coarse: WeakOrder) -> Iterator[Refinement]:
+    """All refinements of ``coarse``, the identity among them: the product
+    of ordered partitions of each class."""
     for blocks, fine in _refinement_moves(coarse.classes):
-        if include_identity or len(fine) > coarse.num_classes:
-            yield Refinement(coarse, WeakOrder(coarse.m, fine), blocks)
+        yield Refinement(coarse, WeakOrder(coarse.m, fine), blocks)
 
 
 def split_chain(
@@ -399,16 +396,14 @@ def refinement_path(
     return PathResult(start=start, end=end, segment=segment, orders=orders, alphas=alphas)
 
 
-def random_strict_utility(
-    order: WeakOrder, rng: random.Random, grain: int = 24
-) -> UtilityFn:
+def random_strict_utility(order: WeakOrder, rng: random.Random) -> UtilityFn:
     """A random utility inducing exactly ``order``: the canonical one plus a
-    per-class jitter in [0, 1) with denominator ``grain``, which keeps every
+    per-class jitter in [0, 1) with denominator 24, which keeps every
     between-class gap strictly positive."""
     K = order.num_classes
     values = [Fraction(0)] * order.m
     for k, cls in enumerate(order.classes, start=1):
-        level = Fraction(K - k + 1) + Fraction(rng.randrange(grain), grain)
+        level = Fraction(K - k + 1) + Fraction(rng.randrange(24), 24)
         for alt in cls:
             values[alt] = level
     u = UtilityFn(order.m, tuple(values))

@@ -411,7 +411,7 @@ def scan_deterministic_decomposition(
             report.sp_count += 1
         if i < cross_check:
             rows = [(1, unit_row(m, choice)) for choice in choices]
-            table = MechanismTable.from_rows(m, rows, name=f"random-det-{m}-{seed}-{i}")
+            table = MechanismTable(m, rows, name=f"random-det-{m}-{seed}-{i}")
             slow = check_deterministic_decomposition(table)
             if slow.sp_verdict != sp or slow.axiom_verdicts["monotonic"] != monotonic:
                 raise RuntimeError(

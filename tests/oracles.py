@@ -2,9 +2,10 @@
 against. Everything here is written from first principles on purpose; do
 not import algorithmic helpers from sepax into this module. Mechanism
 tables are read only through ``items()``: canonical orders with their
-lotteries. The table builders at the end (the `Fraction` zoo rules and the
-`Lottery`-dict loader) use sepax's value types, parsers and error
-classes, because what they pin is how a table is built from those. The
+lotteries. The table builders at the end (the `Fraction` zoo rules, the
+`Lottery`-dict loader and `lottery_table`) use sepax's value types,
+parsers and error classes, because what they pin is how a table is built
+from those. The
 design LP builder after them walks sepax's `Separation` objects into its
 `LinearProgram`, because what it pins is the row system built from
 those."""
@@ -33,7 +34,9 @@ from sepax.mechanisms import (
     InvalidLotteryError,
     MalformedRationalError,
     MechanismFormatError,
+    MechanismTable,
     MissingOrderError,
+    integer_row,
 )
 
 
@@ -618,6 +621,17 @@ def lottery_dict_loader(data: object) -> dict:
         if order not in entries:
             raise MissingOrderError(f"no lottery for order {order.text!r}")
     return entries
+
+
+def lottery_table(m: int, lotteries: dict, name: str = "") -> MechanismTable:
+    """The table of a `WeakOrder -> Lottery` dict over size m, its rows
+    made by `integer_row`; an order the dict misses is a missing row, and
+    orders over another size are ignored."""
+    rows = (
+        integer_row(lotteries[order].probs) if order in lotteries else None
+        for order in enumerate_weak_orders(m)
+    )
+    return MechanismTable(m, rows, name=name)
 
 
 def lottery_dict_load_file(path) -> dict:

@@ -13,7 +13,7 @@ from sepax.core import (
     fosd,
 )
 from sepax.axioms import check_all_axioms
-from sepax.mechanisms import ZOO, MechanismTable
+from sepax.mechanisms import ZOO
 from sepax.paths import (
     SPLIT_CHAIN_STYLES,
     as_separation,
@@ -41,6 +41,7 @@ from sepax.amd import (
 from tests.conftest import POPULATION_SEED, record_acceptance
 from tests.oracles import (
     fosd_oracle_utilities,
+    lottery_table,
     separation_axiom_oracle,
     weak_order_count,
 )
@@ -96,7 +97,7 @@ def test_acceptance_3_deterministic_decomposition():
     orders2 = enumerate_weak_orders(2)
     exhaustive_bad = []
     for choices in itertools.product(range(2), repeat=3):
-        table = MechanismTable(
+        table = lottery_table(
             2,
             {order: Lottery.unit(2, c) for order, c in zip(orders2, choices)},
             name=f"det2-{choices}",

@@ -20,7 +20,7 @@ from sepax.mechanisms import (
     top_class_uniform,
     uniform_lottery,
 )
-from tests.oracles import split_count
+from tests.oracles import lottery_table, split_count
 
 
 def wo(text: str) -> WeakOrder:
@@ -34,7 +34,7 @@ def direct_violator() -> MechanismTable:
     entries = dict(top_class_uniform(3).items())
     entries[wo("0,1>2")] = Lottery(3, (F(1, 2), F(1, 3), F(1, 6)))
     entries[wo("0>1>2")] = Lottery(3, (F(1, 2), F(5, 12), F(1, 12)))
-    return MechanismTable(3, entries, name="direct_violator")
+    return lottery_table(3, entries, name="direct_violator")
 
 
 def test_as_separation_pinned_example():
@@ -170,7 +170,7 @@ def test_monotonic_prefers_earliest_separation():
     assert report.verdicts["monotonic"] is False
     assert report.verdicts["direct"] is True
     mech = direct_violator()
-    found = find_violations(mech, ("responsive", "direct"))
+    found = find_violations(mech)
     ranked = [
         (c.separation_index, prio, c)
         for prio, axiom in enumerate(("responsive", "direct"))
@@ -185,15 +185,16 @@ def test_monotonic_prefers_earliest_separation():
 def test_individual_checkers_match_report():
     for mech in (k_sensitive_boost(3), direct_violator(), uniform_lottery(3)):
         report = check_all_axioms(mech)
+        found = find_violations(mech)
         for axiom in AXIOMS:
-            certs = find_violations(mech, (axiom,))[axiom]
+            certs = found[axiom]
             assert (not certs) == report.verdicts[axiom]
             assert certs == report.certificates[axiom]
 
 
 def test_verify_certificate_rejects_tampering():
     mech = k_sensitive_boost(3)
-    cert = find_violations(mech, ("responsive",))["responsive"][0]
+    cert = find_violations(mech)["responsive"][0]
     assert verify_certificate(mech, cert)
     assert not verify_certificate(mech, dataclasses.replace(cert, lhs=F(1, 7)))
     assert not verify_certificate(mech, dataclasses.replace(cert, rhs=cert.lhs))
@@ -210,21 +211,26 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(mech, swapped)
     # a true certificate from one mechanism need not verify on another
     assert not verify_certificate(uniform_lottery(3), cert)
+    # nor on a table of another problem size, by either of its orders
+    assert not verify_certificate(k_sensitive_boost(4), cert)
+    foreign = dataclasses.replace(
+        cert,
+        separation=dataclasses.replace(cert.separation, fine=wo("0>1>2>3")),
+    )
+    assert not verify_certificate(mech, foreign)
 
 
 def test_invariance_k_bounds():
     mech = k_sensitive_boost(3)
-    found = find_violations(mech, ("upper_invariant", "lower_invariant"))
+    found = find_violations(mech)
     up, low = found["upper_invariant"][0], found["lower_invariant"][0]
     assert up.k < up.separation.kappa
     assert low.k > low.separation.kappa
 
 
 def test_all_violations_flag():
-    few = find_violations(k_sensitive_boost(3), ("responsive",))
-    many = find_violations(
-        k_sensitive_boost(3), ("responsive",), all_violations=True
-    )
+    few = find_violations(k_sensitive_boost(3))
+    many = find_violations(k_sensitive_boost(3), all_violations=True)
     assert len(few["responsive"]) == 1
     assert len(many["responsive"]) > 1
     assert many["responsive"][0] == few["responsive"][0]
@@ -232,14 +238,9 @@ def test_all_violations_flag():
     assert indices == sorted(indices)
 
 
-def test_find_violations_rejects_unknown_axiom():
-    with pytest.raises(ValueError):
-        find_violations(uniform_lottery(2), ("sneaky",))
-
-
 def test_certificate_witness_set():
     mech = k_sensitive_boost(3)
-    found = find_violations(mech, ("responsive", "upper_invariant"))
+    found = find_violations(mech)
     resp, up = found["responsive"][0], found["upper_invariant"][0]
     assert resp.witness_set() == resp.separation.upper_part
     assert up.witness_set() == up.separation.coarse.classes[up.k - 1]

@@ -538,7 +538,7 @@ def test_table_over_the_size_bound_exits_3(tmp_path, monkeypatch):
     primes = [p for p in range(1009, 2000) if all(p % q for q in range(2, 45))][:13]
     rows = [(p, (1, 1, p - 2)) for p in primes]
     path = tmp_path / "wide.json"
-    save_mechanism(mechanisms.MechanismTable.from_rows(3, rows), path)
+    save_mechanism(mechanisms.MechanismTable(3, rows), path)
     monkeypatch.setattr(mechanisms, "TABLE_MAX_BITS", 13 * 3 * 40)
     code, report, err = run_cli(["check", "--mechanism", str(path)])
     assert code == 3

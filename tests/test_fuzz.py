@@ -22,12 +22,10 @@ import sepax.cli as cli
 from sepax.amd import objective_from_json, objective_to_json
 from sepax.core import (
     FormatError,
-    Lottery,
     WeakOrder,
     enumerate_weak_orders,
     parse_rational,
 )
-from sepax.lp import RELATIONS, LinearProgram
 from sepax.mechanisms import (
     ZOO,
     MechanismFormatError,
@@ -175,54 +173,22 @@ ROW_TABLES = st.integers(1, 3).flatmap(
     )
 )
 
-LOTTERY = st.integers(1, 3).flatmap(
-    lambda k: st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any)
-).map(lambda ws: Lottery(len(ws), tuple(Fraction(w, sum(ws)) for w in ws)))
 
-# partial or foreign-m maps, and the total maps of valid tables
-MAP_TABLES = st.integers(1, 3).flatmap(
-    lambda m: st.tuples(
-        st.just(m),
-        st.dictionaries(
-            st.integers(1, 3).flatmap(lambda k: st.sampled_from(enumerate_weak_orders(k))),
-            LOTTERY,
-            max_size=16,
-        ),
-    )
-) | TABLES.map(lambda mech: (mech.m, dict(mech.items())))
-
-
-def _assert_valid(table: MechanismTable, m: int) -> None:
+@FUZZ
+@example((2, [(1, (1,)), (1, (1, 0)), (1, (0, 1))]))
+@given(ROW_TABLES)
+def test_constructor_builds_a_valid_table_or_raises(case):
+    m, rows = case
+    try:
+        table = MechanismTable(m, rows)
+    except ValueError:  # MechanismFormatError included
+        return
     D = table.denominator
     assert table.m == m
     assert len(table.rows) == len(enumerate_weak_orders(m))
     for row in table.rows:
         assert len(row) == m and min(row) >= 0 and sum(row) == D
     assert math.gcd(D, *(x for row in table.rows for x in row)) == 1
-
-
-@FUZZ
-@example((2, [(1, (1,)), (1, (1, 0)), (1, (0, 1))]))
-@given(ROW_TABLES)
-def test_from_rows_builds_a_valid_table_or_raises(case):
-    m, rows = case
-    try:
-        table = MechanismTable.from_rows(m, rows)
-    except ValueError:  # MechanismFormatError included
-        return
-    _assert_valid(table, m)
-
-
-@FUZZ
-@given(MAP_TABLES)
-def test_mapping_constructor_builds_a_valid_table_or_raises(case):
-    m, entries = case
-    try:
-        table = MechanismTable(m, entries)
-    except ValueError:
-        return
-    _assert_valid(table, m)
-    assert dict(table.items()) == entries
 
 
 @FUZZ
@@ -272,48 +238,6 @@ def test_objective_from_json_total(m, data):
     except FormatError:
         return
     assert objective_from_json(objective_to_json(m, coeffs), m) == coeffs
-
-
-NAMES = st.sampled_from(["x", "y", "z"])
-LINEAR = _junk_or(
-    st.dictionaries(NAMES | st.text(max_size=4), _junk_or(RATIONAL_TEXT), max_size=3)
-)
-CONSTRAINT = st.fixed_dictionaries(
-    {},
-    optional={
-        "name": _junk_or(st.text(max_size=4)),
-        "coefficients": LINEAR,
-        "relation": _junk_or(st.sampled_from(RELATIONS + ("<", "=="))),
-        "rhs": _junk_or(RATIONAL_TEXT),
-    },
-)
-
-
-@FUZZ
-@given(
-    st.one_of(
-        st.fixed_dictionaries(
-            {},
-            optional={
-                "variables": _junk_or(st.lists(NAMES, max_size=3)),
-                "objective": LINEAR,
-                "constraints": _junk_or(st.lists(CONSTRAINT, max_size=3)),
-            },
-        ),
-        JSON,
-    )
-)
-def test_linear_program_from_json_total(data):
-    try:
-        lp = LinearProgram.from_json(data)
-    except FormatError:
-        return
-    again = LinearProgram.from_json(lp.to_json())
-    assert again.variables == lp.variables
-    assert again.objective == lp.objective
-    assert [(c.name, c.coeffs, c.relation, c.rhs) for c in again.constraints] == [
-        (c.name, c.coeffs, c.relation, c.rhs) for c in lp.constraints
-    ]
 
 
 @FUZZ

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from sepax.amd import generate_sp_constraints, random_objective, top_class_welfare_objective
-from sepax.core import FormatError
 from sepax.lp import Constraint, InexactDivisionError, LinearProgram, _Tableau, solve_lp
 from tests.oracles import (
     fraction_simplex_oracle,
@@ -127,47 +126,6 @@ def test_text_rendering():
     assert lines[1] == "max: 3 x + 2 y"
     assert lines[2] == "cap_x: 1 x <= 4"
     assert lines[3] == "cap_sum: 1 x + 2 y <= 10"
-
-
-def test_json_round_trip():
-    lp = simple_lp()
-    again = LinearProgram.from_json(lp.to_json())
-    assert again.variables == lp.variables
-    assert again.objective == lp.objective
-    assert [(c.name, c.coeffs, c.relation, c.rhs) for c in again.constraints] == [
-        (c.name, c.coeffs, c.relation, c.rhs) for c in lp.constraints
-    ]
-    assert solve_lp(again).objective_value == solve_lp(lp).objective_value
-
-
-def _lp_with(**fields) -> dict:
-    """A one-variable program whose one constraint has ``fields`` replaced;
-    a field given as None is left out."""
-    raw = {"name": "c", "coefficients": {"x": "1"}, "relation": "<=", "rhs": "1"}
-    raw.update(fields)
-    constraint = {key: value for key, value in raw.items() if value is not None}
-    return {"variables": ["x"], "constraints": [constraint]}
-
-
-@pytest.mark.parametrize(
-    "data, fragment",
-    [
-        ({"variables": ["x"], "objective": {"y": "1"}}, "unknown variable 'y'"),
-        (["x"], "must be a JSON object"),
-        ({"objective": {}}, "missing key 'variables'"),
-        ({"variables": ["x", "x"]}, "distinct"),
-        (_lp_with(relation=None), "missing key 'relation'"),
-        (_lp_with(rhs=None), "missing key 'rhs'"),
-        (_lp_with(coefficients={"z": "1"}), "unknown variable 'z'"),
-        (_lp_with(relation="<"), "unknown relation"),
-        (_lp_with(rhs=1), "'rhs' must be a str"),
-        (_lp_with(coefficients={"x": 1}), "must be text"),
-    ],
-)
-def test_from_json_rejects_with_format_error(data, fragment):
-    with pytest.raises(FormatError) as info:
-        LinearProgram.from_json(data)
-    assert fragment in str(info.value)
 
 
 def test_random_lps_against_vertex_oracle():

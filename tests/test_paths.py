@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction as F
-from functools import partial
 
 import pytest
 
@@ -48,7 +47,7 @@ from sepax.paths import (
     split_chain,
     utility_segment,
 )
-from tests.oracles import local_sp_oracle, weak_order_count
+from tests.oracles import local_sp_oracle, lottery_table, weak_order_count
 
 
 def wo(text: str) -> WeakOrder:
@@ -99,7 +98,7 @@ def test_enumerate_refinements_counts():
         assert len(fines) == weak_order_count(m)
     strict = wo("0>1>2")
     assert [r.fine.text for r in enumerate_refinements(strict)] == ["0>1>2"]
-    assert list(enumerate_refinements(strict, include_identity=False)) == []
+    assert [r.is_identity for r in enumerate_refinements(strict)] == [True]
 
 
 def test_enumerate_multiway_round_trip():
@@ -143,10 +142,15 @@ def test_split_chain_exhaustive_small_m():
                         assert as_separation(sep.coarse, sep.fine) == sep
 
 
+def proper_refinements(coarse: WeakOrder):
+    """The refinements of ``coarse`` but the identity."""
+    return (r for r in enumerate_refinements(coarse) if not r.is_identity)
+
+
 LOCAL_MOVES = {
     check_separation_sp: enumerate_separations,
     check_multiway_sp: enumerate_multiway_separations,
-    check_refinement_sp: partial(enumerate_refinements, include_identity=False),
+    check_refinement_sp: proper_refinements,
 }
 
 
@@ -163,7 +167,7 @@ def perturbed(mech: MechanismTable, rng: random.Random) -> MechanismTable:
     probs[high] -= eps
     probs[low] += eps
     entries[order] = Lottery(mech.m, tuple(probs))
-    return MechanismTable(mech.m, entries, name=f"perturbed-{mech.name}")
+    return lottery_table(mech.m, entries, name=f"perturbed-{mech.name}")
 
 
 def local_population() -> list[MechanismTable]:
@@ -204,7 +208,7 @@ def test_move_layouts_match_public_enumerators():
     moves = {
         _split_moves: enumerate_separations,
         _multiway_moves: enumerate_multiway_separations,
-        _refinement_moves: partial(enumerate_refinements, include_identity=False),
+        _refinement_moves: proper_refinements,
     }
     for m in range(1, 6):
         orders = enumerate_weak_orders(m)

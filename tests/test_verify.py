@@ -10,7 +10,6 @@ from sepax.axioms import (
     verify_certificate,
 )
 from sepax.mechanisms import (
-    MechanismTable,
     k_sensitive_boost,
     min_top_dictator,
     rank_score,
@@ -28,7 +27,12 @@ from sepax.verify import (
     scan_deterministic_decomposition,
     scan_random_mechanisms,
 )
-from tests.oracles import separation_axiom_oracle, sp_pairwise_oracle, weak_order_count
+from tests.oracles import (
+    lottery_table,
+    separation_axiom_oracle,
+    sp_pairwise_oracle,
+    weak_order_count,
+)
 
 
 def test_fubini_numbers():
@@ -153,7 +157,7 @@ def test_all_eight_deterministic_m2_tables():
     agreements = 0
     sp_tables = 0
     for choices in itertools.product(range(2), repeat=3):
-        table = MechanismTable(
+        table = lottery_table(
             2,
             {order: Lottery.unit(2, c) for order, c in zip(orders, choices)},
             name=f"det2-{choices}",
