@@ -13,7 +13,7 @@ from sepax import (
 
 print("constraint system sizes (reduced vs naive pairwise):")
 for m in (2, 3):
-    s = lp_summary(m, generate_sp_constraints(m))
+    s = lp_summary(m)
     print(
         f"  m={m}: {s['variables']} variables, {s['reduced_rows']} reduced rows"
         f" vs {s['naive_rows']} naive rows"
@@ -24,19 +24,16 @@ print()
 print(generate_sp_constraints(2).to_text())
 
 # maximize the probability each report gets something from its own top class
+designs = {}
 for m in (2, 3):
-    lp = generate_sp_constraints(m)
-    solution, mech = solve_design(lp, m, top_class_welfare_objective(m))
+    solution, designs[m] = solve_design(m, top_class_welfare_objective(m))
     print(f"m={m} welfare design: status={solution.status}, "
           f"optimum={solution.objective_value}")
-    violation = check_sp_bruteforce(mech)
+    violation = check_sp_bruteforce(designs[m])
     print(f"  brute-force recheck of the optimum: "
           f"{'strategyproof' if violation is None else 'VIOLATION'}")
 
 print()
 print("designed m=2 table:")
-solution, mech = solve_design(
-    generate_sp_constraints(2), 2, top_class_welfare_objective(2)
-)
-for order, lottery in mech.items():
+for order, lottery in designs[2].items():
     print(f"  {order.text:4s} -> {lottery.texts()}")

@@ -67,9 +67,7 @@ from .paths import (
     as_multiway_separation,
     as_refinement,
     blend_utilities,
-    check_multiway_sp,
     check_refinement_sp,
-    check_separation_sp,
     enumerate_multiway_separations,
     enumerate_refinements,
     random_strict_utility,
@@ -96,9 +94,7 @@ from .amd import (
     generate_sp_constraints,
     load_objective,
     lp_summary,
-    mechanism_assignment,
     objective_from_json,
-    objective_to_json,
     random_objective,
     solution_to_mechanism,
     solve_design,

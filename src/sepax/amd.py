@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from .axioms import _separation_layout
 from .core import (
@@ -38,7 +39,7 @@ from .core import (
 )
 from .lp import LinearProgram, LPSolution, solve_lp
 from .mechanisms import MechanismTable, integer_row
-from .verify import count_constraints
+from .verify import _stirling2_row, count_constraints
 
 
 def variable_names(m: int) -> list[str]:
@@ -49,7 +50,7 @@ def variable_names(m: int) -> list[str]:
 
 def generate_sp_constraints(m: int) -> LinearProgram:
     """The reduced strategyproofness constraint system at size m, with an
-    empty objective. Callers set `lp.objective` before solving."""
+    empty objective; `solve_design` builds it afresh and sets its own."""
     orders = enumerate_weak_orders(m)
     texts = order_texts(m)
     lp = LinearProgram(variable_names(m))
@@ -80,24 +81,27 @@ def generate_sp_constraints(m: int) -> LinearProgram:
     return lp
 
 
-def lp_summary(m: int, lp: LinearProgram) -> dict:
-    """Size accounting for a system `generate_sp_constraints` built at size
-    m, versus the naive pairwise encoding (one dominance row per ordered
-    pair per contour set)."""
-    by_family: dict[str, int] = {}
-    for con in lp.constraints:
-        family = con.name.split("[", 1)[0]
-        by_family[family] = by_family.get(family, 0) + 1
+def lp_summary(m: int) -> dict:
+    """Size accounting for the system `generate_sp_constraints` builds at
+    size m, in closed form, versus the naive pairwise encoding (one
+    dominance row per ordered pair per contour set). A fine order with j
+    classes is the fine side of j - 1 separations, each with one
+    responsiveness row and one invariance row per coarse class but the
+    split one, j - 2 in all."""
     counts = count_constraints(m)
-    reduced = sum(n for family, n in by_family.items() if family != "norm")
+    stirling = _stirling2_row(m)
+    invariance = sum(
+        (j - 1) * (j - 2) * factorial(j) * stirling[j] for j in range(3, m + 1)
+    )
+    variables = counts.orders * m
     return {
         "m": m,
-        "variables": len(lp.variables),
-        "normalizations": by_family.get("norm", 0),
-        "invariance_equalities": by_family.get("upper", 0) + by_family.get("lower", 0),
-        "responsiveness_inequalities": by_family.get("resp", 0),
-        "nonnegativity_bounds": len(lp.variables),
-        "reduced_rows": reduced,
+        "variables": variables,
+        "normalizations": counts.orders,
+        "invariance_equalities": invariance,
+        "responsiveness_inequalities": counts.separations_total,
+        "nonnegativity_bounds": variables,
+        "reduced_rows": invariance + counts.separations_total,
         "separations": counts.separations_total,
         "naive_rows": counts.ordered_pairs * m,
     }
@@ -121,22 +125,6 @@ def random_objective(m: int, rng: random.Random) -> dict[int, Fraction]:
         if rng.randrange(3) == 0:
             coeffs[j] = Fraction(rng.randint(-12, 12))
     return coeffs
-
-
-def objective_to_json(m: int, coeffs: dict[int, Fraction]) -> dict:
-    texts = order_texts(m)
-    return {
-        "sense": "max",
-        "terms": [
-            {
-                "order": texts[j // m],
-                "alt": j % m,
-                "coef": str(Fraction(c)),
-            }
-            for j, c in sorted(coeffs.items())
-            if c != 0
-        ],
-    }
 
 
 def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
@@ -176,16 +164,6 @@ def load_objective(path: str, m: int) -> dict[int, Fraction]:
     return objective_from_json(read_json(path, "objective file not valid JSON"), m)
 
 
-def mechanism_assignment(mech: MechanismTable) -> dict[str, Fraction]:
-    """The LP point corresponding to a mechanism table, for feasibility
-    checks against `generate_sp_constraints`."""
-    return {
-        f"x[{text}][{alt}]": Fraction(x, mech.denominator)
-        for text, row in zip(order_texts(mech.m), mech.rows)
-        for alt, x in enumerate(row)
-    }
-
-
 def solution_to_mechanism(solution: LPSolution, m: int) -> MechanismTable:
     """Read the lottery table out of an optimal solution. The normalization
     and nonnegativity rows guarantee the entries really are lotteries."""
@@ -199,11 +177,12 @@ def solution_to_mechanism(solution: LPSolution, m: int) -> MechanismTable:
 
 
 def solve_design(
-    lp: LinearProgram, m: int, objective: dict[int, Fraction]
+    m: int, objective: dict[int, Fraction]
 ) -> tuple[LPSolution, MechanismTable | None]:
-    """Solve for an optimal strategyproof mechanism under the objective, on
-    the system `generate_sp_constraints` built at size m; sets the system's
-    objective."""
+    """Solve for an optimal strategyproof mechanism under the objective: one
+    exact solve of the system `generate_sp_constraints` builds at size m,
+    and the designed table when the program has an optimum."""
+    lp = generate_sp_constraints(m)
     lp.objective = dict(objective)
     solution = solve_lp(lp)
     mech = (

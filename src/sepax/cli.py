@@ -193,9 +193,8 @@ def cmd_amd(args: argparse.Namespace) -> tuple[dict, int]:
     except OSError as exc:
         raise _InputError(f"cannot read objective file: {exc}") from None
 
-    lp = amd_mod.generate_sp_constraints(m)
-    summary = amd_mod.lp_summary(m, lp)
-    solution, mech = amd_mod.solve_design(lp, m, objective)
+    summary = amd_mod.lp_summary(m)
+    solution, mech = amd_mod.solve_design(m, objective)
     result: dict = {
         "m": m,
         "objective": args.objective,

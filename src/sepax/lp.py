@@ -49,17 +49,6 @@ class Constraint:
         self.coeffs = {j: Fraction(c) for j, c in self.coeffs.items() if c != 0}
         self.rhs = Fraction(self.rhs)
 
-    def evaluate(self, values: list[Fraction]) -> Fraction:
-        return sum((c * values[j] for j, c in self.coeffs.items()), start=Fraction(0))
-
-    def satisfied(self, values: list[Fraction]) -> bool:
-        lhs = self.evaluate(values)
-        if self.relation == "<=":
-            return lhs <= self.rhs
-        if self.relation == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
-
 
 @dataclass
 class LinearProgram:
@@ -74,29 +63,6 @@ class LinearProgram:
         self, name: str, coeffs: dict[int, Fraction], relation: str, rhs: Fraction | int
     ) -> None:
         self.constraints.append(Constraint(name, coeffs, relation, Fraction(rhs)))
-
-    def check_assignment(self, assignment: dict[str, Fraction]) -> list[str]:
-        """Names of everything violated: constraints, negative variables,
-        and variables missing from the assignment."""
-        values = []
-        bad = []
-        for name in self.variables:
-            if name not in assignment:
-                bad.append(f"missing:{name}")
-                values.append(Fraction(0))
-                continue
-            value = Fraction(assignment[name])
-            values.append(value)
-            if value < 0:
-                bad.append(f"negative:{name}")
-        bad.extend(c.name for c in self.constraints if not c.satisfied(values))
-        return bad
-
-    def objective_value(self, assignment: dict[str, Fraction]) -> Fraction:
-        values = [Fraction(assignment.get(name, 0)) for name in self.variables]
-        return sum(
-            (c * values[j] for j, c in self.objective.items()), start=Fraction(0)
-        )
 
     def to_text(self) -> str:
         lines = ["# sense: max; all variables >= 0"]

@@ -14,7 +14,8 @@ utility functions. Local strategyproofness along these moves is checked
 here by one scan, `_local_sp_scan`, over a per-m layout of (coarse index,
 fine index) pairs in canonical index space (`_move_layout`); the three
 moves differ only in the move generator the layout is built from, which
-is also the one behind the public enumerators. Orders are the canonical
+is also the one behind the public enumerators. `check_refinement_sp`, the
+widest of the three, is the public check. Orders are the canonical
 instances of `enumerate_weak_orders`, so the scan builds no `WeakOrder`.
 It runs on the table's integer rows with the same dominance test as
 `verify.check_sp_bruteforce`; agreement with the full pairwise scan, and
@@ -30,7 +31,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .axioms import Separation, _split_moves, as_separation
+from .axioms import Separation, as_separation
 from .core import (
     Classes,
     UtilityFn,
@@ -247,16 +248,6 @@ def _local_sp_scan(
         if gap is not None:
             return _sp_violation(fine, coarse, gap, mech.denominator)
     return None
-
-
-def check_separation_sp(mech: MechanismTable) -> SPViolation | None:
-    """No profitable misreport across any single separation, either way."""
-    return _local_sp_scan(mech, _split_moves)
-
-
-def check_multiway_sp(mech: MechanismTable) -> SPViolation | None:
-    """No profitable misreport across any multiway separation."""
-    return _local_sp_scan(mech, _multiway_moves)
 
 
 def check_refinement_sp(mech: MechanismTable) -> SPViolation | None:

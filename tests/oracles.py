@@ -8,7 +8,8 @@ parsers and error classes, because what they pin is how a table is built
 from those. The
 design LP builder after them walks sepax's `Separation` objects into its
 `LinearProgram`, because what it pins is the row system built from
-those."""
+those; the LP helpers at the very end read a `LinearProgram`'s rows, a
+table's lotteries, or an objective's coefficients."""
 
 from __future__ import annotations
 
@@ -689,3 +690,48 @@ def sp_constraints_oracle(m: int, *, lowered: bool = False) -> LinearProgram:
                 coeffs[var(ci, alt)] = Fraction(-1)
             lp.add_constraint(f"drop[{tag}]", coeffs, "<=", 0)
     return lp
+
+
+def lp_violations(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[str]:
+    """Names of everything the assignment violates in ``lp``: each variable
+    it leaves out (``missing:``) or sets negative (``negative:``), then each
+    constraint row, evaluated as an exact sum."""
+    bad = []
+    values = []
+    for name in lp.variables:
+        value = Fraction(assignment.get(name, 0))
+        if name not in assignment:
+            bad.append(f"missing:{name}")
+        elif value < 0:
+            bad.append(f"negative:{name}")
+        values.append(value)
+    for con in lp.constraints:
+        lhs = sum((c * values[j] for j, c in con.coeffs.items()), Fraction(0))
+        holds = {"<=": lhs <= con.rhs, ">=": lhs >= con.rhs, "=": lhs == con.rhs}
+        if not holds[con.relation]:
+            bad.append(con.name)
+    return bad
+
+
+def mechanism_assignment(mech) -> dict[str, Fraction]:
+    """The design LP's point for a mechanism table: x[order][alt] is the
+    order's probability of the alternative."""
+    return {
+        f"x[{order.text}][{alt}]": p
+        for order, lottery in mech.items()
+        for alt, p in enumerate(lottery.probs)
+    }
+
+
+def objective_to_json(m: int, coeffs: dict[int, Fraction]) -> dict:
+    """An objective in the objective-file format, one term per nonzero
+    coefficient by variable index (order index * m + alt)."""
+    texts = [order.text for order in enumerate_weak_orders(m)]
+    return {
+        "sense": "max",
+        "terms": [
+            {"order": texts[j // m], "alt": j % m, "coef": str(Fraction(c))}
+            for j, c in sorted(coeffs.items())
+            if c != 0
+        ],
+    }

@@ -8,7 +8,6 @@ import time
 
 from sepax.core import (
     Lottery,
-    WeakOrder,
     enumerate_weak_orders,
     fosd,
 )
@@ -33,7 +32,6 @@ from sepax.verify import (
 )
 from sepax.amd import (
     generate_sp_constraints,
-    mechanism_assignment,
     random_objective,
     solve_design,
     top_class_welfare_objective,
@@ -42,6 +40,8 @@ from tests.conftest import POPULATION_SEED, record_acceptance
 from tests.oracles import (
     fosd_oracle_utilities,
     lottery_table,
+    lp_violations,
+    mechanism_assignment,
     separation_axiom_oracle,
     weak_order_count,
 )
@@ -274,15 +274,11 @@ def test_acceptance_9_design_soundness():
     designs = 0
     for m in (2, 3):
         for _ in range(12):
-            solution, mech = solve_design(
-                generate_sp_constraints(m), m, random_objective(m, rng)
-            )
+            solution, mech = solve_design(m, random_objective(m, rng))
             designs += 1
             if solution.status != "optimal" or check_sp_bruteforce(mech) is not None:
                 unsound += 1
-    welfare, _ = solve_design(
-        generate_sp_constraints(2), 2, top_class_welfare_objective(2)
-    )
+    welfare, _ = solve_design(2, top_class_welfare_objective(2))
     welfare_ok = welfare.objective_value == 3
     infeasible_zoo = []
     for m in (2, 3):
@@ -290,7 +286,7 @@ def test_acceptance_9_design_soundness():
         for name, factory in sorted(ZOO.items()):
             mech = factory(m)
             if check_sp_bruteforce(mech) is None:
-                if lp.check_assignment(mechanism_assignment(mech)):
+                if lp_violations(lp, mechanism_assignment(mech)):
                     infeasible_zoo.append(f"{name}@{m}")
     ok = unsound == 0 and welfare_ok and not infeasible_zoo
     _report(

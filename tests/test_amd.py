@@ -1,17 +1,15 @@
 import json
 import random
-from fractions import Fraction as F
 
 import pytest
 
-from sepax.core import FormatError
+from sepax.axioms import all_separations
+from sepax.core import FormatError, enumerate_weak_orders
 from sepax.amd import (
     generate_sp_constraints,
     load_objective,
     lp_summary,
-    mechanism_assignment,
     objective_from_json,
-    objective_to_json,
     random_objective,
     solution_to_mechanism,
     solve_design,
@@ -21,7 +19,12 @@ from sepax.amd import (
 from sepax.lp import LPSolution, solve_lp
 from sepax.mechanisms import ZOO, k_sensitive_boost
 from sepax.verify import check_decomposition, check_sp_bruteforce
-from tests.oracles import sp_constraints_oracle
+from tests.oracles import (
+    lp_violations,
+    mechanism_assignment,
+    objective_to_json,
+    sp_constraints_oracle,
+)
 
 
 def _families(lp) -> dict[str, int]:
@@ -29,10 +32,6 @@ def _families(lp) -> dict[str, int]:
     for con in lp.constraints:
         by_family[con.name.split("[", 1)[0]] += 1
     return by_family
-
-
-def _design(m, objective):
-    return solve_design(generate_sp_constraints(m), m, objective)
 
 
 def test_variable_names():
@@ -56,7 +55,7 @@ def test_constraints_match_oracle():
 
 
 def test_summary_counts():
-    assert lp_summary(2, generate_sp_constraints(2)) == {
+    assert lp_summary(2) == {
         "m": 2,
         "variables": 6,
         "normalizations": 3,
@@ -67,7 +66,7 @@ def test_summary_counts():
         "separations": 2,
         "naive_rows": 12,
     }
-    summary = lp_summary(3, generate_sp_constraints(3))
+    summary = lp_summary(3)
     assert summary["variables"] == 39
     assert summary["normalizations"] == 13
     assert summary["invariance_equalities"] == 12
@@ -79,10 +78,46 @@ def test_summary_counts():
     assert sum(lowered.values()) - lowered["norm"] == 48
 
 
+def test_summary_matches_row_walk():
+    # the closed form against a per-family count of the built system's rows
+    for m in range(1, 6):
+        lp = generate_sp_constraints(m)
+        by_family = _families(lp)
+        reduced = by_family["upper"] + by_family["lower"] + by_family["resp"]
+        orders = len(enumerate_weak_orders(m))
+        assert lp_summary(m) == {
+            "m": m,
+            "variables": len(lp.variables),
+            "normalizations": by_family["norm"],
+            "invariance_equalities": by_family["upper"] + by_family["lower"],
+            "responsiveness_inequalities": by_family["resp"],
+            "nonnegativity_bounds": len(lp.variables),
+            "reduced_rows": reduced,
+            "separations": len(list(all_separations(m))),
+            "naive_rows": orders * (orders - 1) * m,
+        }, m
+
+
+def test_solve_design_matches_fresh_solve():
+    rng = random.Random(11)
+    for m in (2, 3):
+        objectives = [top_class_welfare_objective(m)]
+        objectives += [random_objective(m, rng) for _ in range(4)]
+        for objective in objectives:
+            before = dict(objective)
+            solution, mech = solve_design(m, objective)
+            assert objective == before
+            lp = generate_sp_constraints(m)
+            lp.objective = objective
+            fresh = solve_lp(lp)
+            assert solution.to_json() == fresh.to_json()
+            assert mech == solution_to_mechanism(fresh, m)
+
+
 def test_constraint_families_match_summary():
     for m in (1, 2, 3):
         by_family = _families(sp_constraints_oracle(m, lowered=True))
-        summary = lp_summary(m, generate_sp_constraints(m))
+        summary = lp_summary(m)
         assert by_family["norm"] == summary["normalizations"]
         assert by_family["upper"] + by_family["lower"] == summary[
             "invariance_equalities"
@@ -96,7 +131,7 @@ def test_zoo_sp_mechanisms_are_feasible_points():
     lp = sp_constraints_oracle(3, lowered=True)
     for name, factory in ZOO.items():
         mech = factory(3)
-        violated = lp.check_assignment(mechanism_assignment(mech))
+        violated = lp_violations(lp, mechanism_assignment(mech))
         if check_sp_bruteforce(mech) is None:
             assert violated == [], name
         else:
@@ -105,7 +140,7 @@ def test_zoo_sp_mechanisms_are_feasible_points():
 
 def test_boost_mechanism_violation_rows():
     lp = generate_sp_constraints(3)
-    violated = lp.check_assignment(mechanism_assignment(k_sensitive_boost(3)))
+    violated = lp_violations(lp, mechanism_assignment(k_sensitive_boost(3)))
     assert len(violated) == 18
     families = {name.split("[", 1)[0] for name in violated}
     assert families == {"upper", "lower", "resp"}
@@ -114,7 +149,7 @@ def test_boost_mechanism_violation_rows():
 
 
 def test_welfare_design_m2():
-    solution, mech = _design(2, top_class_welfare_objective(2))
+    solution, mech = solve_design(2, top_class_welfare_objective(2))
     assert solution.status == "optimal"
     assert solution.objective_value == 3
     assert mech is not None
@@ -127,7 +162,7 @@ def test_welfare_design_m2():
 
 
 def test_welfare_design_m3():
-    solution, mech = _design(3, top_class_welfare_objective(3))
+    solution, mech = solve_design(3, top_class_welfare_objective(3))
     assert solution.status == "optimal"
     assert solution.objective_value == 13
     report = check_decomposition(mech)
@@ -136,13 +171,16 @@ def test_welfare_design_m3():
 
 def test_lowered_inequality_is_redundant():
     objective = top_class_welfare_objective(3)
-    plain, _ = _design(3, objective)
-    lowered, _ = solve_design(sp_constraints_oracle(3, lowered=True), 3, objective)
+    plain, _ = solve_design(3, objective)
+    lp = sp_constraints_oracle(3, lowered=True)
+    lp.objective = objective
+    lowered = solve_lp(lp)
     assert plain.objective_value == lowered.objective_value == 13
+    assert check_sp_bruteforce(solution_to_mechanism(lowered, 3)) is None
 
 
 def test_zero_objective_design_is_sp():
-    solution, mech = _design(3, {})
+    solution, mech = solve_design(3, {})
     assert solution.status == "optimal"
     assert solution.objective_value == 0
     assert check_sp_bruteforce(mech) is None
@@ -153,13 +191,11 @@ def test_random_objectives_yield_sp_optima():
     for m in (2, 3):
         for _ in range(6):
             objective = random_objective(m, rng)
-            solution, mech = _design(m, objective)
+            solution, mech = solve_design(m, objective)
             assert solution.status == "optimal"
             assert mech is not None
             assert check_sp_bruteforce(mech) is None
-            lp = generate_sp_constraints(m)
-            lp.objective = dict(objective)
-            assert lp.check_assignment(solution.assignment) == []
+            assert lp_violations(generate_sp_constraints(m), solution.assignment) == []
 
 
 def test_solution_to_mechanism_requires_optimal():
@@ -229,12 +265,11 @@ def test_feasible_set_nonempty_even_with_all_rows():
 
 def test_welfare_design_m4():
     # the integer tableau solves the 300-variable m=4 system in seconds
-    lp = generate_sp_constraints(4)
-    solution, mech = solve_design(lp, 4, top_class_welfare_objective(4))
+    solution, mech = solve_design(4, top_class_welfare_objective(4))
     assert solution.status == "optimal"
     assert solution.objective_value == 75
     assert check_sp_bruteforce(mech) is None
-    assert lp.check_assignment(solution.assignment) == []
+    assert lp_violations(generate_sp_constraints(4), solution.assignment) == []
 
 
 def test_objective_order_must_be_text():

@@ -6,7 +6,6 @@ import pytest
 from sepax.core import Lottery, WeakOrder, enumerate_weak_orders
 from sepax.axioms import (
     AXIOMS,
-    Certificate,
     all_separations,
     as_separation,
     check_all_axioms,

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sepax.cli as cli
-from sepax.amd import objective_from_json, objective_to_json
+from sepax.amd import objective_from_json
 from sepax.core import (
     FormatError,
     WeakOrder,
@@ -36,6 +36,7 @@ from sepax.mechanisms import (
     random_deterministic_mechanism,
     random_mechanism,
 )
+from tests.oracles import objective_to_json
 
 FUZZ = settings(
     max_examples=150,

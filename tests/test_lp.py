@@ -7,6 +7,7 @@ from sepax.amd import generate_sp_constraints, random_objective, top_class_welfa
 from sepax.lp import Constraint, InexactDivisionError, LinearProgram, _Tableau, solve_lp
 from tests.oracles import (
     fraction_simplex_oracle,
+    lp_violations,
     lp_vertex_oracle,
     random_bounded_lp,
     sp_constraints_oracle,
@@ -24,9 +25,11 @@ def simple_lp() -> LinearProgram:
 def test_constraint_validation_and_evaluate():
     con = Constraint("c", {0: F(2), 1: F(0), 2: F(-1)}, "<=", F(3))
     assert set(con.coeffs) == {0, 2}  # zero coefficients dropped
-    assert con.evaluate([F(1), F(99), F(2)]) == 0
-    assert con.satisfied([F(1), F(0), F(0)])
-    assert not con.satisfied([F(2), F(0), F(0)])
+    exact = Constraint("exact", con.coeffs, "=", F(0))
+    lp = LinearProgram(["a", "b", "c"], [con, exact])
+    assert lp_violations(lp, {"a": F(1), "b": F(99), "c": F(2)}) == []
+    assert lp_violations(lp, {"a": F(1), "b": F(0), "c": F(0)}) == ["exact"]
+    assert lp_violations(lp, {"a": F(2), "b": F(0), "c": F(0)}) == ["c", "exact"]
     with pytest.raises(ValueError):
         Constraint("c", {0: F(1)}, "<", F(0))
 
@@ -84,7 +87,7 @@ def test_zero_objective_finds_feasible_point():
     solution = solve_lp(lp)
     assert solution.status == "optimal"
     assert solution.objective_value == 0
-    assert lp.check_assignment(solution.assignment) == []
+    assert lp_violations(lp, solution.assignment) == []
 
 
 def test_degenerate_cycling_instance():
@@ -104,20 +107,14 @@ def test_degenerate_cycling_instance():
     assert solution.objective_value == F(1, 20)
 
 
-def test_check_assignment_reports_names():
+def test_lp_violations_reports_names():
     lp = simple_lp()
-    bad = lp.check_assignment({"x": F(5)})
+    bad = lp_violations(lp, {"x": F(5)})
     assert "missing:y" in bad
     assert "cap_x" in bad
-    bad = lp.check_assignment({"x": F(1), "y": F(-1)})
+    bad = lp_violations(lp, {"x": F(1), "y": F(-1)})
     assert bad == ["negative:y"]
-    assert lp.check_assignment({"x": F(0), "y": F(0)}) == []
-
-
-def test_objective_value_helper():
-    lp = simple_lp()
-    assert lp.objective_value({"x": F(1), "y": F(1)}) == 5
-    assert lp.objective_value({"x": F(1)}) == 3
+    assert lp_violations(lp, {"x": F(0), "y": F(0)}) == []
 
 
 def test_text_rendering():
@@ -143,8 +140,9 @@ def test_random_lps_against_vertex_oracle():
         assert solution.status == oracle_status
         if solution.status == "optimal":
             assert solution.objective_value == oracle_value
-            assert lp.check_assignment(solution.assignment) == []
-            assert lp.objective_value(solution.assignment) == oracle_value
+            assert lp_violations(lp, solution.assignment) == []
+            values = [solution.assignment[name] for name in lp.variables]
+            assert sum(c * values[j] for j, c in lp.objective.items()) == oracle_value
     assert statuses["optimal"] >= 30
     assert statuses["infeasible"] >= 5
 

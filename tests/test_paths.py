@@ -31,15 +31,14 @@ from sepax.mechanisms import (
 )
 from sepax.paths import (
     SPLIT_CHAIN_STYLES,
+    _local_sp_scan,
     _move_layout,
     _multiway_moves,
     _refinement_moves,
     as_multiway_separation,
     as_refinement,
     blend_utilities,
-    check_multiway_sp,
     check_refinement_sp,
-    check_separation_sp,
     enumerate_multiway_separations,
     enumerate_refinements,
     random_strict_utility,
@@ -147,10 +146,12 @@ def proper_refinements(coarse: WeakOrder):
     return (r for r in enumerate_refinements(coarse) if not r.is_identity)
 
 
+# each move generator of the local scan, with the public enumerator of the
+# same moves
 LOCAL_MOVES = {
-    check_separation_sp: enumerate_separations,
-    check_multiway_sp: enumerate_multiway_separations,
-    check_refinement_sp: proper_refinements,
+    _split_moves: enumerate_separations,
+    _multiway_moves: enumerate_multiway_separations,
+    _refinement_moves: proper_refinements,
 }
 
 
@@ -190,8 +191,8 @@ def test_local_sp_scans_match_fraction_oracle():
     tables = local_population()
     assert k_sensitive_boost(5) in tables
     for mech in tables:
-        for check, moves in LOCAL_MOVES.items():
-            violation = check(mech)
+        for generator, moves in LOCAL_MOVES.items():
+            violation = _local_sp_scan(mech, generator)
             pairs = (
                 (move.coarse, move.fine)
                 for order in enumerate_weak_orders(mech.m)
@@ -200,16 +201,11 @@ def test_local_sp_scans_match_fraction_oracle():
             expected = local_sp_oracle(mech, pairs)
             assert (None if violation is None else violation.to_json()) == expected, (
                 mech.name,
-                check.__name__,
+                generator.__name__,
             )
 
 
 def test_move_layouts_match_public_enumerators():
-    moves = {
-        _split_moves: enumerate_separations,
-        _multiway_moves: enumerate_multiway_separations,
-        _refinement_moves: proper_refinements,
-    }
     for m in range(1, 6):
         orders = enumerate_weak_orders(m)
         index = {order: i for i, order in enumerate(orders)}
@@ -222,7 +218,7 @@ def test_move_layouts_match_public_enumerators():
         # all_separations shares the canonical order instances
         for sep, (ci, fi, *_) in zip(all_separations(m), _separation_layout(m)):
             assert sep.coarse is orders[ci] and sep.fine is orders[fi]
-        for generator, enumerate_moves in moves.items():
+        for generator, enumerate_moves in LOCAL_MOVES.items():
             assert list(_move_layout(m, generator)) == [
                 (index[move.coarse], index[move.fine])
                 for order in orders
@@ -239,12 +235,13 @@ def test_move_layouts_match_public_enumerators():
 
 def test_local_sp_scans_on_zoo():
     for mech in (rank_score(3), top_class_uniform(4)):
-        assert check_separation_sp(mech) is None
-        assert check_multiway_sp(mech) is None
+        for generator in LOCAL_MOVES:
+            assert _local_sp_scan(mech, generator) is None
         assert check_refinement_sp(mech) is None
     bad = k_sensitive_boost(3)
-    for check in (check_separation_sp, check_multiway_sp, check_refinement_sp):
-        violation = check(bad)
+    assert check_refinement_sp(bad) == _local_sp_scan(bad, _refinement_moves)
+    for generator in LOCAL_MOVES:
+        violation = _local_sp_scan(bad, generator)
         assert violation is not None
         truth_lot = bad.lottery(violation.truth)
         lie_lot = bad.lottery(violation.misreport)

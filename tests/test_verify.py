@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from sepax.core import Lottery, WeakOrder, enumerate_weak_orders
+from sepax.core import Lottery, enumerate_weak_orders
 from sepax.axioms import (
     all_separations,
     enumerate_separations,
