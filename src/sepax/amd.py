@@ -100,9 +100,7 @@ def lp_summary(m: int) -> dict:
         "normalizations": counts.orders,
         "invariance_equalities": invariance,
         "responsiveness_inequalities": counts.separations_total,
-        "nonnegativity_bounds": variables,
         "reduced_rows": invariance + counts.separations_total,
-        "separations": counts.separations_total,
         "naive_rows": counts.ordered_pairs * m,
     }
 

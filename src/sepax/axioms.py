@@ -28,13 +28,14 @@ self-contained, and are re-checked against the lotteries themselves by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
 from .core import (
     Classes,
+    FrozenRecord,
+    Record,
     WeakOrder,
     class_splits,
     classes_index,
@@ -46,17 +47,26 @@ from .mechanisms import MechanismTable
 AXIOMS = ("responsive", "direct", "upper_invariant", "lower_invariant")
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(FrozenRecord):
     """One coarse class (1-based position ``kappa``) split into
     ``upper_part`` ranked just above ``lower_part``; all other classes
     identical between the two orders."""
 
-    coarse: WeakOrder
-    fine: WeakOrder
-    kappa: int
-    upper_part: tuple[int, ...]
-    lower_part: tuple[int, ...]
+    __slots__ = ("coarse", "fine", "kappa", "upper_part", "lower_part")
+
+    def __init__(
+        self,
+        coarse: WeakOrder,
+        fine: WeakOrder,
+        kappa: int,
+        upper_part: tuple[int, ...],
+        lower_part: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "coarse", coarse)
+        object.__setattr__(self, "fine", fine)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "upper_part", upper_part)
+        object.__setattr__(self, "lower_part", lower_part)
 
     def to_json(self) -> dict:
         return {
@@ -138,8 +148,7 @@ def all_separations(m: int) -> tuple[Separation, ...]:
     return tuple(_separation(m, *entry) for entry in _separation_layout(m))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenRecord):
     """A machine-checkable axiom violation.
 
     ``lhs`` is the probability of the witness set under the coarse report,
@@ -156,13 +165,25 @@ class Certificate:
       stay fixed
     """
 
-    axiom: str
-    separation: Separation
-    witness: str
-    k: int
-    lhs: Fraction
-    rhs: Fraction
-    separation_index: int
+    __slots__ = ("axiom", "separation", "witness", "k", "lhs", "rhs", "separation_index")
+
+    def __init__(
+        self,
+        axiom: str,
+        separation: Separation,
+        witness: str,
+        k: int,
+        lhs: Fraction,
+        rhs: Fraction,
+        separation_index: int,
+    ) -> None:
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "separation", separation)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "separation_index", separation_index)
 
     def witness_set(self) -> tuple[int, ...]:
         """Raises `ValueError` for k outside 1..K, K the coarse order's
@@ -312,14 +333,22 @@ def find_violations(
     return found
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of running every axiom checker against one mechanism."""
 
-    mechanism: str
-    m: int
-    verdicts: dict[str, bool]
-    certificates: dict[str, list[Certificate]]
+    __slots__ = ("mechanism", "m", "verdicts", "certificates")
+
+    def __init__(
+        self,
+        mechanism: str,
+        m: int,
+        verdicts: dict[str, bool],
+        certificates: dict[str, list[Certificate]],
+    ) -> None:
+        self.mechanism = mechanism
+        self.m = m
+        self.verdicts = verdicts
+        self.certificates = certificates
 
     def to_json(self) -> dict:
         return {

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -75,8 +75,54 @@ def format_rational(value: Fraction | int) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
-@dataclass(frozen=True)
-class WeakOrder:
+class Record:
+    """Base of sepax's records: plain classes whose fields are their own
+    ``__slots__`` (bar ``__dict__``), in order, each with a hand-written
+    ``__init__``. A record equals another only of the same class with
+    equal field values, shows as ``Name(field=value, ...)``, and is
+    unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = tuple(f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__")
+        if fields:
+            cls._fields = fields
+            cls._field_values = attrgetter(*fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == other._field_values(other)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by ``__init__`` through
+    ``object.__setattr__``, and hashed by value."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy restore slots through setattr, which is refused
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+
+class WeakOrder(FrozenRecord):
     """An ordered partition of ``{0, ..., m-1}``: disjoint non-empty
     indifference classes covering every alternative, most preferred first.
     Members within a class are stored sorted ascending, so equal orders
@@ -86,14 +132,16 @@ class WeakOrder:
     ``"0,1>2"`` ranks 0 and 1 together above 2.
     """
 
-    m: int
-    classes: tuple[tuple[int, ...], ...]
+    # __dict__ holds the cached properties
+    __slots__ = ("m", "classes", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, m: int, classes: Classes) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "classes", classes)
+        if m < 1:
             raise ValueError("need at least one alternative")
         seen: set[int] = set()
-        for cls in self.classes:
+        for cls in classes:
             if not cls:
                 raise ValueError("empty indifference class")
             if any(cls[i] >= cls[i + 1] for i in range(len(cls) - 1)):
@@ -101,8 +149,8 @@ class WeakOrder:
             if seen & set(cls):
                 raise ValueError(f"alternative repeated across classes: {cls!r}")
             seen.update(cls)
-        if seen != set(range(self.m)):
-            raise ValueError(f"classes do not partition 0..{self.m - 1}")
+        if seen != set(range(m)):
+            raise ValueError(f"classes do not partition 0..{m - 1}")
 
     @staticmethod
     def parse(text: str) -> "WeakOrder":
@@ -244,21 +292,21 @@ def _as_fractions(values: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Lottery:
+class Lottery(FrozenRecord):
     """A probability distribution over the m alternatives. Probabilities are
     exact rationals, nonnegative, summing to one."""
 
-    m: int
-    probs: tuple[Fraction, ...]
+    __slots__ = ("m", "probs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _as_fractions(self.probs))
-        if len(self.probs) != self.m:
-            raise ValueError(f"expected {self.m} probabilities, got {len(self.probs)}")
-        if any(p.numerator < 0 for p in self.probs):
+    def __init__(self, m: int, probs: Iterable[Fraction | int]) -> None:
+        probs = _as_fractions(probs)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "probs", probs)
+        if len(probs) != m:
+            raise ValueError(f"expected {m} probabilities, got {len(probs)}")
+        if any(p.numerator < 0 for p in probs):
             raise ValueError("negative probability")
-        total = sum(self.probs)
+        total = sum(probs)
         if total != 1:
             raise ValueError(f"probabilities sum to {format_rational(total)}, not 1")
 
@@ -290,18 +338,18 @@ class Lottery:
         return [format_rational(p) for p in self.probs]
 
 
-@dataclass(frozen=True)
-class UtilityFn:
+class UtilityFn(FrozenRecord):
     """A nonnegative exact-rational utility value per alternative."""
 
-    m: int
-    values: tuple[Fraction, ...]
+    __slots__ = ("m", "values")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_fractions(self.values))
-        if len(self.values) != self.m:
-            raise ValueError(f"expected {self.m} utilities, got {len(self.values)}")
-        if any(v < 0 for v in self.values):
+    def __init__(self, m: int, values: Iterable[Fraction | int]) -> None:
+        values = _as_fractions(values)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "values", values)
+        if len(values) != m:
+            raise ValueError(f"expected {m} utilities, got {len(values)}")
+        if any(v < 0 for v in values):
             raise ValueError("negative utility")
 
     def expected(self, lottery: Lottery) -> Fraction:

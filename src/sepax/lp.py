@@ -24,40 +24,46 @@ Text export is one constraint per line::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import format_rational
+from .core import Record, format_rational
 
 RELATIONS = ("<=", "=", ">=")
 
 
-@dataclass
-class Constraint:
+class Constraint(Record):
     """``sum(coeffs[j] * x_j) relation rhs``; coefficients keyed by variable
     index, zero coefficients omitted."""
 
-    name: str
-    coeffs: dict[int, Fraction]
-    relation: str
-    rhs: Fraction
+    __slots__ = ("name", "coeffs", "relation", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.relation not in RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
-        self.coeffs = {j: Fraction(c) for j, c in self.coeffs.items() if c != 0}
-        self.rhs = Fraction(self.rhs)
+    def __init__(
+        self, name: str, coeffs: dict[int, Fraction], relation: str, rhs: Fraction
+    ) -> None:
+        if relation not in RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+        self.name = name
+        self.coeffs = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
+        self.relation = relation
+        self.rhs = Fraction(rhs)
 
 
-@dataclass
-class LinearProgram:
+class LinearProgram(Record):
     """A named-variable LP; `solve_lp` maximizes the objective subject to
     the constraints and implicit nonnegativity."""
 
-    variables: list[str]
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[int, Fraction] = field(default_factory=dict)
+    __slots__ = ("variables", "constraints", "objective")
+
+    def __init__(
+        self,
+        variables: list[str],
+        constraints: list[Constraint] | None = None,
+        objective: dict[int, Fraction] | None = None,
+    ) -> None:
+        self.variables = variables
+        self.constraints = [] if constraints is None else constraints
+        self.objective = {} if objective is None else objective
 
     def add_constraint(
         self, name: str, coeffs: dict[int, Fraction], relation: str, rhs: Fraction | int
@@ -85,11 +91,18 @@ class LinearProgram:
         return " ".join(terms)
 
 
-@dataclass
-class LPSolution:
-    status: str  # optimal | infeasible | unbounded
-    assignment: dict[str, Fraction] = field(default_factory=dict)
-    objective_value: Fraction | None = None
+class LPSolution(Record):
+    __slots__ = ("status", "assignment", "objective_value")
+
+    def __init__(
+        self,
+        status: str,  # optimal | infeasible | unbounded
+        assignment: dict[str, Fraction] | None = None,
+        objective_value: Fraction | None = None,
+    ) -> None:
+        self.status = status
+        self.assignment = {} if assignment is None else assignment
+        self.objective_value = objective_value
 
     def to_json(self) -> dict:
         return {

@@ -25,7 +25,6 @@ with a `Fraction` reference scan, is what the test batteries exercise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -34,6 +33,8 @@ from typing import Callable, Iterable, Iterator
 from .axioms import Separation, as_separation
 from .core import (
     Classes,
+    FrozenRecord,
+    Record,
     UtilityFn,
     WeakOrder,
     canonical_utility,
@@ -51,15 +52,19 @@ from .verify import SPViolation, _dominance_gap, _sp_violation
 SPLIT_CHAIN_STYLES = ("top_first", "bottom_merge")
 
 
-@dataclass(frozen=True)
-class MultiwaySeparation:
+class MultiwaySeparation(FrozenRecord):
     """Class ``kappa`` (1-based) of the coarse order split into ``parts``
     (two or more), in order; every other class untouched."""
 
-    coarse: WeakOrder
-    fine: WeakOrder
-    kappa: int
-    parts: tuple[tuple[int, ...], ...]
+    __slots__ = ("coarse", "fine", "kappa", "parts")
+
+    def __init__(
+        self, coarse: WeakOrder, fine: WeakOrder, kappa: int, parts: Classes
+    ) -> None:
+        object.__setattr__(self, "coarse", coarse)
+        object.__setattr__(self, "fine", fine)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def arity(self) -> int:
@@ -74,14 +79,18 @@ class MultiwaySeparation:
         }
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(FrozenRecord):
     """The fine order splits each coarse class k into ``blocks[k-1]`` (at
     least one part each), concatenated in place."""
 
-    coarse: WeakOrder
-    fine: WeakOrder
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("coarse", "fine", "blocks")
+
+    def __init__(
+        self, coarse: WeakOrder, fine: WeakOrder, blocks: tuple[Classes, ...]
+    ) -> None:
+        object.__setattr__(self, "coarse", coarse)
+        object.__setattr__(self, "fine", fine)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def is_identity(self) -> bool:
@@ -255,15 +264,19 @@ def check_refinement_sp(mech: MechanismTable) -> SPViolation | None:
     return _local_sp_scan(mech, _refinement_moves)
 
 
-@dataclass(frozen=True)
-class UtilitySegment:
+class UtilitySegment(FrozenRecord):
     """The straight line (1 - alpha) * start + alpha * end between two
     utility functions, together with every alpha in (0, 1) where some pair
     of alternatives, unequal elsewhere on the line, crosses."""
 
-    start: UtilityFn
-    end: UtilityFn
-    breakpoints: tuple[Fraction, ...]
+    __slots__ = ("start", "end", "breakpoints")
+
+    def __init__(
+        self, start: UtilityFn, end: UtilityFn, breakpoints: tuple[Fraction, ...]
+    ) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "breakpoints", breakpoints)
 
 
 def blend_utilities(u: UtilityFn, v: UtilityFn, alpha: Fraction) -> UtilityFn:
@@ -297,18 +310,27 @@ def utility_segment(u: UtilityFn, v: UtilityFn) -> UtilitySegment:
     return UtilitySegment(u, v, tuple(sorted(points)))
 
 
-@dataclass
-class PathResult:
+class PathResult(Record):
     """A walk from one order to another along the utility segment. Adjacent
     orders always differ by a refinement in one direction or the other;
     ``alphas`` holds, per order, a segment position whose blended utility
     induces it."""
 
-    start: WeakOrder
-    end: WeakOrder
-    segment: UtilitySegment
-    orders: list[WeakOrder]
-    alphas: list[Fraction]
+    __slots__ = ("start", "end", "segment", "orders", "alphas")
+
+    def __init__(
+        self,
+        start: WeakOrder,
+        end: WeakOrder,
+        segment: UtilitySegment,
+        orders: list[WeakOrder],
+        alphas: list[Fraction],
+    ) -> None:
+        self.start = start
+        self.end = end
+        self.segment = segment
+        self.orders = orders
+        self.alphas = alphas
 
     def steps(self) -> list[tuple[str, Refinement]]:
         """Per adjacent pair: ("refine", r) when the right order refines the

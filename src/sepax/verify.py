@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
 from .axioms import Certificate, _separation_layout, check_all_axioms
-from .core import WeakOrder, enumerate_weak_orders, format_rational
+from .core import FrozenRecord, Record, WeakOrder, enumerate_weak_orders, format_rational
 from .mechanisms import MechanismTable, random_mechanism, unit_row
 
 
@@ -38,18 +37,29 @@ class NotDeterministicError(ValueError):
     randomized one."""
 
 
-@dataclass(frozen=True)
-class SPViolation:
+class SPViolation(FrozenRecord):
     """A profitable misreport: at truth ``truth``, the lottery for
     ``misreport`` is not stochastically dominated by the truthful one. The
     witness is the most preferred class (represented by its smallest member)
     whose upper-contour probability drops below the misreport's."""
 
-    truth: WeakOrder
-    misreport: WeakOrder
-    witness_alt: int
-    truth_cumulative: Fraction
-    misreport_cumulative: Fraction
+    __slots__ = (
+        "truth", "misreport", "witness_alt", "truth_cumulative", "misreport_cumulative"
+    )
+
+    def __init__(
+        self,
+        truth: WeakOrder,
+        misreport: WeakOrder,
+        witness_alt: int,
+        truth_cumulative: Fraction,
+        misreport_cumulative: Fraction,
+    ) -> None:
+        object.__setattr__(self, "truth", truth)
+        object.__setattr__(self, "misreport", misreport)
+        object.__setattr__(self, "witness_alt", witness_alt)
+        object.__setattr__(self, "truth_cumulative", truth_cumulative)
+        object.__setattr__(self, "misreport_cumulative", misreport_cumulative)
 
     def to_json(self) -> dict:
         return {
@@ -132,21 +142,44 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
     return None
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """One mechanism judged by both routes: the axiom decomposition and the
     brute-force scan. ``agreement`` is the point of the exercise; a False
     there is an internal error, not a fact about the mechanism."""
 
-    statement: str
-    mechanism: str
-    m: int
-    sp_verdict: bool
-    axiom_verdicts: dict[str, bool]
-    decomposition_verdict: bool
-    agreement: bool
-    sp_violation: SPViolation | None = None
-    certificates: dict[str, Certificate] = field(default_factory=dict)
+    __slots__ = (
+        "statement",
+        "mechanism",
+        "m",
+        "sp_verdict",
+        "axiom_verdicts",
+        "decomposition_verdict",
+        "agreement",
+        "sp_violation",
+        "certificates",
+    )
+
+    def __init__(
+        self,
+        statement: str,
+        mechanism: str,
+        m: int,
+        sp_verdict: bool,
+        axiom_verdicts: dict[str, bool],
+        decomposition_verdict: bool,
+        agreement: bool,
+        sp_violation: SPViolation | None = None,
+        certificates: dict[str, Certificate] | None = None,
+    ) -> None:
+        self.statement = statement
+        self.mechanism = mechanism
+        self.m = m
+        self.sp_verdict = sp_verdict
+        self.axiom_verdicts = axiom_verdicts
+        self.decomposition_verdict = decomposition_verdict
+        self.agreement = agreement
+        self.sp_violation = sp_violation
+        self.certificates = {} if certificates is None else certificates
 
     def to_json(self) -> dict:
         return {
@@ -264,18 +297,35 @@ def _separations_total(m: int) -> int:
     return sum((j - 1) * math.factorial(j) * row[j] for j in range(2, m + 1))
 
 
-@dataclass(frozen=True)
-class ConstraintCounts:
+class ConstraintCounts(FrozenRecord):
     """How big the pairwise scan is versus the separation scan at size m."""
 
-    m: int
-    orders: int
-    ordered_pairs: int
-    separations_total: int
-    separations_max_per_order: int
+    __slots__ = (
+        "m", "orders", "ordered_pairs", "separations_total", "separations_max_per_order"
+    )
+
+    def __init__(
+        self,
+        m: int,
+        orders: int,
+        ordered_pairs: int,
+        separations_total: int,
+        separations_max_per_order: int,
+    ) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "ordered_pairs", ordered_pairs)
+        object.__setattr__(self, "separations_total", separations_total)
+        object.__setattr__(self, "separations_max_per_order", separations_max_per_order)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "m": self.m,
+            "orders": self.orders,
+            "ordered_pairs": self.ordered_pairs,
+            "separations_total": self.separations_total,
+            "separations_max_per_order": self.separations_max_per_order,
+        }
 
 
 def count_constraints(m: int) -> ConstraintCounts:
@@ -294,25 +344,52 @@ def count_constraints(m: int) -> ConstraintCounts:
     )
 
 
-@dataclass
-class ScanReport:
+class ScanReport(Record):
     """Aggregate of an equivalence statement over a seeded random
     population of mechanisms."""
 
-    statement: str
-    m: int
-    checked: int
-    agreements: int
-    sp_count: int
-    first_disagreement: str | None = None
-    cross_checked: int = 0
+    __slots__ = (
+        "statement",
+        "m",
+        "checked",
+        "agreements",
+        "sp_count",
+        "first_disagreement",
+        "cross_checked",
+    )
+
+    def __init__(
+        self,
+        statement: str,
+        m: int,
+        checked: int,
+        agreements: int,
+        sp_count: int,
+        first_disagreement: str | None = None,
+        cross_checked: int = 0,
+    ) -> None:
+        self.statement = statement
+        self.m = m
+        self.checked = checked
+        self.agreements = agreements
+        self.sp_count = sp_count
+        self.first_disagreement = first_disagreement
+        self.cross_checked = cross_checked
 
     @property
     def all_agree(self) -> bool:
         return self.agreements == self.checked
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "statement": self.statement,
+            "m": self.m,
+            "checked": self.checked,
+            "agreements": self.agreements,
+            "sp_count": self.sp_count,
+            "first_disagreement": self.first_disagreement,
+            "cross_checked": self.cross_checked,
+        }
 
 
 def scan_random_mechanisms(

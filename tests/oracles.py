@@ -8,8 +8,9 @@ parsers and error classes, because what they pin is how a table is built
 from those. The
 design LP builder after them walks sepax's `Separation` objects into its
 `LinearProgram`, because what it pins is the row system built from
-those; the LP helpers at the very end read a `LinearProgram`'s rows, a
-table's lotteries, or an objective's coefficients."""
+those; the LP helpers after it read a `LinearProgram`'s rows, a
+table's lotteries, or an objective's coefficients. `replace` at the very
+end copies a sepax record with some fields changed."""
 
 from __future__ import annotations
 
@@ -735,3 +736,16 @@ def objective_to_json(m: int, coeffs: dict[int, Fraction]) -> dict:
             if c != 0
         ],
     }
+
+
+def replace(record, **changes):
+    """A copy of a sepax record with the named fields changed, built
+    through its constructor, so its checks run again; an unknown field name
+    raises `TypeError`. A record's fields are its class's own
+    ``__slots__``, bar ``__dict__``."""
+    cls = type(record)
+    fields = [f for f in cls.__slots__ if f != "__dict__"]
+    unknown = sorted(set(changes) - set(fields))
+    if unknown:
+        raise TypeError(f"{cls.__name__} has no fields {unknown}")
+    return cls(**{f: changes.get(f, getattr(record, f)) for f in fields})

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +18,7 @@ from sepax.mechanisms import (
     top_class_uniform,
     uniform_lottery,
 )
-from tests.oracles import lottery_table, split_count
+from tests.oracles import lottery_table, replace, split_count
 
 
 def wo(text: str) -> WeakOrder:
@@ -195,27 +194,19 @@ def test_verify_certificate_rejects_tampering():
     mech = k_sensitive_boost(3)
     cert = find_violations(mech)["responsive"][0]
     assert verify_certificate(mech, cert)
-    assert not verify_certificate(mech, dataclasses.replace(cert, lhs=F(1, 7)))
-    assert not verify_certificate(mech, dataclasses.replace(cert, rhs=cert.lhs))
-    assert not verify_certificate(mech, dataclasses.replace(cert, axiom="direct"))
-    assert not verify_certificate(
-        mech, dataclasses.replace(cert, witness="lower_part")
-    )
-    swapped = dataclasses.replace(
-        cert,
-        separation=dataclasses.replace(
-            cert.separation, upper_part=(2,), lower_part=(1,)
-        ),
+    assert not verify_certificate(mech, replace(cert, lhs=F(1, 7)))
+    assert not verify_certificate(mech, replace(cert, rhs=cert.lhs))
+    assert not verify_certificate(mech, replace(cert, axiom="direct"))
+    assert not verify_certificate(mech, replace(cert, witness="lower_part"))
+    swapped = replace(
+        cert, separation=replace(cert.separation, upper_part=(2,), lower_part=(1,))
     )
     assert not verify_certificate(mech, swapped)
     # a true certificate from one mechanism need not verify on another
     assert not verify_certificate(uniform_lottery(3), cert)
     # nor on a table of another problem size, by either of its orders
     assert not verify_certificate(k_sensitive_boost(4), cert)
-    foreign = dataclasses.replace(
-        cert,
-        separation=dataclasses.replace(cert.separation, fine=wo("0>1>2>3")),
-    )
+    foreign = replace(cert, separation=replace(cert.separation, fine=wo("0>1>2>3")))
     assert not verify_certificate(mech, foreign)
 
 
@@ -244,13 +235,13 @@ def test_certificate_witness_set():
     assert resp.witness_set() == resp.separation.upper_part
     assert up.witness_set() == up.separation.coarse.classes[up.k - 1]
     with pytest.raises(ValueError):
-        dataclasses.replace(resp, witness="nonsense").witness_set()
+        replace(resp, witness="nonsense").witness_set()
     # a class outside 1..K must not wrap around to one counted from the end
     for cert in (resp, up):
         K = cert.separation.coarse.num_classes
         for k in (0, -1, K + 1):
             with pytest.raises(ValueError):
-                dataclasses.replace(cert, k=k).witness_set()
+                replace(cert, k=k).witness_set()
 
 
 def test_verify_certificate_rejects_out_of_range_witnesses():
@@ -264,21 +255,17 @@ def test_verify_certificate_rejects_out_of_range_witnesses():
             if cert.k != K:
                 continue
             assert verify_certificate(mech, cert)
-            forged = dataclasses.replace(cert, axiom="upper_invariant", k=0)
+            forged = replace(cert, axiom="upper_invariant", k=0)
             assert not verify_certificate(mech, forged)
             relabelled += 1
         for certs in found.values():
             for cert in certs:
                 K = cert.separation.coarse.num_classes
                 for k in (0, -1, K + 1):
-                    assert not verify_certificate(mech, dataclasses.replace(cert, k=k))
-                assert not verify_certificate(
-                    mech, dataclasses.replace(cert, witness="bogus")
-                )
+                    assert not verify_certificate(mech, replace(cert, k=k))
+                assert not verify_certificate(mech, replace(cert, witness="bogus"))
                 if cert.witness != "class":
                     for k in range(1, K + 1):
                         if k != cert.separation.kappa:
-                            assert not verify_certificate(
-                                mech, dataclasses.replace(cert, k=k)
-                            )
+                            assert not verify_certificate(mech, replace(cert, k=k))
     assert relabelled > 0

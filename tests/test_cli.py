@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -405,6 +406,26 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["enumerate"]["orders"] == 13
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI job starts with this import; records are plain classes, so
+    # it never pays for importing dataclasses and generating record code.
+    # -S keeps site hooks out, so only what sepax imports counts.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, sepax.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_internal_fault_exits_2_without_traceback(monkeypatch):

@@ -1,11 +1,15 @@
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from sepax.axioms import AxiomReport, Certificate, Separation
 from sepax.core import (
     FormatError,
+    FrozenRecord,
     Lottery,
+    Record,
     UtilityFn,
     WeakOrder,
     canonical_utility,
@@ -18,6 +22,9 @@ from sepax.core import (
     parse_rational,
     strictly_consistent,
 )
+from sepax.lp import Constraint, LinearProgram, LPSolution
+from sepax.paths import MultiwaySeparation, PathResult, Refinement, UtilitySegment
+from sepax.verify import ConstraintCounts, EquivalenceReport, ScanReport, SPViolation
 from tests.oracles import fosd_oracle_utilities, weak_order_count
 
 
@@ -248,3 +255,140 @@ def test_utility_expected_value():
     assert u.expected(lot) == F(3, 2) + F(2, 3) + F(1, 6)
     with pytest.raises(ValueError):
         UtilityFn(2, (F(-1), F(0)))
+
+
+def _record_samples() -> dict[str, tuple[type, bool, dict]]:
+    """Per record class: the class, whether it is frozen, and one sample's
+    field values by name, in field order."""
+    wo = WeakOrder.parse
+    sep = Separation(wo("0,1"), wo("0>1"), 1, (0,), (1,))
+    u, v = UtilityFn(2, (F(1), F(0))), UtilityFn(2, (F(0), F(1)))
+    con = Constraint("c", {0: F(1)}, "<=", F(1))
+    samples = [
+        (WeakOrder, True, {"m": 2, "classes": ((0,), (1,))}),
+        (Lottery, True, {"m": 2, "probs": (F(1), F(0))}),
+        (UtilityFn, True, {"m": 2, "values": (F(1), F(0))}),
+        (Separation, True, {
+            "coarse": wo("0,1"), "fine": wo("0>1"), "kappa": 1,
+            "upper_part": (0,), "lower_part": (1,),
+        }),
+        (Certificate, True, {
+            "axiom": "responsive", "separation": sep, "witness": "upper_part",
+            "k": 1, "lhs": F(1, 2), "rhs": F(0), "separation_index": 0,
+        }),
+        (SPViolation, True, {
+            "truth": wo("0>1"), "misreport": wo("1>0"), "witness_alt": 0,
+            "truth_cumulative": F(0), "misreport_cumulative": F(1),
+        }),
+        (ConstraintCounts, True, {
+            "m": 2, "orders": 3, "ordered_pairs": 6, "separations_total": 2,
+            "separations_max_per_order": 2,
+        }),
+        (MultiwaySeparation, True, {
+            "coarse": wo("0,1,2"), "fine": wo("0>1>2"), "kappa": 1,
+            "parts": ((0,), (1,), (2,)),
+        }),
+        (Refinement, True, {
+            "coarse": wo("0,1"), "fine": wo("0>1"), "blocks": (((0,), (1,)),),
+        }),
+        (UtilitySegment, True, {"start": u, "end": v, "breakpoints": (F(1, 2),)}),
+        (AxiomReport, False, {
+            "mechanism": "t", "m": 2, "verdicts": {"responsive": False},
+            "certificates": {"responsive": []},
+        }),
+        (Constraint, False, {
+            "name": "c", "coeffs": {0: F(1)}, "relation": "<=", "rhs": F(1),
+        }),
+        (LinearProgram, False, {
+            "variables": ["x"], "constraints": [con], "objective": {0: F(1)},
+        }),
+        (LPSolution, False, {
+            "status": "optimal", "assignment": {"x": F(1)}, "objective_value": F(1),
+        }),
+        (PathResult, False, {
+            "start": wo("0>1"), "end": wo("1>0"),
+            "segment": UtilitySegment(u, v, (F(1, 2),)),
+            "orders": [wo("0>1"), wo("0,1"), wo("1>0")],
+            "alphas": [F(0), F(1, 2), F(1)],
+        }),
+        (EquivalenceReport, False, {
+            "statement": "theorem1", "mechanism": "t", "m": 2, "sp_verdict": True,
+            "axiom_verdicts": {"responsive": True}, "decomposition_verdict": True,
+            "agreement": True, "sp_violation": None, "certificates": {},
+        }),
+        (ScanReport, False, {
+            "statement": "axioms_vs_sp", "m": 3, "checked": 10, "agreements": 10,
+            "sp_count": 4, "first_disagreement": None, "cross_checked": 0,
+        }),
+    ]
+    return {cls.__name__: (cls, frozen, fields) for cls, frozen, fields in samples}
+
+
+RECORD_NAMES = sorted(_record_samples())
+
+
+def test_every_record_class_is_pinned():
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub.__name__)
+            todo.append(sub)
+    assert found - {"FrozenRecord"} == set(RECORD_NAMES)
+    assert sum(frozen for _, frozen, _ in _record_samples().values()) == 10
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_keeps_dataclass_behaviour(name):
+    cls, frozen, fields = _record_samples()[name]
+    values = list(fields.values())
+    record, by_keyword = cls(*values), cls(**fields)
+    assert [getattr(record, f) for f in fields] == values
+    assert record == by_keyword and not record != by_keyword
+    assert record != object()
+    assert pickle.loads(pickle.dumps(record)) == record
+    if name == "WeakOrder":
+        assert repr(record) == "WeakOrder('0>1')" and str(record) == "0>1"
+    else:
+        body = ", ".join(f"{f}={v!r}" for f, v in fields.items())
+        assert repr(record) == f"{name}({body})"
+    first = next(iter(fields))
+    assert issubclass(cls, FrozenRecord) == frozen
+    if frozen:
+        assert hash(record) == hash(by_keyword)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, f, fields[f])
+        with pytest.raises(AttributeError):
+            delattr(record, first)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+        setattr(record, first, fields[first])
+        assert record == by_keyword
+
+
+def test_records_of_different_classes_are_unequal():
+    assert Lottery(2, (1, 0)) != UtilityFn(2, (1, 0))
+    assert not Lottery(2, (1, 0)) == UtilityFn(2, (1, 0))
+
+
+def test_record_defaults():
+    solution = LPSolution("infeasible")
+    assert (solution.assignment, solution.objective_value) == ({}, None)
+    assert repr(solution) == (
+        "LPSolution(status='infeasible', assignment={}, objective_value=None)"
+    )
+    scan = ScanReport("axioms_vs_sp", 3, 1, 1, 0)
+    assert (scan.first_disagreement, scan.cross_checked) == (None, 0)
+    report = EquivalenceReport("theorem1", "t", 2, True, {}, True, True)
+    assert (report.sp_violation, report.certificates) == (None, {})
+    lp = LinearProgram(["x"])
+    assert (lp.constraints, lp.objective) == ([], {})
+    # each instance gets its own default dict or list
+    for default in (
+        lambda: LPSolution("infeasible").assignment,
+        lambda: EquivalenceReport("theorem1", "t", 2, True, {}, True, True).certificates,
+        lambda: LinearProgram(["x"]).constraints,
+        lambda: LinearProgram(["x"]).objective,
+    ):
+        assert default() is not default()
