@@ -91,12 +91,12 @@ from .verify import (
     scan_random_mechanisms,
 )
 from .amd import (
+    g_program,
     generate_sp_constraints,
     load_objective,
     lp_summary,
     objective_from_json,
     random_objective,
-    solution_to_mechanism,
     solve_design,
     top_class_welfare_objective,
     variable_names,

@@ -1,30 +1,54 @@
-"""Automated mechanism design: compile the separation axioms into an exact
-LP over lottery entries and read optimal mechanisms back out of solutions.
+"""Automated mechanism design: an exact LP over the upper-set function G,
+and the optimal strategyproof table read back out of its solution.
 
-Variables are x[order][alt], one probability per (weak order, alternative).
-The constraint families, all named by prefix:
+The lemma. On weak orders strategyproofness is separation monotonicity
+plus upper and lower invariance. Under those axioms the mass a table puts
+on an upper set U (a union of an order's top classes) is the same at every
+order with that upper set: any two such orders refine "U > rest" through
+separations, and every separation keeps the mass of U. Call it G(U), with
+G(empty) = 0 and G(A) = 1. The axioms then say exactly that G is monotone
+and submodular, and that at each order R and class C with upper set U
+above it the class's entries lie in the base polytope of the contraction
+S -> G(U + S) - G(U). For strict orders this is Mennle and Seuken's
+swap-monotonic, upper- and lower-invariant form.
 
-- norm[R]: the lottery at each order sums to one (with implicit
-  nonnegativity this makes every column of the solution a lottery).
+A linear objective is maximized over a base polytope by its greedy vertex
+(Edmonds 1970; Fujishige, *Submodular Functions and Optimization*, 2005):
+the marginal vector of G along the class sorted by descending
+coefficient. So the design optimum is the maximum of
+sum_R c_R . marg(G, sigma_R) over normalized monotone submodular G, where
+sigma_R runs through R's classes in order, each sorted that way (ties by
+index). That is an LP in the 2^m - 2 values G(U) of the nonempty proper
+subsets, with rows, all written ``<=`` so that only the rows whose top set
+is A need an artificial:
+
+- cap[a]: G(A - a) <= 1, which with submodularity gives monotonicity;
+- sub[{U}+a+b]: G(U + a + b) + G(U) - G(U + a) - G(U + b) <= 0, for each
+  pair a < b and each U avoiding both, with G(empty) and G(A) folded into
+  the right-hand side.
+
+`solve_design` transfers the objective onto the chains, solves that
+program, and lifts G to the table whose row at R is marg(G, sigma_R).
+
+`generate_sp_constraints` still builds the full system over the table
+entries x[order][alt], the reference the tests hold the design to:
+
+- norm[R]: the lottery at each order sums to one.
 - upper[R|R'][kN] and lower[R|R'][kN]: for each separation and each class
-  other than the split one, the class keeps its probability exactly. These
-  equalities carry both invariance axioms and, jointly, directness in the
-  only form a linear feasibility program can: sides of the split move
-  together because everything else is pinned.
+  other than the split one, the class keeps its probability exactly.
 - resp[R|R']: the upper part of the split must not lose probability. The
   matching lower-part inequality is implied by the equalities plus
-  normalization, so it is redundant and never emitted; the builder that
-  still emits it lives on as a test oracle in ``tests/oracles.py``.
+  normalization, so it is never emitted; the builder that still emits it
+  lives on as a test oracle in ``tests/oracles.py``.
 
-Feasible points are exactly the strategyproof mechanisms, so any optimum of
-any objective over these constraints is strategyproof by construction; the
-test batteries re-verify that with the brute-force scan.
+Its feasible points are exactly the strategyproof tables.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .axioms import _separation_layout
@@ -49,8 +73,8 @@ def variable_names(m: int) -> list[str]:
 
 
 def generate_sp_constraints(m: int) -> LinearProgram:
-    """The reduced strategyproofness constraint system at size m, with an
-    empty objective; `solve_design` builds it afresh and sets its own."""
+    """The full strategyproofness system over the table entries at size m,
+    with an empty objective: the reference `solve_design` is held to."""
     orders = enumerate_weak_orders(m)
     texts = order_texts(m)
     lp = LinearProgram(variable_names(m))
@@ -82,12 +106,16 @@ def generate_sp_constraints(m: int) -> LinearProgram:
 
 
 def lp_summary(m: int) -> dict:
-    """Size accounting for the system `generate_sp_constraints` builds at
-    size m, in closed form, versus the naive pairwise encoding (one
-    dominance row per ordered pair per contour set). A fine order with j
-    classes is the fine side of j - 1 separations, each with one
-    responsiveness row and one invariance row per coarse class but the
-    split one, j - 2 in all."""
+    """Program sizes at size m, in closed form, with nothing built.
+
+    ``g_variables`` and ``g_rows`` size the upper-set program
+    `solve_design` solves: one variable per nonempty proper subset, m cap
+    rows and C(m, 2) * 2^(m-2) submodularity rows. The other counts size
+    the full system `generate_sp_constraints` builds, against the naive
+    pairwise encoding (one dominance row per ordered pair per contour
+    set). A fine order with j classes is the fine side of j - 1
+    separations, each with one responsiveness row and one invariance row
+    per coarse class but the split one, j - 2 in all."""
     counts = count_constraints(m)
     stirling = _stirling2_row(m)
     invariance = sum(
@@ -102,7 +130,40 @@ def lp_summary(m: int) -> dict:
         "responsiveness_inequalities": counts.separations_total,
         "reduced_rows": invariance + counts.separations_total,
         "naive_rows": counts.ordered_pairs * m,
+        "g_variables": (1 << m) - 2,
+        "g_rows": m + m * (m - 1) // 2 * (1 << m) // 4,
     }
+
+
+def _subset_text(mask: int, m: int) -> str:
+    return ",".join(str(a) for a in range(m) if mask >> a & 1)
+
+
+def g_program(m: int) -> LinearProgram:
+    """The upper-set program at size m with an empty objective. Subsets are
+    bitmasks (bit a for alternative a), and G(U) is variable U - 1."""
+    full = (1 << m) - 1
+    lp = LinearProgram([f"G[{_subset_text(u, m)}]" for u in range(1, full)])
+    for a in range(m):
+        rest = full ^ 1 << a
+        lp.add_constraint(f"cap[{a}]", {rest - 1: 1} if rest else {}, "<=", 1)
+    for a in range(m):
+        for b in range(a + 1, m):
+            pair = 1 << a | 1 << b
+            for u in range(full + 1):
+                if u & pair:
+                    continue
+                coeffs = {(u | 1 << a) - 1: -1, (u | 1 << b) - 1: -1}
+                if u:
+                    coeffs[u - 1] = 1
+                rhs = 0
+                if u | pair == full:
+                    rhs = -1
+                else:
+                    coeffs[(u | pair) - 1] = 1
+                name = f"sub[{{{_subset_text(u, m)}}}+{a}+{b}]"
+                lp.add_constraint(name, coeffs, "<=", rhs)
+    return lp
 
 
 def top_class_welfare_objective(m: int) -> dict[int, Fraction]:
@@ -162,30 +223,54 @@ def load_objective(path: str, m: int) -> dict[int, Fraction]:
     return objective_from_json(read_json(path, "objective file not valid JSON"), m)
 
 
-def solution_to_mechanism(solution: LPSolution, m: int) -> MechanismTable:
-    """Read the lottery table out of an optimal solution. The normalization
-    and nonnegativity rows guarantee the entries really are lotteries."""
-    if solution.status != "optimal":
-        raise ValueError(f"no mechanism in a {solution.status} solution")
-    rows = (
-        integer_row([solution.assignment[f"x[{text}][{alt}]"] for alt in range(m)])
-        for text in order_texts(m)
-    )
-    return MechanismTable(m, rows, name="lp-design")
-
-
 def solve_design(
     m: int, objective: dict[int, Fraction]
 ) -> tuple[LPSolution, MechanismTable | None]:
-    """Solve for an optimal strategyproof mechanism under the objective: one
-    exact solve of the system `generate_sp_constraints` builds at size m,
-    and the designed table when the program has an optimum."""
-    lp = generate_sp_constraints(m)
-    lp.objective = dict(objective)
+    """Solve for an optimal strategyproof table under an objective over the
+    entries x[order][alt] (index order * m + alt): one exact solve of
+    `g_program`, lifted to the table. The solution's assignment and value
+    are over the entries, as if the full system had been solved; the table
+    is None when the program has no optimum."""
+    orders = enumerate_weak_orders(m)
+    for j in objective:
+        if not 0 <= j < len(orders) * m:
+            raise ValueError(f"objective uses unknown variable {j}")
+    lp = g_program(m)
+    # sum_k c(s_k) (G(P_k) - G(P_k-1)) = sum_k G(P_k) (c(s_k) - c(s_k+1))
+    # + c(s_m), with P_k the k-th prefix of the chain s and G(A) = 1
+    gain = lp.objective
+    chains = []
+    constant = Fraction(0)
+    for i, order in enumerate(orders):
+        coef = [objective.get(i * m + a, 0) for a in range(m)]
+        sigma = [
+            a for cls in order.classes for a in sorted(cls, key=lambda a: (-coef[a], a))
+        ]
+        chains.append(sigma)
+        prefix = 0
+        for a, b in zip(sigma, sigma[1:]):
+            prefix |= 1 << a
+            if coef[a] != coef[b]:
+                gain[prefix - 1] = gain.get(prefix - 1, 0) + coef[a] - coef[b]
+        constant += coef[sigma[-1]]
     solution = solve_lp(lp)
-    mech = (
-        solution_to_mechanism(solution, m)
-        if solution.status == "optimal"
-        else None
+    if solution.status != "optimal":
+        return LPSolution(status=solution.status), None
+
+    # G by bitmask, G(empty) = 0 and G(A) = 1 included
+    g = [Fraction(0), *map(solution.assignment.__getitem__, lp.variables), Fraction(1)]
+    lottery_rows = []
+    for sigma in chains:
+        probs = [Fraction(0)] * m
+        prefix = 0
+        for a in sigma:
+            probs[a] = g[prefix | 1 << a] - g[prefix]
+            prefix |= 1 << a
+        lottery_rows.append(probs)
+    mech = MechanismTable(m, map(integer_row, lottery_rows), name="lp-design")
+    design = LPSolution(
+        status="optimal",
+        assignment=dict(zip(variable_names(m), chain.from_iterable(lottery_rows))),
+        objective_value=solution.objective_value + constant,
     )
-    return solution, mech
+    return design, mech

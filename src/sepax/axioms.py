@@ -28,9 +28,9 @@ self-contained, and are re-checked against the lotteries themselves by
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .core import (
     Classes,

@@ -40,9 +40,11 @@ COUNTS_MAX_M = 500
 # with 6.6-7.7 MB printed, m=80 9.5 s with 12 MB, and m=160 over 100 s.
 PATH_MAX_M = 64
 
-# The m=4 design LP (300 variables, 449 rows) solves in 1.3-1.5 s on a 2-vCPU
-# host (CPython 3.11); at m=5 it has 2,705 variables and 5,251 rows.
-AMD_MAX_M = 4
+# Design solves the upper-set program, 2^m - 2 variables. On a 2-vCPU host
+# (CPython 3.11) `amd --m 6` on a seeded random objective takes 1.1-1.3 s
+# end to end (62 variables, 246 rows, a 2 MB report); the m=7 program
+# (126 variables, 679 rows) takes 85-110 s to solve alone.
+AMD_MAX_M = 6
 
 # Building the m=7 `rank_score` table alone takes 3.0 s on the same host.
 ZOO_MAX_M = 6

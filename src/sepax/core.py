@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
 
 
 class FormatError(ValueError):

@@ -24,10 +24,9 @@ import json
 import math
 import os
 import random
-import tempfile
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
 
 from .core import (
     ENUMERATION_MAX_M,
@@ -270,6 +269,10 @@ def save_mechanism(mech: MechanismTable, path: str | os.PathLike) -> None:
 
 def write_atomic(path: str | os.PathLike, payload: str) -> None:
     """Write text so that the target file appears complete or not at all."""
+    # imported here: the CLI writes files only with --out or --out-mechanism,
+    # and tempfile would cost every other run about 6 ms of import
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -25,10 +25,10 @@ with a `Fraction` reference scan, is what the test batteries exercise.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator
 
 from .axioms import Separation, as_separation
 from .core import (

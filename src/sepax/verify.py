@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .axioms import Certificate, _separation_layout, check_all_axioms
 from .core import FrozenRecord, Record, WeakOrder, enumerate_weak_orders, format_rational

@@ -9,7 +9,7 @@ from those. The
 design LP builder after them walks sepax's `Separation` objects into its
 `LinearProgram`, because what it pins is the row system built from
 those; the LP helpers after it read a `LinearProgram`'s rows, a
-table's lotteries, or an objective's coefficients. `replace` at the very
+table's lotteries, a solution's entries, or an objective's coefficients. `replace` at the very
 end copies a sepax record with some fields changed."""
 
 from __future__ import annotations
@@ -722,6 +722,19 @@ def mechanism_assignment(mech) -> dict[str, Fraction]:
         for order, lottery in mech.items()
         for alt, p in enumerate(lottery.probs)
     }
+
+
+def solution_to_mechanism(solution, m: int) -> MechanismTable:
+    """The table that a full-system solution's x[order][alt] values spell
+    out; the normalization and nonnegativity rows make each order's values
+    a lottery."""
+    if solution.status != "optimal":
+        raise ValueError(f"no mechanism in a {solution.status} solution")
+    rows = (
+        integer_row([solution.assignment[f"x[{order.text}][{alt}]"] for alt in range(m)])
+        for order in enumerate_weak_orders(m)
+    )
+    return MechanismTable(m, rows, name="lp-design")
 
 
 def objective_to_json(m: int, coeffs: dict[int, Fraction]) -> dict:

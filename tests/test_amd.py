@@ -1,17 +1,18 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from sepax.axioms import all_separations
 from sepax.core import FormatError, enumerate_weak_orders
 from sepax.amd import (
+    g_program,
     generate_sp_constraints,
     load_objective,
     lp_summary,
     objective_from_json,
     random_objective,
-    solution_to_mechanism,
     solve_design,
     top_class_welfare_objective,
     variable_names,
@@ -20,9 +21,11 @@ from sepax.lp import LPSolution, solve_lp
 from sepax.mechanisms import ZOO, k_sensitive_boost
 from sepax.verify import check_decomposition, check_sp_bruteforce
 from tests.oracles import (
+    fraction_simplex_oracle,
     lp_violations,
     mechanism_assignment,
     objective_to_json,
+    solution_to_mechanism,
     sp_constraints_oracle,
 )
 
@@ -63,6 +66,8 @@ def test_summary_counts():
         "responsiveness_inequalities": 2,
         "reduced_rows": 2,
         "naive_rows": 12,
+        "g_variables": 2,
+        "g_rows": 3,
     }
     summary = lp_summary(3)
     assert summary["variables"] == 39
@@ -71,6 +76,8 @@ def test_summary_counts():
     assert summary["responsiveness_inequalities"] == 18
     assert summary["reduced_rows"] == 30
     assert summary["naive_rows"] == 468
+    assert summary["g_variables"] == 6
+    assert summary["g_rows"] == 9
     lowered = _families(sp_constraints_oracle(3, lowered=True))
     assert lowered["drop"] == 18
     assert sum(lowered.values()) - lowered["norm"] == 48
@@ -80,6 +87,7 @@ def test_summary_matches_row_walk():
     # the closed form against a per-family count of the built system's rows
     for m in range(1, 6):
         lp = generate_sp_constraints(m)
+        g_lp = g_program(m)
         by_family = _families(lp)
         reduced = by_family["upper"] + by_family["lower"] + by_family["resp"]
         orders = len(enumerate_weak_orders(m))
@@ -93,10 +101,14 @@ def test_summary_matches_row_walk():
             "responsiveness_inequalities": by_family["resp"],
             "reduced_rows": reduced,
             "naive_rows": orders * (orders - 1) * m,
+            "g_variables": len(g_lp.variables),
+            "g_rows": len(g_lp.constraints),
         }, m
 
 
 def test_solve_design_matches_fresh_solve():
+    # the design reaches the full program's optimum at a point of the full
+    # program, not necessarily at the vertex a fresh solve of it picks
     rng = random.Random(11)
     for m in (2, 3):
         objectives = [top_class_welfare_objective(m)]
@@ -108,8 +120,77 @@ def test_solve_design_matches_fresh_solve():
             lp = generate_sp_constraints(m)
             lp.objective = objective
             fresh = solve_lp(lp)
-            assert solution.to_json() == fresh.to_json()
-            assert mech == solution_to_mechanism(fresh, m)
+            assert solution.status == fresh.status == "optimal"
+            assert solution.objective_value == fresh.objective_value
+            assert lp_violations(lp, solution.assignment) == []
+            assert mech == solution_to_mechanism(solution, m)
+
+
+def _fractional_objective(m: int, rng: random.Random) -> dict[int, Fraction]:
+    total = len(enumerate_weak_orders(m)) * m
+    return {
+        j: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        for j in range(total)
+        if rng.randrange(2)
+    }
+
+
+def _design_objectives(m: int, rng: random.Random, randoms: int, fractionals: int):
+    return (
+        [top_class_welfare_objective(m)]
+        + [random_objective(m, rng) for _ in range(randoms)]
+        + [_fractional_objective(m, rng) for _ in range(fractionals)]
+    )
+
+
+def test_design_optimum_is_the_full_programs():
+    # the upper-set program's optimum is the full system's, under the
+    # integer tableau at every m and the Fraction tableau where it is quick;
+    # each full solve at m=4 takes seconds, so m=4 gets three objectives
+    rng = random.Random(14)
+    for m, randoms, fractionals in ((1, 3, 2), (2, 3, 2), (3, 3, 2), (4, 1, 1)):
+        for objective in _design_objectives(m, rng, randoms, fractionals):
+            solution, _ = solve_design(m, objective)
+            full = generate_sp_constraints(m)
+            full.objective = objective
+            assert solution.status == "optimal"
+            assert solution.objective_value == solve_lp(full).objective_value, m
+            if m <= 3:
+                status, _, value = fraction_simplex_oracle(full)
+                assert (status, value) == ("optimal", solution.objective_value), m
+
+
+def test_lifted_tables_satisfy_the_full_system():
+    rng = random.Random(15)
+    for m in range(1, 6):
+        full = generate_sp_constraints(m)
+        names = full.variables
+        for objective in _design_objectives(m, rng, 2, 1 if m == 5 else 2):
+            solution, mech = solve_design(m, objective)
+            # the assignment is read off the lifted table
+            assert solution.assignment == mechanism_assignment(mech), m
+            assert lp_violations(full, solution.assignment) == [], m
+            assert check_sp_bruteforce(mech) is None, m
+            value = sum(c * solution.assignment[names[j]] for j, c in objective.items())
+            assert value == solution.objective_value, m
+
+
+def test_g_program_size_and_orientation():
+    for m in range(1, 7):
+        lp = g_program(m)
+        summary = lp_summary(m)
+        assert len(lp.variables) == summary["g_variables"] == (1 << m) - 2
+        assert len(lp.constraints) == summary["g_rows"]
+        # every row is written <=; only the C(m, 2) rows whose top set is
+        # the whole set have a negative right-hand side
+        assert {con.relation for con in lp.constraints} == {"<="}
+        negative = [con.name for con in lp.constraints if con.rhs < 0]
+        assert len(negative) == m * (m - 1) // 2, m
+
+
+def test_solve_design_rejects_unknown_variables():
+    with pytest.raises(ValueError, match="unknown variable 6"):
+        solve_design(2, {6: Fraction(1)})
 
 
 def test_constraint_families_match_summary():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 import sepax.cli as cli
 import sepax.mechanisms as mechanisms
 import sepax.verify as verify
+from sepax.amd import random_objective
 from sepax.core import ENUMERATION_MAX_M, UtilityFn, WeakOrder
 from sepax.mechanisms import (
     k_sensitive_boost,
@@ -23,7 +25,7 @@ from sepax.mechanisms import (
     uniform_lottery,
 )
 from sepax.paths import refinement_path
-from tests.oracles import weak_order_count
+from tests.oracles import objective_to_json, weak_order_count
 
 
 def run_cli(argv: list[str]) -> tuple[int, dict | None, str]:
@@ -250,12 +252,25 @@ def test_amd_welfare(tmp_path):
     assert report2["result"]["amd"]["mechanism_table"]["m"] == 2
 
 
+def test_amd_m5(tmp_path):
+    objective = tmp_path / "objective.json"
+    blob = objective_to_json(5, random_objective(5, random.Random(0)))
+    objective.write_text(json.dumps(blob))
+    code, report, _ = run_cli(["amd", "--m", "5", "--objective", str(objective)])
+    assert code == 0
+    amd_report = report["result"]["amd"]
+    assert amd_report["solution"]["objective_value"] == "402"
+    assert amd_report["sp_check"]["pass"] is True
+    assert amd_report["summary"]["g_variables"] == 30
+    assert amd_report["summary"]["g_rows"] == 85
+
+
 def test_amd_bad_inputs(tmp_path):
     objective = tmp_path / "objective.json"
     objective.write_text(json.dumps({"sense": "max", "terms": []}))
-    code, _, err = run_cli(["amd", "--m", "5", "--objective", str(objective)])
+    code, _, err = run_cli(["amd", "--m", "7", "--objective", str(objective)])
     assert code == 3
-    assert "m=4" in json.loads(err)["error"]
+    assert "m=6" in json.loads(err)["error"]
     objective.write_text("{")
     code, _, _ = run_cli(["amd", "--m", "2", "--objective", str(objective)])
     assert code == 3
@@ -396,11 +411,22 @@ def test_bad_flags_exit_3(argv, fragment):
     assert fragment in json.loads(err)["error"]
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with ``src`` first on PYTHONPATH, so a subprocess
+    imports this checkout's sepax however pytest was started."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "sepax", "enumerate", "--m", "3"],
         capture_output=True,
         text=True,
+        env=_src_env(),
         timeout=120,
     )
     assert proc.returncode == 0
@@ -408,24 +434,31 @@ def test_module_entry_point_subprocess():
     assert report["result"]["enumerate"]["orders"] == 13
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # every CLI job starts with this import; records are plain classes, so
-    # it never pays for importing dataclasses and generating record code.
-    # -S keeps site hooks out, so only what sepax imports counts.
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "import sys, sepax.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+def _loaded_by_cli_import(modules: set[str]) -> str:
+    """Which of ``modules`` ``import sepax.cli`` loads, printed as a sorted
+    list; -S keeps site hooks out, so only what sepax imports counts."""
+    code = f"import sys, sepax.cli; print(sorted({modules!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=SRC),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI job starts with this import; records are plain classes, so
+    # it never pays for importing dataclasses and generating record code.
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]"
+
+
+def test_import_loads_neither_typing_nor_tempfile():
+    # annotations name collections.abc types, and tempfile is imported only
+    # when a file is written
+    assert _loaded_by_cli_import({"typing", "tempfile"}) == "[]"
 
 
 def test_internal_fault_exits_2_without_traceback(monkeypatch):
