@@ -56,7 +56,7 @@ from .core import (
     FormatError,
     WeakOrder,
     classes_index,
-    enumerate_weak_orders,
+    order_classes,
     order_texts,
     parse_rational,
     read_json,
@@ -75,7 +75,7 @@ def variable_names(m: int) -> list[str]:
 def generate_sp_constraints(m: int) -> LinearProgram:
     """The full strategyproofness system over the table entries at size m,
     with an empty objective: the reference `solve_design` is held to."""
-    orders = enumerate_weak_orders(m)
+    domain = order_classes(m)
     texts = order_texts(m)
     lp = LinearProgram(variable_names(m))
 
@@ -97,7 +97,7 @@ def generate_sp_constraints(m: int) -> LinearProgram:
 
     for ci, fi, split, upper, _ in _separation_layout(m):
         tag = f"{texts[ci]}|{texts[fi]}"
-        for k, cls in enumerate(orders[ci].classes):
+        for k, cls in enumerate(domain[ci]):
             if k != split:
                 family = "upper" if k < split else "lower"
                 lp.add_constraint(f"{family}[{tag}][k{k + 1}]", moved(ci, fi, cls), "=", 0)
@@ -170,8 +170,8 @@ def top_class_welfare_objective(m: int) -> dict[int, Fraction]:
     """Maximize the total probability each order assigns to its own top
     class, summed over all orders."""
     coeffs: dict[int, Fraction] = {}
-    for i, order in enumerate(enumerate_weak_orders(m)):
-        for alt in order.classes[0]:
+    for i, classes in enumerate(order_classes(m)):
+        for alt in classes[0]:
             coeffs[i * m + alt] = Fraction(1)
     return coeffs
 
@@ -179,7 +179,7 @@ def top_class_welfare_objective(m: int) -> dict[int, Fraction]:
 def random_objective(m: int, rng: random.Random) -> dict[int, Fraction]:
     """Integer coefficients in [-12, 12], most entries zero."""
     coeffs: dict[int, Fraction] = {}
-    total = len(enumerate_weak_orders(m)) * m
+    total = len(order_classes(m)) * m
     for j in range(total):
         if rng.randrange(3) == 0:
             coeffs[j] = Fraction(rng.randint(-12, 12))
@@ -231,9 +231,9 @@ def solve_design(
     `g_program`, lifted to the table. The solution's assignment and value
     are over the entries, as if the full system had been solved; the table
     is None when the program has no optimum."""
-    orders = enumerate_weak_orders(m)
+    domain = order_classes(m)
     for j in objective:
-        if not 0 <= j < len(orders) * m:
+        if not 0 <= j < len(domain) * m:
             raise ValueError(f"objective uses unknown variable {j}")
     lp = g_program(m)
     # sum_k c(s_k) (G(P_k) - G(P_k-1)) = sum_k G(P_k) (c(s_k) - c(s_k+1))
@@ -241,10 +241,10 @@ def solve_design(
     gain = lp.objective
     chains = []
     constant = Fraction(0)
-    for i, order in enumerate(orders):
+    for i, classes in enumerate(domain):
         coef = [objective.get(i * m + a, 0) for a in range(m)]
         sigma = [
-            a for cls in order.classes for a in sorted(cls, key=lambda a: (-coef[a], a))
+            a for cls in classes for a in sorted(cls, key=lambda a: (-coef[a], a))
         ]
         chains.append(sigma)
         prefix = 0

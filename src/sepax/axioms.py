@@ -19,11 +19,12 @@ the quadratic scan over all order pairs:
 
 `find_violations` runs every check in one serial scan over the table's
 integer rows (a `MechanismTable` is ``(m, denominator, rows)`` and is valid
-once built), where each axiom compares sums of ``int`` entries. It
-reports, per axiom, `Certificate`s pinpointing the failures in canonical
-separation order; certificates carry exact `Fraction`s, are
-self-contained, and are re-checked against the lotteries themselves by
-`verify_certificate`.
+once built) and the orders' class tuples, where each axiom compares sums
+of ``int`` entries. One test clears a separation for all four axioms at
+once; only the rest reach the per-axiom checks. It reports, per axiom,
+`Certificate`s pinpointing the failures in canonical separation order;
+certificates carry exact `Fraction`s, are self-contained, and are
+re-checked against the lotteries themselves by `verify_certificate`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     classes_index,
     enumerate_weak_orders,
     format_rational,
+    order_classes,
 )
 from .mechanisms import MechanismTable
 
@@ -124,28 +126,26 @@ def _separation_layout(
 ) -> tuple[tuple[int, int, int, tuple[int, ...], tuple[int, ...]], ...]:
     """Per separation in canonical order: the canonical indices of its
     coarse and fine orders, the 0-based position of the split class, and
-    the upper and lower parts. Built from class splits and
+    the upper and lower parts. Built from `order_classes`, class splits and
     `classes_index`, so no `WeakOrder` is made."""
     index = classes_index(m)
     return tuple(
         (ci, index[fine], k, upper, lower)
-        for ci, order in enumerate(enumerate_weak_orders(m))
-        for k, upper, lower, fine in _split_moves(order.classes)
+        for ci, classes in enumerate(order_classes(m))
+        for k, upper, lower, fine in _split_moves(classes)
     )
-
-
-def _separation(m: int, ci: int, fi: int, k: int, upper, lower) -> Separation:
-    """The `Separation` one layout entry stands for, on the canonical
-    `WeakOrder` instances."""
-    orders = enumerate_weak_orders(m)
-    return Separation(orders[ci], orders[fi], k + 1, upper, lower)
 
 
 @lru_cache(maxsize=8)
 def all_separations(m: int) -> tuple[Separation, ...]:
     """Every separation at problem size m, grouped by coarse order in
-    canonical enumeration order."""
-    return tuple(_separation(m, *entry) for entry in _separation_layout(m))
+    canonical enumeration order, on the canonical `WeakOrder` instances of
+    `enumerate_weak_orders`."""
+    orders = enumerate_weak_orders(m)
+    return tuple(
+        Separation(orders[ci], orders[fi], k + 1, upper, lower)
+        for ci, fi, k, upper, lower in _separation_layout(m)
+    )
 
 
 class Certificate(FrozenRecord):
@@ -296,40 +296,63 @@ def find_violations(
 ) -> dict[str, list[Certificate]]:
     """Scan all separations for every axiom of `AXIOMS`. Returns, per
     axiom, the violations in canonical order: just the first unless
-    ``all_violations``."""
-    rows = mech.rows
+    ``all_violations``.
+
+    A separation passes all four axioms at once when every class but the
+    split one keeps its mass and the upper part does not lose mass: both
+    rows sum to D, so the split class keeps its total, the lower part
+    cannot gain mass, and direct is vacuous. Only a separation failing
+    that one test reaches the per-axiom checks, and only a reported one
+    builds its two `WeakOrder`s."""
+    m, rows = mech.m, mech.rows
+    domain = order_classes(m)
     class_mass = [
-        tuple(sum(row[alt] for alt in cls) for cls in order.classes)
-        for order, row in zip(enumerate_weak_orders(mech.m), rows)
+        tuple([sum(map(row.__getitem__, cls)) for cls in classes])
+        for classes, row in zip(domain, rows)
     ]
+    orders: dict[int, WeakOrder] = {}  # the reported ones, each built once
     found: dict[str, list[Certificate]] = {axiom: [] for axiom in AXIOMS}
     pending = set(AXIOMS)
-    for index, entry in enumerate(_separation_layout(mech.m)):
+    for index, (ci, fi, k, upper_part, lower_part) in enumerate(_separation_layout(m)):
         if not pending and not all_violations:
             break
-        ci, fi, k, upper_part, _ = entry
         coarse, fine = class_mass[ci], class_mass[fi]
-        upper_lhs = sum(rows[ci][alt] for alt in upper_part)
+        upper_lhs = sum(map(rows[ci].__getitem__, upper_part))
+        if (
+            coarse[:k] == fine[:k]
+            and coarse[k + 1 :] == fine[k + 2 :]
+            and fine[k] >= upper_lhs
+        ):
+            continue
         upper = (upper_lhs, fine[k])
         lower = (coarse[k] - upper_lhs, fine[k + 1])
+        separation = None
         for axiom in AXIOMS:
             if not all_violations and axiom not in pending:
                 continue
             hit = _violation(axiom, coarse, fine, k, upper, lower)
-            if hit is not None:
-                witness, position, lhs, rhs = hit
-                found[axiom].append(
-                    Certificate(
-                        axiom,
-                        _separation(mech.m, *entry),
-                        witness,
-                        position,
-                        Fraction(lhs, mech.denominator),
-                        Fraction(rhs, mech.denominator),
-                        index,
-                    )
+            if hit is None:
+                continue
+            if separation is None:
+                for i in (ci, fi):
+                    if i not in orders:
+                        orders[i] = WeakOrder(m, domain[i])
+                separation = Separation(
+                    orders[ci], orders[fi], k + 1, upper_part, lower_part
                 )
-                pending.discard(axiom)
+            witness, position, lhs, rhs = hit
+            found[axiom].append(
+                Certificate(
+                    axiom,
+                    separation,
+                    witness,
+                    position,
+                    Fraction(lhs, mech.denominator),
+                    Fraction(rhs, mech.denominator),
+                    index,
+                )
+            )
+            pending.discard(axiom)
     return found
 
 

@@ -23,7 +23,7 @@ import time
 
 from . import amd as amd_mod
 from . import axioms, core, mechanisms, paths, verify
-from .core import FormatError, UtilityFn, WeakOrder, enumerate_weak_orders, parse_rational
+from .core import FormatError, UtilityFn, WeakOrder, order_classes, parse_rational
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -235,7 +235,7 @@ def cmd_zoo(args: argparse.Namespace) -> tuple[dict, int]:
         raise _InputError("zoo emit needs --m >= 1")
     if m > ZOO_MAX_M:
         raise _InputError(f"zoo tables beyond m={ZOO_MAX_M} are unreasonably large")
-    result = {"name": args.name, "m": m, "entries": len(enumerate_weak_orders(m))}
+    result = {"name": args.name, "m": m, "entries": len(order_classes(m))}
     _put_table(result, factory(m), args.out_mechanism)
     return {"zoo": result}, EXIT_PASS
 

@@ -6,6 +6,11 @@ Alternatives are the integers ``0 .. m-1``. A weak order is an ordered
 partition of them into indifference classes, most preferred class first. All
 probability and utility arithmetic uses `fractions.Fraction`; nothing in this
 package touches floating point.
+
+Every scan, loader and table builder runs on `order_classes(m)`, the class
+tuples of all orders in canonical order, and builds a `WeakOrder` only for
+an order it reports; `enumerate_weak_orders` is the same domain as
+`WeakOrder`s, for callers.
 """
 
 from __future__ import annotations
@@ -140,6 +145,18 @@ class WeakOrder(FrozenRecord):
         object.__setattr__(self, "classes", classes)
         if m < 1:
             raise ValueError("need at least one alternative")
+        # one whole-order test accepts a tuple of sorted tuples; the loop
+        # below runs only on other input, to name the fault or to accept
+        # the same partition in another form (lists of classes, say)
+        try:
+            if (
+                type(classes) is tuple
+                and sorted([a for cls in classes for a in cls]) == list(range(m))
+                and all(cls and cls == tuple(sorted(cls)) for cls in classes)
+            ):
+                return
+        except TypeError:
+            pass
         seen: set[int] = set()
         for cls in classes:
             if not cls:
@@ -264,13 +281,21 @@ ENUMERATION_MAX_M = 7
 
 
 @lru_cache(maxsize=8)
-def enumerate_weak_orders(m: int) -> tuple[WeakOrder, ...]:
-    """All weak orders on m alternatives, in the canonical order of
-    `ordered_set_partitions`. Counts grow as 1, 3, 13, 75, 541, 4683, ...
-    (ordered Bell numbers), so keep m modest."""
+def order_classes(m: int) -> tuple[Classes, ...]:
+    """The classes of every weak order on m alternatives, in the canonical
+    order of `ordered_set_partitions`: the domain every scan, loader and
+    table builder runs on, with no `WeakOrder` built. Counts grow as 1, 3,
+    13, 75, 541, 4683, ... (ordered Bell numbers), so keep m modest."""
     if m < 1:
         raise ValueError("need at least one alternative")
-    return tuple(WeakOrder(m, part) for part in ordered_set_partitions(range(m)))
+    return _ordered_partitions(tuple(range(m)))
+
+
+@lru_cache(maxsize=8)
+def enumerate_weak_orders(m: int) -> tuple[WeakOrder, ...]:
+    """All weak orders on m alternatives, as `WeakOrder`s in the canonical
+    order of `order_classes`."""
+    return tuple(WeakOrder(m, classes) for classes in order_classes(m))
 
 
 @lru_cache(maxsize=8)
@@ -278,14 +303,17 @@ def classes_index(m: int) -> dict[Classes, int]:
     """Map the classes of each weak order on m alternatives to the order's
     canonical position, so a move can name its fine order by index without
     building a `WeakOrder`."""
-    return {order.classes: i for i, order in enumerate(enumerate_weak_orders(m))}
+    return {classes: i for i, classes in enumerate(order_classes(m))}
 
 
 @lru_cache(maxsize=8)
 def order_texts(m: int) -> tuple[str, ...]:
     """The text of each weak order on m alternatives, in canonical order,
-    built from the classes alone."""
-    return tuple(classes_text(order.classes) for order in enumerate_weak_orders(m))
+    built from the classes alone, each distinct class formatted once."""
+    domain = order_classes(m)
+    distinct = {cls for classes in domain for cls in classes}
+    part = {cls: ",".join(map(str, cls)) for cls in distinct}
+    return tuple(">".join([part[cls] for cls in classes]) for classes in domain)
 
 
 def _as_fractions(values: Iterable[Fraction | int]) -> tuple[Fraction, ...]:

@@ -7,15 +7,16 @@ its one constructor from one ``(den, ints)`` pair per order; the loader,
 the zoo rules and the samplers hand it those pairs directly, and
 `Fraction`s appear only in JSON text and in `Lottery` values for callers.
 
-File format (orders listed in canonical enumeration order)::
+File format (orders listed in canonical enumeration order; `save_mechanism`
+writes one entry per line, and any JSON layout loads)::
 
-    {
-      "m": 3,
-      "entries": [
-        {"order": "0>1>2", "lottery": ["1/2", "1/3", "1/6"]},
-        ...
-      ]
-    }
+    {"m": 3, "entries": [
+    {"order": "0>1>2", "lottery": ["1/2", "1/3", "1/6"]},
+    ...
+    ]}
+
+Tables are built and loaded on the classes of `order_classes`, with no
+`WeakOrder` made; `lottery` and `items` build them for callers.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     classes_index,
     enumerate_weak_orders,
     format_rational,
+    order_classes,
     order_texts,
     parse_rational,
     read_json,
@@ -263,8 +265,12 @@ def load_mechanism(path: str | os.PathLike) -> MechanismTable:
 
 
 def save_mechanism(mech: MechanismTable, path: str | os.PathLike) -> None:
-    """Write the table atomically."""
-    write_atomic(path, json.dumps(mechanism_to_json(mech), indent=2) + "\n")
+    """Write the table atomically, one entry per line (see the module
+    docstring): each line goes through the C JSON encoder, which
+    ``indent`` would replace with the pure-Python one."""
+    data = mechanism_to_json(mech)
+    entries = ",\n".join(map(json.dumps, data["entries"]))
+    write_atomic(path, f'{{"m": {data["m"]}, "entries": [\n{entries}\n]}}\n')
 
 
 def write_atomic(path: str | os.PathLike, payload: str) -> None:
@@ -290,10 +296,8 @@ def write_atomic(path: str | os.PathLike, payload: str) -> None:
 
 
 def _table(m: int, rule, name: str) -> MechanismTable:
-    """Apply ``rule(classes) -> (den, ints)`` to every order."""
-    return MechanismTable(
-        m, (rule(order.classes) for order in enumerate_weak_orders(m)), name
-    )
+    """Apply ``rule(classes) -> (den, ints)`` to every order's classes."""
+    return MechanismTable(m, map(rule, order_classes(m)), name)
 
 
 def uniform_lottery(m: int) -> MechanismTable:
@@ -371,7 +375,7 @@ def random_mechanism(
     """A random table: per order, draw integer weights in [0, weight_cap]
     and normalize. Exercises degenerate entries (zeros) on purpose."""
     rows = []
-    for _ in enumerate_weak_orders(m):
+    for _ in order_classes(m):
         weights = [rng.randint(0, weight_cap) for _ in range(m)]
         if not any(weights):
             weights[rng.randrange(m)] = 1
@@ -384,5 +388,5 @@ def random_deterministic_mechanism(
 ) -> MechanismTable:
     """A random deterministic table: per order, a point mass on a uniformly
     chosen alternative."""
-    rows = [(1, unit_row(m, rng.randrange(m))) for _ in enumerate_weak_orders(m)]
+    rows = [(1, unit_row(m, rng.randrange(m))) for _ in order_classes(m)]
     return MechanismTable(m, rows, name=name or "random-deterministic")

@@ -15,11 +15,12 @@ here by one scan, `_local_sp_scan`, over a per-m layout of (coarse index,
 fine index) pairs in canonical index space (`_move_layout`); the three
 moves differ only in the move generator the layout is built from, which
 is also the one behind the public enumerators. `check_refinement_sp`, the
-widest of the three, is the public check. Orders are the canonical
-instances of `enumerate_weak_orders`, so the scan builds no `WeakOrder`.
-It runs on the table's integer rows with the same dominance test as
-`verify.check_sp_bruteforce`; agreement with the full pairwise scan, and
-with a `Fraction` reference scan, is what the test batteries exercise.
+widest of the three, is the public check. Orders are the class tuples
+of `core.order_classes`, so the scan builds `WeakOrder`s only for the
+violation it reports. It runs on the table's integer rows with the same
+dominance test as `verify.check_sp_bruteforce`; agreement with the full
+pairwise scan, and with a `Fraction` reference scan, is what the test
+batteries exercise.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .core import (
     canonical_utility,
     classes_index,
     consistent,
-    enumerate_weak_orders,
     format_rational,
+    order_classes,
     order_from_utility,
     ordered_set_partitions,
     strictly_consistent,
@@ -234,8 +235,8 @@ def _move_layout(
     index = classes_index(m)
     return tuple(
         (ci, fi)
-        for ci, order in enumerate(enumerate_weak_orders(m))
-        for move in moves(order.classes)
+        for ci, classes in enumerate(order_classes(m))
+        for move in moves(classes)
         if (fi := index[move[-1]]) != ci
     )
 
@@ -247,15 +248,14 @@ def _local_sp_scan(
     canonical order: truthful at the move's coarse order against reporting
     its fine one, and vice versa."""
     rows = mech.rows
-    orders = enumerate_weak_orders(mech.m)
+    domain = order_classes(mech.m)
     for ci, fi in _move_layout(mech.m, moves):
-        coarse, fine = orders[ci], orders[fi]
-        gap = _dominance_gap(coarse, rows[ci], rows[fi])
+        gap = _dominance_gap(domain[ci], rows[ci], rows[fi])
         if gap is not None:
-            return _sp_violation(coarse, fine, gap, mech.denominator)
-        gap = _dominance_gap(fine, rows[fi], rows[ci])
+            return _sp_violation(mech, ci, fi, gap)
+        gap = _dominance_gap(domain[fi], rows[fi], rows[ci])
         if gap is not None:
-            return _sp_violation(fine, coarse, gap, mech.denominator)
+            return _sp_violation(mech, fi, ci, gap)
     return None
 
 

@@ -12,7 +12,8 @@ itself lives on as the test oracle in ``tests/oracles.py``.
 
 `_dominance_gap` is the one dominance test behind every SP violation,
 here and in the local scans of `paths`: it compares ``int`` rows of the
-table, and `Fraction`s are built only for the violation reported.
+table on an order's class tuple from `core.order_classes`, and
+`WeakOrder`s and `Fraction`s are built only for the violation reported.
 
 Also here: closed-form constraint counting (how much smaller the separation
 scan is than the pairwise scan), seeded random-population scans used by the
@@ -28,7 +29,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .axioms import Certificate, _separation_layout, check_all_axioms
-from .core import FrozenRecord, Record, WeakOrder, enumerate_weak_orders, format_rational
+from .core import (
+    Classes,
+    FrozenRecord,
+    Record,
+    WeakOrder,
+    enumerate_weak_orders,
+    format_rational,
+    order_classes,
+)
 from .mechanisms import MechanismTable, random_mechanism, unit_row
 
 
@@ -72,14 +81,15 @@ class SPViolation(FrozenRecord):
 
 
 def _dominance_gap(
-    truth: WeakOrder, truthful: tuple[int, ...], other: tuple[int, ...]
+    truth: Classes, truthful: tuple[int, ...], other: tuple[int, ...]
 ) -> tuple[int, int, int] | None:
-    """First class of ``truth`` (by witness alternative) where the truthful
-    row's upper-contour mass falls below the other row's, as (witness, the
-    two masses), or None if the truthful row dominates. Rows are a
-    table's, so the masses are scaled by its denominator."""
+    """First class of the true order, given by its class tuple ``truth``,
+    where the truthful row's upper-contour mass falls below the other
+    row's, as (witness, the two masses) with the class's smallest member
+    as witness, or None if the truthful row dominates. Rows are a table's,
+    so the masses are scaled by its denominator."""
     cum_t = cum_o = 0
-    for cls in truth.classes:
+    for cls in truth:
         for alt in cls:
             cum_t += truthful[alt]
             cum_o += other[alt]
@@ -89,12 +99,20 @@ def _dominance_gap(
 
 
 def _sp_violation(
-    truth: WeakOrder, misreport: WeakOrder, gap: tuple[int, int, int], denominator: int
+    mech: MechanismTable, truth: int, misreport: int, gap: tuple[int, int, int]
 ) -> SPViolation:
-    """The violation to report for a gap that `_dominance_gap` found."""
+    """The violation to report for a gap that `_dominance_gap` found
+    between the orders at canonical positions ``truth`` and ``misreport``:
+    the one place an SP scan builds `WeakOrder`s."""
+    domain = order_classes(mech.m)
     witness, cum_t, cum_o = gap
-    scaled = Fraction(cum_t, denominator), Fraction(cum_o, denominator)
-    return SPViolation(truth, misreport, witness, *scaled)
+    return SPViolation(
+        WeakOrder(mech.m, domain[truth]),
+        WeakOrder(mech.m, domain[misreport]),
+        witness,
+        Fraction(cum_t, mech.denominator),
+        Fraction(cum_o, mech.denominator),
+    )
 
 
 def _subset_masses(row: tuple[int, ...]) -> list[int]:
@@ -106,10 +124,11 @@ def _subset_masses(row: tuple[int, ...]) -> list[int]:
     return masses
 
 
-def _contour_masses(order: WeakOrder, row: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Each upper-contour set of ``order`` as a bitmask, with its mass."""
+def _contour_masses(classes: Classes, row: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Each upper-contour set of the order with these classes as a bitmask,
+    with its mass."""
     mask = mass = 0
-    for cls in order.classes:
+    for cls in classes:
         for alt in cls:
             mask |= 1 << alt
             mass += row[alt]
@@ -130,15 +149,15 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
     best = [0] * (1 << mech.m)
     for row in set(rows):
         best = list(map(max, best, _subset_masses(row)))
-    orders = enumerate_weak_orders(mech.m)
-    for truth, row in zip(orders, rows):
-        if all(mass >= best[mask] for mask, mass in _contour_masses(truth, row)):
+    domain = order_classes(mech.m)
+    for truth, (classes, row) in enumerate(zip(domain, rows)):
+        if all(mass >= best[mask] for mask, mass in _contour_masses(classes, row)):
             continue
         # no gap ever shows between the truth and itself, so it needs no skip
-        for misreport, other in zip(orders, rows):
-            gap = _dominance_gap(truth, row, other)
+        for misreport, other in enumerate(rows):
+            gap = _dominance_gap(classes, row, other)
             if gap is not None:
-                return _sp_violation(truth, misreport, gap, mech.denominator)
+                return _sp_violation(mech, truth, misreport, gap)
     return None
 
 

@@ -9,8 +9,9 @@ from those. The
 design LP builder after them walks sepax's `Separation` objects into its
 `LinearProgram`, because what it pins is the row system built from
 those; the LP helpers after it read a `LinearProgram`'s rows, a
-table's lotteries, a solution's entries, or an objective's coefficients. `replace` at the very
-end copies a sepax record with some fields changed."""
+table's lotteries, a solution's entries, or an objective's coefficients.
+`saved_layout_fault` reads a saved mechanism file's lines. `replace` at
+the very end copies a sepax record with some fields changed."""
 
 from __future__ import annotations
 
@@ -54,6 +55,28 @@ def weak_order_count(m: int) -> int:
             row[j] = (j * prev[j] if j < n else 0) + prev[j - 1]
         stirling.append(row)
     return sum(factorial(j) * stirling[m][j] for j in range(m + 1))
+
+
+def weak_order_fault_oracle(m, classes) -> str | None:
+    """The message a `WeakOrder(m, classes)` must raise `ValueError` with,
+    or None if it must accept: the class-by-class check, written out
+    member by member. An input the check cannot even inspect raises here
+    as it must raise there."""
+    if m < 1:
+        return "need at least one alternative"
+    seen: set = set()
+    for cls in classes:
+        if not cls:
+            return "empty indifference class"
+        for i in range(len(cls) - 1):
+            if cls[i] >= cls[i + 1]:
+                return f"class {cls!r} not sorted strictly ascending"
+        if seen & set(cls):
+            return f"alternative repeated across classes: {cls!r}"
+        seen.update(cls)
+    if seen != set(range(m)):
+        return f"classes do not partition 0..{m - 1}"
+    return None
 
 
 def split_count(sizes: list[int]) -> int:
@@ -749,6 +772,24 @@ def objective_to_json(m: int, coeffs: dict[int, Fraction]) -> dict:
             if c != 0
         ],
     }
+
+
+def saved_layout_fault(path, wire: dict) -> str | None:
+    """What is wrong with a saved mechanism file, or None: it must hold one
+    entry per line between an opening and a closing line, end in a
+    newline, and parse to exactly ``wire``, the table's wire format."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if not text.endswith("\n"):
+        return "no final newline"
+    lines = text.splitlines()
+    if len(lines) != len(wire["entries"]) + 2:
+        return f"{len(lines)} lines for {len(wire['entries'])} entries"
+    if [json.loads(line.rstrip(",")) for line in lines[1:-1]] != wire["entries"]:
+        return "a line is not its entry"
+    if json.loads(text) != wire:
+        return "the file does not parse to the wire format"
+    return None
 
 
 def replace(record, **changes):

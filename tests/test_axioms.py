@@ -18,7 +18,7 @@ from sepax.mechanisms import (
     top_class_uniform,
     uniform_lottery,
 )
-from tests.oracles import lottery_table, replace, split_count
+from tests.oracles import lottery_table, replace, separation_axiom_oracle, split_count
 
 
 def wo(text: str) -> WeakOrder:
@@ -159,6 +159,49 @@ def test_direct_violator_certificates():
     assert (low.lhs, low.rhs) == (F(1, 6), F(1, 12))
     assert verify_certificate(mech, cert)
     assert verify_certificate(mech, low)
+
+
+# Tables uniform but at the orders named, each failing one clause of the
+# scan's pass test at every separation that fails it: the classes above
+# the split class keep their masses, those below keep theirs, and the
+# upper part does not lose mass. Value: the axioms the table violates.
+ONE_CLAUSE_TABLES = {
+    # invariance holds, but 0 has 1/2 at "0,1>2" and 1/3 at "0>1>2"
+    "responsive": ({"0,1>2": (F(1, 2), F(1, 6), F(1, 3))}, {"responsive"}),
+    # only 0, ranked above the split class {1, 2}, changes mass; each
+    # fine order gives its lower part 1/3 back, so responsive fails too
+    "upper_invariant": (
+        {"0>1,2": (F(2, 3), F(1, 6), F(1, 6))},
+        {"upper_invariant", "responsive"},
+    ),
+    # only 2, ranked below the split class {0, 1}, changes mass; 0 keeps
+    # its 1/3 and 1 gains what 2 lost, so direct and responsive fail too
+    "lower_invariant": (
+        {"0>1>2": (F(1, 3), F(1, 2), F(1, 6))},
+        {"lower_invariant", "direct", "responsive"},
+    ),
+    # 0 gains mass from 2 at "0>1>2": each of its two separations moves a
+    # class outside the split one while a part keeps its mass
+    "direct": (
+        {"0>1>2": (F(1, 2), F(1, 3), F(1, 6))},
+        {"upper_invariant", "lower_invariant", "direct"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CLAUSE_TABLES))
+def test_pass_test_clauses_against_axiom_oracle(name):
+    changed, violated = ONE_CLAUSE_TABLES[name]
+    entries = dict(uniform_lottery(3).items())
+    entries.update((wo(text), Lottery(3, probs)) for text, probs in changed.items())
+    mech = lottery_table(3, entries, name=name)
+    found = find_violations(mech, all_violations=True)
+    assert {axiom for axiom, certs in found.items() if certs} == violated
+    assert {
+        axiom: [cert.to_json() for cert in certs] for axiom, certs in found.items()
+    } == separation_axiom_oracle(mech)
+    for certs in found.values():
+        assert all(verify_certificate(mech, cert) for cert in certs)
 
 
 def test_monotonic_prefers_earliest_separation():

@@ -1,20 +1,25 @@
-"""A short run of the benchmark's in-process workload against the current
-sources. Its jobs call the library's top-level entry points
+"""Short runs of two benchmark workloads against the current sources.
+population-m4's jobs call the library's top-level entry points
 (`mechanism_from_json`, `check_decomposition`,
 `check_relaxed_decomposition`, `scan_deterministic_decomposition`)
 directly, so an API change that breaks them shows up here and not only
-in a timed run."""
+in a timed run. local-m6 runs the m=6 CLI jobs (`zoo emit`, `check
+--mode axioms` and `--mode multisep`), and checks that every emitted file
+parses back to the exact zoo table."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_population_workload_runs_correctly():
-    argv = ["--workload", "population-m4", "--seed", "1", "--seconds", "0.1", "--trace", "0"]
+@pytest.mark.parametrize("workload", ["population-m4", "local-m6"])
+def test_workload_runs_correctly(workload):
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", "0"]
     out = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), *argv],
         capture_output=True,

@@ -25,7 +25,7 @@ from sepax.mechanisms import (
     uniform_lottery,
 )
 from sepax.paths import refinement_path
-from tests.oracles import objective_to_json, weak_order_count
+from tests.oracles import objective_to_json, saved_layout_fault, weak_order_count
 
 
 def run_cli(argv: list[str]) -> tuple[int, dict | None, str]:
@@ -250,6 +250,20 @@ def test_amd_welfare(tmp_path):
     code2, report2, _ = run_cli(["amd", "--m", "2", "--objective", str(objective)])
     assert code2 == 0
     assert report2["result"]["amd"]["mechanism_table"]["m"] == 2
+
+
+def test_amd_out_mechanism_file_is_the_embedded_table(tmp_path):
+    objective = tmp_path / "objective.json"
+    blob = objective_to_json(3, random_objective(3, random.Random(3)))
+    objective.write_text(json.dumps(blob))
+    argv = ["amd", "--m", "3", "--objective", str(objective)]
+    out_mech = tmp_path / "designed.json"
+    code, _, _ = run_cli([*argv, "--out-mechanism", str(out_mech)])
+    assert code == 0
+    code, report, _ = run_cli(argv)
+    assert code == 0
+    embedded = report["result"]["amd"]["mechanism_table"]
+    assert saved_layout_fault(out_mech, embedded) is None
 
 
 def test_amd_m5(tmp_path):
@@ -521,8 +535,10 @@ def test_check_rejects_large_m_before_enumerating(tmp_path, monkeypatch):
     def refuse(m):
         raise AssertionError(f"enumerated the orders at m={m}")
 
-    monkeypatch.setattr("sepax.mechanisms.enumerate_weak_orders", refuse)
-    monkeypatch.setattr("sepax.core.enumerate_weak_orders", refuse)
+    for name in ("mechanisms.enumerate_weak_orders", "mechanisms.order_classes"):
+        monkeypatch.setattr(f"sepax.{name}", refuse)
+    for name in ("enumerate_weak_orders", "order_classes", "_ordered_partitions"):
+        monkeypatch.setattr(f"sepax.core.{name}", refuse)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"m": 9, "entries": []}))
     code, report, err = run_cli(["check", "--mechanism", str(path)])

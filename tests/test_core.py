@@ -6,6 +6,7 @@ import pytest
 
 from sepax.axioms import AxiomReport, Certificate, Separation
 from sepax.core import (
+    ENUMERATION_MAX_M,
     FormatError,
     FrozenRecord,
     Lottery,
@@ -13,11 +14,15 @@ from sepax.core import (
     UtilityFn,
     WeakOrder,
     canonical_utility,
+    classes_index,
+    classes_text,
     consistent,
     enumerate_weak_orders,
     fosd,
     format_rational,
+    order_classes,
     order_from_utility,
+    order_texts,
     ordered_set_partitions,
     parse_rational,
     strictly_consistent,
@@ -25,7 +30,7 @@ from sepax.core import (
 from sepax.lp import Constraint, LinearProgram, LPSolution
 from sepax.paths import MultiwaySeparation, PathResult, Refinement, UtilitySegment
 from sepax.verify import ConstraintCounts, EquivalenceReport, ScanReport, SPViolation
-from tests.oracles import fosd_oracle_utilities, weak_order_count
+from tests.oracles import fosd_oracle_utilities, weak_order_count, weak_order_fault_oracle
 
 
 def test_parse_rational():
@@ -95,6 +100,85 @@ def test_weak_order_construction_rejects():
         WeakOrder(3, ((0, 1, 2), ()))  # empty class
     with pytest.raises(ValueError):
         WeakOrder(0, ())
+
+
+def _outcome(build) -> tuple[str, str] | None:
+    try:
+        build()
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _oracle_build(m, classes) -> None:
+    message = weak_order_fault_oracle(m, classes)
+    if message is not None:
+        raise ValueError(message)
+
+
+def _construction_cases():
+    for m in range(1, 4):
+        for order in enumerate_weak_orders(m):
+            c = order.classes
+            yield m, c
+            yield m + 1, c
+            yield m - 1, c
+            yield m, list(c)
+            yield m, tuple(list(cls) for cls in c)
+            yield m, c + ((),)
+            yield m, ((),) + c
+            yield m, tuple(cls[::-1] for cls in c)
+            yield m, c[:-1]
+            yield m, c + ((0,),)
+            yield m, c + ((m,),)
+            yield m, c[:1] + c
+            yield m, tuple(tuple(a + 1 for a in cls) for cls in c)
+            yield m, tuple(tuple(map(float, cls)) for cls in c)
+            yield m, tuple(tuple(map(str, cls)) for cls in c)
+            yield m, tuple(cls + cls[-1:] for cls in c)
+    yield 2, ((False, True),)
+    yield 2, ((0,), (True,))
+    yield 2, ((0, "1"),)
+    yield 2, ((0,), ("a",))
+    yield 2, ((0, 1j),)
+    yield 2, (([0], [1]),)
+    yield 2, ("01",)
+    yield 1, "0"
+    yield 2.0, ((0,), (1,))
+    yield 3, ((0, 2), (1,), ())
+
+
+def test_weak_order_construction_matches_class_by_class_check():
+    # the whole-order test may only speed acceptance: every input keeps the
+    # outcome, exception type and message of the class-by-class check
+    for m, classes in _construction_cases():
+        expected = _outcome(lambda: _oracle_build(m, classes))
+        assert _outcome(lambda: WeakOrder(m, classes)) == expected, (m, classes)
+
+
+def test_weak_order_construction_reads_one_shot_classes_once():
+    for m, classes in ((1, ((0,), ())), (2, ((0,), (1,))), (2, ((1,), (0, 1)))):
+        expected = _outcome(lambda: _oracle_build(m, iter(classes)))
+        assert _outcome(lambda: WeakOrder(m, iter(classes))) == expected, classes
+
+
+def test_order_classes_is_the_canonical_domain():
+    for m in range(1, ENUMERATION_MAX_M + 1):
+        domain = order_classes(m)
+        assert len(domain) == weak_order_count(m)
+        index = classes_index(m)
+        texts = order_texts(m)
+        orders = enumerate_weak_orders(m)
+        assert len(index) == len(texts) == len(orders) == len(domain)
+        for i, classes in enumerate(domain):
+            order = WeakOrder(m, classes)  # passes validation
+            assert order == orders[i] and orders[i].classes is classes
+            assert index[classes] == i
+            assert texts[i] == order.text == classes_text(classes)
+    assert order_classes(3) is order_classes(3)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="at least one alternative"):
+            order_classes(bad)
 
 
 def test_enumeration_counts_match_independent_oracle():

@@ -35,6 +35,7 @@ from tests.oracles import (
     lottery_table,
     random_deterministic_lotteries_oracle,
     random_lotteries_oracle,
+    saved_layout_fault,
 )
 
 
@@ -115,6 +116,23 @@ def test_json_round_trip(tmp_path: Path):
         assert again.name == mech.name
         path = tmp_path / f"{name}.json"
         save_mechanism(mech, path)
+        assert load_mechanism(path) == mech
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_saved_zoo_files_round_trip_one_entry_per_line(tmp_path: Path, m):
+    for name, factory in sorted(ZOO.items()):
+        mech = factory(m)
+        path = tmp_path / f"{name}.json"
+        save_mechanism(mech, path)
+        assert saved_layout_fault(path, mechanism_to_json(mech)) is None
+        assert load_mechanism(path) == mech
+
+
+def test_indented_files_still_load(tmp_path: Path):
+    for mech in (k_sensitive_boost(4), random_mechanism(3, random.Random(5))):
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(mechanism_to_json(mech), indent=2) + "\n")
         assert load_mechanism(path) == mech
 
 
