@@ -28,10 +28,11 @@ is A need an artificial:
   the right-hand side.
 
 `solve_design` transfers the objective onto the chains, solves that
-program, and lifts G to the table whose row at R is marg(G, sigma_R).
+program, and lifts G to the table whose row at R is marg(G, sigma_R), in
+ints over one common denominator; it reports G itself as the solution.
 
-`generate_sp_constraints` still builds the full system over the table
-entries x[order][alt], the reference the tests hold the design to:
+`generate_sp_constraints` builds the full system over the table entries
+x[order][alt], kept for the tests and the benchmark's self-test:
 
 - norm[R]: the lottery at each order sums to one.
 - upper[R|R'][kN] and lower[R|R'][kN]: for each separation and each class
@@ -48,8 +49,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain
-from math import factorial
+from math import factorial, lcm
 
 from .axioms import _separation_layout
 from .core import (
@@ -62,7 +62,7 @@ from .core import (
     read_json,
 )
 from .lp import LinearProgram, LPSolution, solve_lp
-from .mechanisms import MechanismTable, integer_row
+from .mechanisms import MechanismTable
 from .verify import _stirling2_row, count_constraints
 
 
@@ -225,24 +225,28 @@ def load_objective(path: str, m: int) -> dict[int, Fraction]:
 
 def solve_design(
     m: int, objective: dict[int, Fraction]
-) -> tuple[LPSolution, MechanismTable | None]:
+) -> tuple[LPSolution, MechanismTable]:
     """Solve for an optimal strategyproof table under an objective over the
     entries x[order][alt] (index order * m + alt): one exact solve of
-    `g_program`, lifted to the table. The solution's assignment and value
-    are over the entries, as if the full system had been solved; the table
-    is None when the program has no optimum."""
+    `g_program`, lifted to the table. The solution holds the objective's
+    value at the table and G itself, by `g_program`'s variable names. The
+    program is always feasible (G(U) = |U| / m) and bounded (0 <= G <= 1),
+    so a status other than optimal is a solver fault: `RuntimeError`."""
     domain = order_classes(m)
     for j in objective:
         if not 0 <= j < len(domain) * m:
             raise ValueError(f"objective uses unknown variable {j}")
+    # the objective in ints, scaled once by the lcm of its denominators
+    scale = lcm(*(c.denominator for c in objective.values()))
+    ints = {j: c.numerator * (scale // c.denominator) for j, c in objective.items()}
     lp = g_program(m)
     # sum_k c(s_k) (G(P_k) - G(P_k-1)) = sum_k G(P_k) (c(s_k) - c(s_k+1))
     # + c(s_m), with P_k the k-th prefix of the chain s and G(A) = 1
     gain = lp.objective
     chains = []
-    constant = Fraction(0)
+    constant = 0
     for i, classes in enumerate(domain):
-        coef = [objective.get(i * m + a, 0) for a in range(m)]
+        coef = [ints.get(i * m + a, 0) for a in range(m)]
         sigma = [
             a for cls in classes for a in sorted(cls, key=lambda a: (-coef[a], a))
         ]
@@ -255,22 +259,20 @@ def solve_design(
         constant += coef[sigma[-1]]
     solution = solve_lp(lp)
     if solution.status != "optimal":
-        return LPSolution(status=solution.status), None
+        raise RuntimeError(f"the upper-set program came back {solution.status}")
 
-    # G by bitmask, G(empty) = 0 and G(A) = 1 included
-    g = [Fraction(0), *map(solution.assignment.__getitem__, lp.variables), Fraction(1)]
-    lottery_rows = []
+    # G by bitmask over one common denominator D, G(empty) = 0 and G(A) = D
+    values = [solution.assignment[name] for name in lp.variables]
+    D = lcm(*(v.denominator for v in values))
+    g = [0, *(v.numerator * (D // v.denominator) for v in values), D]
+    rows = []
     for sigma in chains:
-        probs = [Fraction(0)] * m
+        row = [0] * m
         prefix = 0
         for a in sigma:
-            probs[a] = g[prefix | 1 << a] - g[prefix]
+            row[a] = g[prefix | 1 << a] - g[prefix]
             prefix |= 1 << a
-        lottery_rows.append(probs)
-    mech = MechanismTable(m, map(integer_row, lottery_rows), name="lp-design")
-    design = LPSolution(
-        status="optimal",
-        assignment=dict(zip(variable_names(m), chain.from_iterable(lottery_rows))),
-        objective_value=solution.objective_value + constant,
-    )
-    return design, mech
+        rows.append((D, row))
+    value = (solution.objective_value + constant) / scale
+    design = LPSolution("optimal", solution.assignment, value)
+    return design, MechanismTable(m, rows, name="lp-design")

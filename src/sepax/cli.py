@@ -7,9 +7,9 @@ mechanism), zoo (built-in mechanism tables).
 
 Every run prints one JSON report to stdout; --out additionally writes the
 same report to a file, atomically, and only on success. Exit codes: 0 pass
-or agreement, 1 a mechanism-level violation or an unsolvable design, 2 an
-internal cross-check disagreement or any other internal fault (a bug, not a
-verdict), 3 bad input, including bad flags. Bad input and internal faults
+or agreement, 1 a mechanism-level violation, 2 an internal cross-check
+disagreement or any other internal fault (a bug, not a verdict), 3 bad
+input, including bad flags. Bad input and internal faults
 print ``{"error": ...}`` to stderr instead of a report, never a traceback.
 """
 
@@ -41,9 +41,9 @@ COUNTS_MAX_M = 500
 PATH_MAX_M = 64
 
 # Design solves the upper-set program, 2^m - 2 variables. On a 2-vCPU host
-# (CPython 3.11) `amd --m 6` on a seeded random objective takes 1.1-1.3 s
-# end to end (62 variables, 246 rows, a 2 MB report); the m=7 program
-# (126 variables, 679 rows) takes 85-110 s to solve alone.
+# (CPython 3.11) `amd --m 6` on a seeded random objective takes 0.6-0.7 s
+# end to end (62 variables, 246 rows, a 1.0 MB report); the m=7 program
+# (126 variables, 679 rows) takes 36 s and 5,094 pivots to solve alone.
 AMD_MAX_M = 6
 
 # Building the m=7 `rank_score` table alone takes 3.0 s on the same host.
@@ -195,27 +195,21 @@ def cmd_amd(args: argparse.Namespace) -> tuple[dict, int]:
     except OSError as exc:
         raise _InputError(f"cannot read objective file: {exc}") from None
 
-    summary = amd_mod.lp_summary(m)
     solution, mech = amd_mod.solve_design(m, objective)
+    violation = verify.check_sp_bruteforce(mech)
     result: dict = {
         "m": m,
         "objective": args.objective,
-        "summary": summary,
+        "summary": amd_mod.lp_summary(m),
         "solution": solution.to_json(),
-    }
-    if mech is None:
-        result["mechanism_file"] = None
-        result["sp_check"] = None
-        return {"amd": result}, EXIT_VIOLATION
-
-    violation = verify.check_sp_bruteforce(mech)
-    result["sp_check"] = {
-        "pass": violation is None,
-        "violation": None if violation is None else violation.to_json(),
+        "sp_check": {
+            "pass": violation is None,
+            "violation": None if violation is None else violation.to_json(),
+        },
     }
     _put_table(result, mech, args.out_mechanism)
-    # an optimum that fails the brute-force re-check means our constraint
-    # generator and scanner disagree: internal, loudly
+    # an optimum that fails the brute-force re-check means the G program
+    # and the scanner disagree: internal, loudly
     code = EXIT_PASS if violation is None else EXIT_INTERNAL
     return {"amd": result}, code
 

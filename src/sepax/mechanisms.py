@@ -75,12 +75,6 @@ class InvalidLotteryError(MechanismFormatError):
     """A lottery has negative entries or does not sum to one."""
 
 
-def integer_row(probs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """Rationals as ``(den, ints)`` over the lcm of their denominators."""
-    den = math.lcm(*(p.denominator for p in probs))
-    return den, tuple(p.numerator * (den // p.denominator) for p in probs)
-
-
 def unit_row(m: int, alt: int) -> tuple[int, ...]:
     """The integer row of a point mass on ``alt``, over denominator 1."""
     return tuple(int(a == alt) for a in range(m))

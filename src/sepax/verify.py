@@ -34,7 +34,6 @@ from .core import (
     FrozenRecord,
     Record,
     WeakOrder,
-    enumerate_weak_orders,
     format_rational,
     order_classes,
 )
@@ -445,13 +444,16 @@ def scan_random_mechanisms(
 
 @lru_cache(maxsize=4)
 def _det_context(m: int):
-    orders = enumerate_weak_orders(m)
-    class_ix = tuple(order._class_index for order in orders)
+    # each order's 1-based class rank of every alternative, from its classes
+    class_ix = tuple(
+        tuple(k for a in range(m) for k, cls in enumerate(classes, 1) if a in cls)
+        for classes in order_classes(m)
+    )
     seps = tuple(
         (ci, fi, frozenset(upper), frozenset(lower))
         for ci, fi, _, upper, lower in _separation_layout(m)
     )
-    return orders, class_ix, seps
+    return class_ix, seps
 
 
 def _det_sp(choices: tuple[int, ...], class_ix) -> bool:
@@ -485,7 +487,7 @@ def scan_deterministic_decomposition(
     """Monotonic-vs-SP agreement over ``count`` random deterministic tables,
     via the fast integer path. The first ``cross_check`` tables are also run
     through the generic checkers; any mismatch raises RuntimeError."""
-    orders, class_ix, seps = _det_context(m)
+    class_ix, seps = _det_context(m)
     rng = random.Random(seed)
     report = ScanReport(
         statement="monotonic_vs_sp_deterministic",
@@ -496,7 +498,7 @@ def scan_deterministic_decomposition(
         cross_checked=min(cross_check, count),
     )
     for i in range(count):
-        choices = tuple(rng.randrange(m) for _ in range(len(orders)))
+        choices = tuple(rng.randrange(m) for _ in range(len(class_ix)))
         sp = _det_sp(choices, class_ix)
         monotonic = _det_monotonic(choices, class_ix, seps)
         if sp == monotonic:

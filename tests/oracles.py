@@ -3,10 +3,9 @@ against. Everything here is written from first principles on purpose; do
 not import algorithmic helpers from sepax into this module. Mechanism
 tables are read only through ``items()``: canonical orders with their
 lotteries. The table builders at the end (the `Fraction` zoo rules, the
-`Lottery`-dict loader and `lottery_table`) use sepax's value types,
-parsers and error classes, because what they pin is how a table is built
-from those. The
-design LP builder after them walks sepax's `Separation` objects into its
+`Lottery`-dict loader, `integer_row` and `lottery_table`) use sepax's
+value types, parsers and error classes, because what they pin is how a
+table is built from those. The design LP builder after them walks sepax's `Separation` objects into its
 `LinearProgram`, because what it pins is the row system built from
 those; the LP helpers after it read a `LinearProgram`'s rows, a
 table's lotteries, a solution's entries, or an objective's coefficients.
@@ -19,7 +18,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from sepax.amd import variable_names
 from sepax.axioms import all_separations
@@ -39,7 +38,6 @@ from sepax.mechanisms import (
     MechanismFormatError,
     MechanismTable,
     MissingOrderError,
-    integer_row,
 )
 
 
@@ -646,6 +644,13 @@ def lottery_dict_loader(data: object) -> dict:
         if order not in entries:
             raise MissingOrderError(f"no lottery for order {order.text!r}")
     return entries
+
+
+def integer_row(probs) -> tuple[int, tuple[int, ...]]:
+    """Rationals as ``(den, ints)`` over the lcm of their denominators: the
+    pair `MechanismTable` takes for one order."""
+    den = lcm(*(p.denominator for p in probs))
+    return den, tuple(p.numerator * (den // p.denominator) for p in probs)
 
 
 def lottery_table(m: int, lotteries: dict, name: str = "") -> MechanismTable:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sepax.axioms import all_separations
-from sepax.core import FormatError, enumerate_weak_orders
+from sepax.core import FormatError, classes_index, enumerate_weak_orders
 from sepax.amd import (
     g_program,
     generate_sp_constraints,
@@ -106,6 +106,13 @@ def test_summary_matches_row_walk():
         }, m
 
 
+def _table_value(objective: dict[int, Fraction], mech) -> Fraction:
+    """The objective at the table's own entries."""
+    names = variable_names(mech.m)
+    assignment = mechanism_assignment(mech)
+    return sum((c * assignment[names[j]] for j, c in objective.items()), Fraction(0))
+
+
 def test_solve_design_matches_fresh_solve():
     # the design reaches the full program's optimum at a point of the full
     # program, not necessarily at the vertex a fresh solve of it picks
@@ -122,8 +129,8 @@ def test_solve_design_matches_fresh_solve():
             fresh = solve_lp(lp)
             assert solution.status == fresh.status == "optimal"
             assert solution.objective_value == fresh.objective_value
-            assert lp_violations(lp, solution.assignment) == []
-            assert mech == solution_to_mechanism(solution, m)
+            assert lp_violations(lp, mechanism_assignment(mech)) == []
+            assert _table_value(objective, mech) == solution.objective_value
 
 
 def _fractional_objective(m: int, rng: random.Random) -> dict[int, Fraction]:
@@ -164,15 +171,82 @@ def test_lifted_tables_satisfy_the_full_system():
     rng = random.Random(15)
     for m in range(1, 6):
         full = generate_sp_constraints(m)
-        names = full.variables
         for objective in _design_objectives(m, rng, 2, 1 if m == 5 else 2):
             solution, mech = solve_design(m, objective)
-            # the assignment is read off the lifted table
-            assert solution.assignment == mechanism_assignment(mech), m
-            assert lp_violations(full, solution.assignment) == [], m
+            assert lp_violations(full, mechanism_assignment(mech)) == [], m
             assert check_sp_bruteforce(mech) is None, m
-            value = sum(c * solution.assignment[names[j]] for j, c in objective.items())
-            assert value == solution.objective_value, m
+            assert _table_value(objective, mech) == solution.objective_value, m
+
+
+def _g_name(mask: int, m: int) -> str:
+    return "G[" + ",".join(str(a) for a in range(m) if mask >> a & 1) + "]"
+
+
+def test_reported_g_is_the_tables_own():
+    # the solution's assignment is G: a point of the upper-set program, and
+    # the mass every order's row puts on each of its upper sets
+    rng = random.Random(16)
+    for m in range(1, 6):
+        g_lp = g_program(m)
+        full = (1 << m) - 1
+        for objective in _design_objectives(m, rng, 2, 1):
+            solution, mech = solve_design(m, objective)
+            assert sorted(solution.assignment) == sorted(g_lp.variables), m
+            assert lp_violations(g_lp, solution.assignment) == [], m
+            g = {u: solution.assignment[_g_name(u, m)] for u in range(1, full)}
+            g[full] = 1
+            for order, row in zip(enumerate_weak_orders(m), mech.rows):
+                upper = mass = 0
+                for cls in order.classes:
+                    for alt in cls:
+                        upper |= 1 << alt
+                        mass += row[alt]
+                    assert mass == g[upper] * mech.denominator, (m, order)
+
+
+def _g_weights_as_entries(m: int, weights: list[int]) -> dict[int, Fraction]:
+    """An entry objective worth sum_U weights[U - 1] * G(U) at every design:
+    the gain w_U sits at the |U|-prefix of the strict order "U ascending,
+    then the rest ascending", gains on one order accumulate, and each
+    entry's coefficient is the sum of its order's gains at longer prefixes."""
+    index = classes_index(m)
+    gains: dict[tuple[int, ...], list[int]] = {}
+    for u, w in enumerate(weights, start=1):
+        inside = [a for a in range(m) if u >> a & 1]
+        chain = tuple(inside + [a for a in range(m) if not u >> a & 1])
+        gains.setdefault(chain, [0] * (m + 1))[len(inside)] += w
+    objective = {}
+    for chain, gain in gains.items():
+        i = index[tuple((a,) for a in chain)]
+        for k, alt in enumerate(chain):
+            coef = sum(gain[k + 1 :])
+            if coef:
+                objective[i * m + alt] = Fraction(coef)
+    return objective
+
+
+def test_design_with_a_half_denominator():
+    # every seeded random design is deterministic; this one is not: the G
+    # program under seeded integer weights has its optimum 25/2 at a G with
+    # values in {0, 1/2, 1}, and the entry objective that spells out those
+    # weights designs a table over denominator 2
+    m = 4
+    direct = g_program(m)
+    rng = random.Random(179)
+    weights = [rng.randint(-9, 9) for _ in direct.variables]
+    direct.objective = dict(enumerate(weights))
+    reference = solve_lp(direct)
+    assert reference.objective_value == Fraction(25, 2)
+    assert set(reference.assignment.values()) == {0, Fraction(1, 2), 1}
+
+    objective = _g_weights_as_entries(m, weights)
+    solution, mech = solve_design(m, objective)
+    assert solution.objective_value == Fraction(25, 2)
+    assert solution.assignment == reference.assignment
+    assert mech.denominator == 2
+    assert lp_violations(generate_sp_constraints(m), mechanism_assignment(mech)) == []
+    assert check_sp_bruteforce(mech) is None
+    assert _table_value(objective, mech) == Fraction(25, 2)
 
 
 def test_g_program_size_and_orientation():
@@ -274,7 +348,7 @@ def test_random_objectives_yield_sp_optima():
             assert solution.status == "optimal"
             assert mech is not None
             assert check_sp_bruteforce(mech) is None
-            assert lp_violations(generate_sp_constraints(m), solution.assignment) == []
+            assert lp_violations(generate_sp_constraints(m), mechanism_assignment(mech)) == []
 
 
 def test_solution_to_mechanism_requires_optimal():
@@ -348,7 +422,7 @@ def test_welfare_design_m4():
     assert solution.status == "optimal"
     assert solution.objective_value == 75
     assert check_sp_bruteforce(mech) is None
-    assert lp_violations(generate_sp_constraints(4), solution.assignment) == []
+    assert lp_violations(generate_sp_constraints(4), mechanism_assignment(mech)) == []
 
 
 def test_objective_order_must_be_text():

@@ -509,6 +509,23 @@ def test_inexact_lp_division_exits_2(tmp_path, monkeypatch):
     assert fault["at"].startswith("lp.py:")
 
 
+def test_non_optimal_design_program_exits_2(tmp_path, monkeypatch):
+    # the upper-set program is always feasible and bounded, so any other
+    # status is a solver fault, never a verdict on the design
+    import sepax.amd as amd
+    from sepax.lp import LPSolution
+
+    monkeypatch.setattr(amd, "solve_lp", lambda lp: LPSolution("infeasible"))
+    objective = tmp_path / "objective.json"
+    objective.write_text(json.dumps({"sense": "max", "terms": []}))
+    code, report, err = run_cli(["amd", "--m", "3", "--objective", str(objective)])
+    assert code == 2
+    assert report is None
+    fault = json.loads(err)
+    assert fault["error"].startswith("internal error: RuntimeError: ")
+    assert fault["at"].startswith("amd.py:")
+
+
 def test_amd_objective_order_not_text(tmp_path):
     objective = tmp_path / "objective.json"
     objective.write_text(
