@@ -8,7 +8,6 @@
 from sepax import (
     check_sp_bruteforce,
     g_program,
-    generate_sp_constraints,
     lp_summary,
     solve_design,
     top_class_welfare_objective,
@@ -24,9 +23,8 @@ for m in (2, 3, 6):
     )
 print()
 
-# both m=2 programs are small enough to read in full
+# the m=2 G program is small enough to read in full
 print(g_program(2).to_text())
-print(generate_sp_constraints(2).to_text())
 
 # maximize the probability each report gets something from its own top class
 designs = {}

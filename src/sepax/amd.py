@@ -54,9 +54,8 @@ from math import factorial, lcm
 from .axioms import _separation_layout
 from .core import (
     FormatError,
-    WeakOrder,
-    classes_index,
     order_classes,
+    order_index,
     order_texts,
     parse_rational,
     read_json,
@@ -196,7 +195,6 @@ def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise FormatError("objective file needs a terms list")
-    index = classes_index(m)
     coeffs: dict[int, Fraction] = {}
     for t, raw in enumerate(terms):
         if not isinstance(raw, dict):
@@ -204,16 +202,20 @@ def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
         order_text = raw.get("order")
         if not isinstance(order_text, str):
             raise FormatError(f"term {t}: missing order text")
-        i = index.get(WeakOrder.parse(order_text).classes)
-        if i is None:
-            raise FormatError(f"term {t}: order {order_text!r} not over 0..{m - 1}")
+        try:
+            i = order_index(order_text, m)
+        except FormatError as exc:
+            raise FormatError(f"term {t}: {exc}") from None
         alt = raw.get("alt")
         if not isinstance(alt, int) or isinstance(alt, bool) or not 0 <= alt < m:
             raise FormatError(f"term {t}: bad alternative {alt!r}")
         coef_text = raw.get("coef")
         if not isinstance(coef_text, str):
             raise FormatError(f"term {t}: coefficient must be a string rational")
-        coef = parse_rational(coef_text)
+        try:
+            coef = parse_rational(coef_text)
+        except FormatError as exc:
+            raise FormatError(f"term {t}: {exc}") from None
         j = i * m + alt
         coeffs[j] = coeffs.get(j, Fraction(0)) + coef
     return {j: c for j, c in coeffs.items() if c != 0}

@@ -316,6 +316,25 @@ def order_texts(m: int) -> tuple[str, ...]:
     return tuple(">".join([part[cls] for cls in classes]) for classes in domain)
 
 
+@lru_cache(maxsize=8)
+def _text_index(m: int) -> dict[str, int]:
+    return {text: i for i, text in enumerate(order_texts(m))}
+
+
+def order_index(text: str, m: int) -> int:
+    """Canonical position, among the weak orders on m alternatives, of the
+    order written ``text``. A canonical text is one dict lookup; any other
+    spelling ("1,0>2", padding) goes through `WeakOrder.parse`. Raises
+    `FormatError` when the text is no weak order over 0..m-1."""
+    i = _text_index(m).get(text)
+    if i is None:
+        order = WeakOrder.parse(text)
+        if order.m != m:
+            raise FormatError(f"order {text!r} is not over 0..{m - 1}")
+        i = classes_index(m)[order.classes]
+    return i
+
+
 def _as_fractions(values: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 

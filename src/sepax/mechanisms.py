@@ -39,6 +39,7 @@ from .core import (
     enumerate_weak_orders,
     format_rational,
     order_classes,
+    order_index,
     order_texts,
     parse_rational,
     read_json,
@@ -194,7 +195,6 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
         raise MechanismFormatError("entries must be a list")
 
     texts = order_texts(m)
-    index_of = {text: k for k, text in enumerate(texts)}
     ratios: dict[str, tuple[int, int]] = {}  # each distinct token parsed once
     rows: list = [None] * len(texts)
     for i, raw in enumerate(raw_entries):
@@ -203,18 +203,10 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
         order_text = raw.get("order")
         if not isinstance(order_text, str):
             raise MechanismFormatError(f"entry {i}: missing order text")
-        k = index_of.get(order_text)
-        if k is None:
-            # not a canonical text: "1,0>2", padding, or not an order over 0..m-1
-            try:
-                order = WeakOrder.parse(order_text)
-            except FormatError as exc:
-                raise MechanismFormatError(f"entry {i}: {exc}") from None
-            if order.m != m:
-                raise MechanismFormatError(
-                    f"entry {i}: order {order_text!r} is not over 0..{m - 1}"
-                )
-            k = classes_index(m)[order.classes]
+        try:
+            k = order_index(order_text, m)
+        except FormatError as exc:
+            raise MechanismFormatError(f"entry {i}: {exc}") from None
         if rows[k] is not None:
             raise DuplicateOrderError(f"entry {i}: duplicate order {texts[k]!r}")
         raw_lottery = raw.get("lottery")

@@ -10,13 +10,12 @@ Three nested moves connect a coarse order to a finer one:
 A multiway separation decomposes into a chain of plain separations in two
 standard styles, and any pair of orders is connected through a path of
 refinements derived from the straight-line segment between consistent
-utility functions. Local strategyproofness along these moves is checked
-here by one scan, `_local_sp_scan`, over a per-m layout of (coarse index,
-fine index) pairs in canonical index space (`_move_layout`); the three
-moves differ only in the move generator the layout is built from, which
-is also the one behind the public enumerators. `check_refinement_sp`, the
-widest of the three, is the public check. Orders are the class tuples
-of `core.order_classes`, so the scan builds `WeakOrder`s only for the
+utility functions. `check_refinement_sp` checks local strategyproofness
+across every refinement pair, the widest of the three moves: it walks the
+refinements of each order with the move generator behind
+`enumerate_refinements` and names each fine order by its canonical index
+(`core.classes_index`). Orders are the class tuples of
+`core.order_classes`, so the scan builds `WeakOrder`s only for the
 violation it reports. It runs on the table's integer rows with the same
 dominance test as `verify.check_sp_bruteforce`; agreement with the full
 pairwise scan, and with a `Fraction` reference scan, is what the test
@@ -26,9 +25,8 @@ batteries exercise.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .axioms import Separation, as_separation
@@ -223,45 +221,26 @@ def split_chain(
     return steps
 
 
-@lru_cache(maxsize=24)
-def _move_layout(
-    m: int, moves: Callable[[Classes], Iterable[tuple]]
-) -> tuple[tuple[int, int], ...]:
-    """(coarse index, fine index) of every move at problem size m, in
-    canonical order: coarse orders by enumeration index, then each order's
-    moves as ``moves`` lists them, the fine order's classes last in each.
-    Indices come from `classes_index`, so no `WeakOrder` is made. The
-    identity refinement names no other order and is left out."""
-    index = classes_index(m)
-    return tuple(
-        (ci, fi)
-        for ci, classes in enumerate(order_classes(m))
-        for move in moves(classes)
-        if (fi := index[move[-1]]) != ci
-    )
-
-
-def _local_sp_scan(
-    mech: MechanismTable, moves: Callable[[Classes], Iterable[tuple]]
-) -> SPViolation | None:
-    """Check both dominance directions on each move of `_move_layout`, in
-    canonical order: truthful at the move's coarse order against reporting
-    its fine one, and vice versa."""
-    rows = mech.rows
-    domain = order_classes(mech.m)
-    for ci, fi in _move_layout(mech.m, moves):
-        gap = _dominance_gap(domain[ci], rows[ci], rows[fi])
-        if gap is not None:
-            return _sp_violation(mech, ci, fi, gap)
-        gap = _dominance_gap(domain[fi], rows[fi], rows[ci])
-        if gap is not None:
-            return _sp_violation(mech, fi, ci, gap)
-    return None
-
-
 def check_refinement_sp(mech: MechanismTable) -> SPViolation | None:
-    """No profitable misreport across any refinement pair."""
-    return _local_sp_scan(mech, _refinement_moves)
+    """No profitable misreport across any refinement pair. Coarse orders run
+    by canonical index, each order's refinements as `_refinement_moves`
+    lists them (the identity skipped); each pair is tested truthful at the
+    coarse order against reporting the fine one, then the reverse, and the
+    first gap is reported."""
+    rows = mech.rows
+    index = classes_index(mech.m)
+    for ci, classes in enumerate(order_classes(mech.m)):
+        for _, fine in _refinement_moves(classes):
+            fi = index[fine]
+            if fi == ci:
+                continue
+            gap = _dominance_gap(classes, rows[ci], rows[fi])
+            if gap is not None:
+                return _sp_violation(mech, ci, fi, gap)
+            gap = _dominance_gap(fine, rows[fi], rows[ci])
+            if gap is not None:
+                return _sp_violation(mech, fi, ci, gap)
+    return None
 
 
 class UtilitySegment(FrozenRecord):

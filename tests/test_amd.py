@@ -399,6 +399,25 @@ def test_objective_from_json_accumulates_and_validates():
             objective_from_json(bad, 2)
 
 
+def test_objective_faults_name_their_term():
+    good = {"order": "0>1", "alt": 0, "coef": "1"}
+    for bad, detail in (
+        ({"order": "0>>1", "alt": 0, "coef": "1"}, "malformed order '0>>1'"),
+        ({"order": "0>2", "alt": 0, "coef": "1"}, "malformed order '0>2'"),
+        ({"order": "0>1>2", "alt": 0, "coef": "1"}, "order '0>1>2' is not over 0..1"),
+        ({"order": "0>1", "alt": 5, "coef": "1"}, "bad alternative 5"),
+        ({"order": "0>1", "alt": 0, "coef": "1/0"}, "zero denominator"),
+        ({"order": "0>1", "alt": 0, "coef": "x"}, "malformed rational 'x'"),
+    ):
+        with pytest.raises(FormatError) as exc:
+            objective_from_json({"terms": [good, bad]}, 2)
+        assert str(exc.value).startswith(f"term 1: {detail}"), str(exc.value)
+    # any spelling of an order names the same entry as its canonical text
+    spelled = {"terms": [{"order": " 1,0 >2", "alt": 2, "coef": "1"}]}
+    canonical = {"terms": [{"order": "0,1>2", "alt": 2, "coef": "1"}]}
+    assert objective_from_json(spelled, 3) == objective_from_json(canonical, 3)
+
+
 def test_load_objective(tmp_path):
     path = tmp_path / "objective.json"
     path.write_text(json.dumps(objective_to_json(2, top_class_welfare_objective(2))))

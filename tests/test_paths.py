@@ -9,13 +9,13 @@ from sepax.core import (
     UtilityFn,
     WeakOrder,
     canonical_utility,
+    classes_index,
     enumerate_weak_orders,
     order_from_utility,
     strictly_consistent,
 )
 from sepax.axioms import (
     _separation_layout,
-    _split_moves,
     all_separations,
     as_separation,
     enumerate_separations,
@@ -29,11 +29,9 @@ from sepax.mechanisms import (
     rank_score,
     top_class_uniform,
 )
+from sepax import paths
 from sepax.paths import (
     SPLIT_CHAIN_STYLES,
-    _local_sp_scan,
-    _move_layout,
-    _multiway_moves,
     _refinement_moves,
     as_multiway_separation,
     as_refinement,
@@ -46,6 +44,7 @@ from sepax.paths import (
     split_chain,
     utility_segment,
 )
+from sepax.verify import _dominance_gap
 from tests.oracles import local_sp_oracle, lottery_table, weak_order_count
 
 
@@ -146,15 +145,6 @@ def proper_refinements(coarse: WeakOrder):
     return (r for r in enumerate_refinements(coarse) if not r.is_identity)
 
 
-# each move generator of the local scan, with the public enumerator of the
-# same moves
-LOCAL_MOVES = {
-    _split_moves: enumerate_separations,
-    _multiway_moves: enumerate_multiway_separations,
-    _refinement_moves: proper_refinements,
-}
-
-
 def perturbed(mech: MechanismTable, rng: random.Random) -> MechanismTable:
     """Move a share of one entry's mass from a preferred alternative to a
     less preferred one, at a seeded order deep in the canonical scan."""
@@ -172,8 +162,8 @@ def perturbed(mech: MechanismTable, rng: random.Random) -> MechanismTable:
 
 
 def local_population() -> list[MechanismTable]:
-    """The zoo at m=2..5, then seeded random, deterministic and perturbed
-    tables at m=3 and m=4."""
+    """The zoo at m=2..5, seeded random, deterministic and perturbed tables
+    at m=3 and m=4, then perturbed tables at m=5."""
     tables = [factory(m) for m in (2, 3, 4, 5) for _, factory in sorted(ZOO.items())]
     rng = random.Random(4242)
     for m, count in ((3, 12), (4, 6)):
@@ -184,6 +174,11 @@ def local_population() -> list[MechanismTable]:
             for _ in range(count // 3)
             for factory in (rank_score, top_class_uniform)
         ]
+    tables += [
+        perturbed(factory(5), rng)
+        for _ in range(2)
+        for factory in (rank_score, top_class_uniform)
+    ]
     return tables
 
 
@@ -191,18 +186,15 @@ def test_local_sp_scans_match_fraction_oracle():
     tables = local_population()
     assert k_sensitive_boost(5) in tables
     for mech in tables:
-        for generator, moves in LOCAL_MOVES.items():
-            violation = _local_sp_scan(mech, generator)
-            pairs = (
-                (move.coarse, move.fine)
-                for order in enumerate_weak_orders(mech.m)
-                for move in moves(order)
-            )
-            expected = local_sp_oracle(mech, pairs)
-            assert (None if violation is None else violation.to_json()) == expected, (
-                mech.name,
-                generator.__name__,
-            )
+        violation = check_refinement_sp(mech)
+        pairs = (
+            (move.coarse, move.fine)
+            for order in enumerate_weak_orders(mech.m)
+            for move in proper_refinements(order)
+        )
+        expected = local_sp_oracle(mech, pairs)
+        actual = None if violation is None else violation.to_json()
+        assert actual == expected, mech.name
 
 
 def test_move_layouts_match_public_enumerators():
@@ -218,37 +210,63 @@ def test_move_layouts_match_public_enumerators():
         # all_separations shares the canonical order instances
         for sep, (ci, fi, *_) in zip(all_separations(m), _separation_layout(m)):
             assert sep.coarse is orders[ci] and sep.fine is orders[fi]
-        for generator, enumerate_moves in LOCAL_MOVES.items():
-            assert list(_move_layout(m, generator)) == [
-                (index[move.coarse], index[move.fine])
-                for order in orders
-                for move in enumerate_moves(order)
-            ], (m, generator.__name__)
-    # at m=6, each order has the product of its classes' Fubini numbers as
+
+
+def test_refinement_scan_tests_each_pair_both_ways(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _dominance_gap(*args)
+
+    monkeypatch.setattr(paths, "_dominance_gap", counting)
+    assert check_refinement_sp(rank_score(6)) is None
+    # each order has the product of its classes' Fubini numbers as
     # refinements, the identity among them
-    expected = sum(
+    pairs = sum(
         math.prod(weak_order_count(len(cls)) for cls in order.classes) - 1
         for order in enumerate_weak_orders(6)
     )
-    assert len(_move_layout(6, _refinement_moves)) == expected
+    assert pairs == 61922
+    assert calls == 2 * pairs
+
+
+def test_refinement_scan_stops_at_first_failing_order(monkeypatch):
+    rng = random.Random(17)
+    tables = [k_sensitive_boost(m) for m in (3, 4, 5)]
+    tables += [perturbed(factory(4), rng) for factory in (rank_score, top_class_uniform)]
+    for mech in tables:
+        calls = 0
+
+        def counting(classes):
+            nonlocal calls
+            calls += 1
+            return _refinement_moves(classes)
+
+        monkeypatch.setattr(paths, "_refinement_moves", counting)
+        violation = check_refinement_sp(mech)
+        assert violation is not None, mech.name
+        # a refinement pair's coarse order has fewer classes than its fine one
+        coarse = min(
+            violation.truth, violation.misreport, key=lambda order: order.num_classes
+        )
+        c = classes_index(mech.m)[coarse.classes]
+        assert c > 0 and calls == c + 1, mech.name
 
 
 def test_local_sp_scans_on_zoo():
     for mech in (rank_score(3), top_class_uniform(4)):
-        for generator in LOCAL_MOVES:
-            assert _local_sp_scan(mech, generator) is None
         assert check_refinement_sp(mech) is None
     bad = k_sensitive_boost(3)
-    assert check_refinement_sp(bad) == _local_sp_scan(bad, _refinement_moves)
-    for generator in LOCAL_MOVES:
-        violation = _local_sp_scan(bad, generator)
-        assert violation is not None
-        truth_lot = bad.lottery(violation.truth)
-        lie_lot = bad.lottery(violation.misreport)
-        upper = violation.truth.upper_contour(violation.witness_alt)
-        assert truth_lot.mass(upper) == violation.truth_cumulative
-        assert lie_lot.mass(upper) == violation.misreport_cumulative
-        assert violation.misreport_cumulative > violation.truth_cumulative
+    violation = check_refinement_sp(bad)
+    assert violation is not None
+    truth_lot = bad.lottery(violation.truth)
+    lie_lot = bad.lottery(violation.misreport)
+    upper = violation.truth.upper_contour(violation.witness_alt)
+    assert truth_lot.mass(upper) == violation.truth_cumulative
+    assert lie_lot.mass(upper) == violation.misreport_cumulative
+    assert violation.misreport_cumulative > violation.truth_cumulative
 
 
 def test_blend_utilities():
