@@ -56,20 +56,6 @@ class Separation(FrozenRecord):
 
     __slots__ = ("coarse", "fine", "kappa", "upper_part", "lower_part")
 
-    def __init__(
-        self,
-        coarse: WeakOrder,
-        fine: WeakOrder,
-        kappa: int,
-        upper_part: tuple[int, ...],
-        lower_part: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "coarse", coarse)
-        object.__setattr__(self, "fine", fine)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "upper_part", upper_part)
-        object.__setattr__(self, "lower_part", lower_part)
-
     def to_json(self) -> dict:
         return {
             "coarse": self.coarse.text,
@@ -166,24 +152,6 @@ class Certificate(FrozenRecord):
     """
 
     __slots__ = ("axiom", "separation", "witness", "k", "lhs", "rhs", "separation_index")
-
-    def __init__(
-        self,
-        axiom: str,
-        separation: Separation,
-        witness: str,
-        k: int,
-        lhs: Fraction,
-        rhs: Fraction,
-        separation_index: int,
-    ) -> None:
-        object.__setattr__(self, "axiom", axiom)
-        object.__setattr__(self, "separation", separation)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "separation_index", separation_index)
 
     def witness_set(self) -> tuple[int, ...]:
         """Raises `ValueError` for k outside 1..K, K the coarse order's
@@ -360,18 +328,6 @@ class AxiomReport(Record):
     """Outcome of running every axiom checker against one mechanism."""
 
     __slots__ = ("mechanism", "m", "verdicts", "certificates")
-
-    def __init__(
-        self,
-        mechanism: str,
-        m: int,
-        verdicts: dict[str, bool],
-        certificates: dict[str, list[Certificate]],
-    ) -> None:
-        self.mechanism = mechanism
-        self.m = m
-        self.verdicts = verdicts
-        self.certificates = certificates
 
     def to_json(self) -> dict:
         return {

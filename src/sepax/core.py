@@ -82,13 +82,16 @@ def format_rational(value: Fraction | int) -> str:
 
 class Record:
     """Base of sepax's records: plain classes whose fields are their own
-    ``__slots__`` (bar ``__dict__``), in order, each with a hand-written
-    ``__init__``. A record equals another only of the same class with
-    equal field values, shows as ``Name(field=value, ...)``, and is
-    unhashable."""
+    ``__slots__`` (bar ``__dict__``), in order. One constructor serves every
+    record: it takes the fields by position or by name, and a field listed
+    in ``_defaults`` may be omitted (a default that is a type, such as
+    ``dict``, is called, so each record gets its own). A record equals
+    another only of the same class with equal field values, shows as
+    ``Name(field=value, ...)``, and is unhashable."""
 
     __slots__ = ()
     __hash__ = None
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -96,6 +99,38 @@ class Record:
         if fields:
             cls._fields = fields
             cls._field_values = attrgetter(*fields)
+            # the slots' own setters, which bypass FrozenRecord.__setattr__
+            cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
+
+    def __init__(self, /, *values, **named) -> None:
+        setters = self._setters
+        if named or len(values) != len(setters):
+            values = self._bind(values, named)
+        for setter, value in zip(setters, values):
+            setter(self, value)
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> list:
+        """The field values of a call that is not one value per field in
+        order, with defaults filled in."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, not {len(values)}")
+        # a name outside the fields left after the positional values is
+        # unknown or given twice
+        for field in named.keys() - fields[len(values) :]:
+            problem = "got multiple values for" if field in fields else "has no"
+            raise TypeError(f"{name}() {problem} field {field!r}")
+        values = list(values)
+        for field in fields[len(values) :]:
+            if field in named:
+                values.append(named[field])
+            elif field in cls._defaults:
+                default = cls._defaults[field]
+                values.append(default() if isinstance(default, type) else default)
+            else:
+                raise TypeError(f"{name}() missing field {field!r}")
+        return values
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -108,8 +143,8 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record whose fields are set once, by ``__init__`` through
-    ``object.__setattr__``, and hashed by value."""
+    """A record whose fields are set once, through the slots' own setters
+    (``_setters``), and hashed by value."""
 
     __slots__ = ()
 
@@ -141,33 +176,41 @@ class WeakOrder(FrozenRecord):
     __slots__ = ("m", "classes", "__dict__")
 
     def __init__(self, m: int, classes: Classes) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "classes", classes)
         if m < 1:
             raise ValueError("need at least one alternative")
+        if type(classes) is not tuple:
+            # read a one-shot iterable once
+            classes = tuple(classes)
         # one whole-order test accepts a tuple of sorted tuples; the loop
         # below runs only on other input, to name the fault or to accept
-        # the same partition in another form (lists of classes, say)
+        # the same partition in another form (lists of classes, say), which
+        # is then stored as tuples
         try:
-            if (
-                type(classes) is tuple
-                and sorted([a for cls in classes for a in cls]) == list(range(m))
-                and all(cls and cls == tuple(sorted(cls)) for cls in classes)
-            ):
-                return
+            members = sorted([a for cls in classes for a in cls])
+            canonical = members == list(range(m)) and all(
+                cls and cls == tuple(sorted(cls)) for cls in classes
+            )
         except TypeError:
-            pass
-        seen: set[int] = set()
-        for cls in classes:
-            if not cls:
-                raise ValueError("empty indifference class")
-            if any(cls[i] >= cls[i + 1] for i in range(len(cls) - 1)):
-                raise ValueError(f"class {cls!r} not sorted strictly ascending")
-            if seen & set(cls):
-                raise ValueError(f"alternative repeated across classes: {cls!r}")
-            seen.update(cls)
-        if seen != set(range(m)):
-            raise ValueError(f"classes do not partition 0..{m - 1}")
+            canonical = False
+        if not canonical:
+            seen: set[int] = set()
+            for cls in classes:
+                if not cls:
+                    raise ValueError("empty indifference class")
+                if any(cls[i] >= cls[i + 1] for i in range(len(cls) - 1)):
+                    raise ValueError(f"class {cls!r} not sorted strictly ascending")
+                if seen & set(cls):
+                    raise ValueError(f"alternative repeated across classes: {cls!r}")
+                seen.update(cls)
+            if seen != set(range(m)):
+                raise ValueError(f"classes do not partition 0..{m - 1}")
+            classes = tuple(map(tuple, classes))
+        # the slots' own setters, not super().__init__: every order of
+        # `enumerate_weak_orders` is built here, and that call would cost
+        # about 0.5 us more per order
+        set_m, set_classes = self._setters
+        set_m(self, m)
+        set_classes(self, classes)
 
     @staticmethod
     def parse(text: str) -> "WeakOrder":
@@ -347,8 +390,6 @@ class Lottery(FrozenRecord):
 
     def __init__(self, m: int, probs: Iterable[Fraction | int]) -> None:
         probs = _as_fractions(probs)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "probs", probs)
         if len(probs) != m:
             raise ValueError(f"expected {m} probabilities, got {len(probs)}")
         if any(p.numerator < 0 for p in probs):
@@ -356,6 +397,7 @@ class Lottery(FrozenRecord):
         total = sum(probs)
         if total != 1:
             raise ValueError(f"probabilities sum to {format_rational(total)}, not 1")
+        super().__init__(m, probs)
 
     @staticmethod
     def uniform(m: int) -> "Lottery":
@@ -392,12 +434,11 @@ class UtilityFn(FrozenRecord):
 
     def __init__(self, m: int, values: Iterable[Fraction | int]) -> None:
         values = _as_fractions(values)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "values", values)
         if len(values) != m:
             raise ValueError(f"expected {m} utilities, got {len(values)}")
         if any(v < 0 for v in values):
             raise ValueError("negative utility")
+        super().__init__(m, values)
 
     def expected(self, lottery: Lottery) -> Fraction:
         if lottery.m != self.m:

@@ -43,10 +43,8 @@ class Constraint(Record):
     ) -> None:
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        self.name = name
-        self.coeffs = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
-        self.relation = relation
-        self.rhs = Fraction(rhs)
+        coeffs = {j: Fraction(c) for j, c in coeffs.items() if c != 0}
+        super().__init__(name, coeffs, relation, Fraction(rhs))
 
 
 class LinearProgram(Record):
@@ -54,16 +52,7 @@ class LinearProgram(Record):
     the constraints and implicit nonnegativity."""
 
     __slots__ = ("variables", "constraints", "objective")
-
-    def __init__(
-        self,
-        variables: list[str],
-        constraints: list[Constraint] | None = None,
-        objective: dict[int, Fraction] | None = None,
-    ) -> None:
-        self.variables = variables
-        self.constraints = [] if constraints is None else constraints
-        self.objective = {} if objective is None else objective
+    _defaults = {"constraints": list, "objective": dict}
 
     def add_constraint(
         self, name: str, coeffs: dict[int, Fraction], relation: str, rhs: Fraction | int
@@ -92,17 +81,10 @@ class LinearProgram(Record):
 
 
 class LPSolution(Record):
-    __slots__ = ("status", "assignment", "objective_value")
+    """``status`` is optimal, infeasible or unbounded."""
 
-    def __init__(
-        self,
-        status: str,  # optimal | infeasible | unbounded
-        assignment: dict[str, Fraction] | None = None,
-        objective_value: Fraction | None = None,
-    ) -> None:
-        self.status = status
-        self.assignment = {} if assignment is None else assignment
-        self.objective_value = objective_value
+    __slots__ = ("status", "assignment", "objective_value")
+    _defaults = {"assignment": dict, "objective_value": None}
 
     def to_json(self) -> dict:
         return {

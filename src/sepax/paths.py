@@ -57,14 +57,6 @@ class MultiwaySeparation(FrozenRecord):
 
     __slots__ = ("coarse", "fine", "kappa", "parts")
 
-    def __init__(
-        self, coarse: WeakOrder, fine: WeakOrder, kappa: int, parts: Classes
-    ) -> None:
-        object.__setattr__(self, "coarse", coarse)
-        object.__setattr__(self, "fine", fine)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "parts", parts)
-
     @property
     def arity(self) -> int:
         return len(self.parts)
@@ -83,13 +75,6 @@ class Refinement(FrozenRecord):
     least one part each), concatenated in place."""
 
     __slots__ = ("coarse", "fine", "blocks")
-
-    def __init__(
-        self, coarse: WeakOrder, fine: WeakOrder, blocks: tuple[Classes, ...]
-    ) -> None:
-        object.__setattr__(self, "coarse", coarse)
-        object.__setattr__(self, "fine", fine)
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def is_identity(self) -> bool:
@@ -250,13 +235,6 @@ class UtilitySegment(FrozenRecord):
 
     __slots__ = ("start", "end", "breakpoints")
 
-    def __init__(
-        self, start: UtilityFn, end: UtilityFn, breakpoints: tuple[Fraction, ...]
-    ) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "breakpoints", breakpoints)
-
 
 def blend_utilities(u: UtilityFn, v: UtilityFn, alpha: Fraction) -> UtilityFn:
     if u.m != v.m:
@@ -296,20 +274,6 @@ class PathResult(Record):
     induces it."""
 
     __slots__ = ("start", "end", "segment", "orders", "alphas")
-
-    def __init__(
-        self,
-        start: WeakOrder,
-        end: WeakOrder,
-        segment: UtilitySegment,
-        orders: list[WeakOrder],
-        alphas: list[Fraction],
-    ) -> None:
-        self.start = start
-        self.end = end
-        self.segment = segment
-        self.orders = orders
-        self.alphas = alphas
 
     def steps(self) -> list[tuple[str, Refinement]]:
         """Per adjacent pair: ("refine", r) when the right order refines the

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import compress, count, islice
 from operator import add
 
-from .axioms import Certificate, _separation_layout, check_all_axioms
+from .axioms import _separation_layout, check_all_axioms
 from .core import (
     Classes,
     FrozenRecord,
@@ -59,20 +59,6 @@ class SPViolation(FrozenRecord):
     __slots__ = (
         "truth", "misreport", "witness_alt", "truth_cumulative", "misreport_cumulative"
     )
-
-    def __init__(
-        self,
-        truth: WeakOrder,
-        misreport: WeakOrder,
-        witness_alt: int,
-        truth_cumulative: Fraction,
-        misreport_cumulative: Fraction,
-    ) -> None:
-        object.__setattr__(self, "truth", truth)
-        object.__setattr__(self, "misreport", misreport)
-        object.__setattr__(self, "witness_alt", witness_alt)
-        object.__setattr__(self, "truth_cumulative", truth_cumulative)
-        object.__setattr__(self, "misreport_cumulative", misreport_cumulative)
 
     def to_json(self) -> dict:
         return {
@@ -211,28 +197,7 @@ class EquivalenceReport(Record):
         "sp_violation",
         "certificates",
     )
-
-    def __init__(
-        self,
-        statement: str,
-        mechanism: str,
-        m: int,
-        sp_verdict: bool,
-        axiom_verdicts: dict[str, bool],
-        decomposition_verdict: bool,
-        agreement: bool,
-        sp_violation: SPViolation | None = None,
-        certificates: dict[str, Certificate] | None = None,
-    ) -> None:
-        self.statement = statement
-        self.mechanism = mechanism
-        self.m = m
-        self.sp_verdict = sp_verdict
-        self.axiom_verdicts = axiom_verdicts
-        self.decomposition_verdict = decomposition_verdict
-        self.agreement = agreement
-        self.sp_violation = sp_violation
-        self.certificates = {} if certificates is None else certificates
+    _defaults = {"sp_violation": None, "certificates": dict}
 
     def to_json(self) -> dict:
         return {
@@ -314,19 +279,13 @@ _STATEMENT_CHECKS = {
 
 @lru_cache(maxsize=32)
 def fubini_number(m: int) -> int:
-    """Number of weak orders on m alternatives, by the recurrence
-    a(n) = sum over k of C(n, k) * a(n - k), a(0) = 1: choose the top
-    class, order the rest. Built bottom-up with one row of Pascal's
-    triangle, so it takes O(m^2) additions and multiplications and no
-    recursion."""
+    """Number of weak orders on m alternatives: sum over j of j! * S(m, j),
+    the ways to split the alternatives into j classes, times the orders of
+    those classes."""
     if m < 0:
         raise ValueError("negative size")
-    a = [1]
-    binom = [1]
-    for n in range(1, m + 1):
-        binom = [1] + [x + y for x, y in zip(binom, binom[1:])] + [1]
-        a.append(sum(binom[k] * a[n - k] for k in range(1, n + 1)))
-    return a[m]
+    row = _stirling2_row(m)
+    return sum(math.factorial(j) * row[j] for j in range(m + 1))
 
 
 def _stirling2_row(m: int) -> list[int]:
@@ -356,20 +315,6 @@ class ConstraintCounts(FrozenRecord):
     __slots__ = (
         "m", "orders", "ordered_pairs", "separations_total", "separations_max_per_order"
     )
-
-    def __init__(
-        self,
-        m: int,
-        orders: int,
-        ordered_pairs: int,
-        separations_total: int,
-        separations_max_per_order: int,
-    ) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "ordered_pairs", ordered_pairs)
-        object.__setattr__(self, "separations_total", separations_total)
-        object.__setattr__(self, "separations_max_per_order", separations_max_per_order)
 
     def to_json(self) -> dict:
         return {
@@ -410,24 +355,7 @@ class ScanReport(Record):
         "first_disagreement",
         "cross_checked",
     )
-
-    def __init__(
-        self,
-        statement: str,
-        m: int,
-        checked: int,
-        agreements: int,
-        sp_count: int,
-        first_disagreement: str | None = None,
-        cross_checked: int = 0,
-    ) -> None:
-        self.statement = statement
-        self.m = m
-        self.checked = checked
-        self.agreements = agreements
-        self.sp_count = sp_count
-        self.first_disagreement = first_disagreement
-        self.cross_checked = cross_checked
+    _defaults = {"first_disagreement": None, "cross_checked": 0}
 
     @property
     def all_agree(self) -> bool:

@@ -18,7 +18,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from sepax.amd import variable_names
 from sepax.axioms import all_separations
@@ -42,17 +42,15 @@ from sepax.mechanisms import (
 
 
 def weak_order_count(m: int) -> int:
-    """Ordered Bell number via the summation a(n) = sum over j of
-    j! * S(n, j), with the Stirling triangle built in place. Deliberately a
-    different formula from the library's recurrence."""
-    stirling = [[1]]
+    """Ordered Bell number via the recurrence a(n) = sum over k of
+    C(n, k) * a(n - k), a(0) = 1: choose the top class, order the rest.
+    Deliberately a different formula from the library's Stirling sum."""
+    a = [1]
+    binom = [1]
     for n in range(1, m + 1):
-        prev = stirling[-1]
-        row = [0] * (n + 1)
-        for j in range(1, n + 1):
-            row[j] = (j * prev[j] if j < n else 0) + prev[j - 1]
-        stirling.append(row)
-    return sum(factorial(j) * stirling[m][j] for j in range(m + 1))
+        binom = [1] + [x + y for x, y in zip(binom, binom[1:])] + [1]
+        a.append(sum(binom[k] * a[n - k] for k in range(1, n + 1)))
+    return a[m]
 
 
 def weak_order_fault_oracle(m, classes) -> str | None:

@@ -28,6 +28,7 @@ from sepax.core import (
     strictly_consistent,
 )
 from sepax.lp import Constraint, LinearProgram, LPSolution
+from sepax.mechanisms import uniform_lottery
 from sepax.paths import MultiwaySeparation, PathResult, Refinement, UtilitySegment
 from sepax.verify import ConstraintCounts, EquivalenceReport, ScanReport, SPViolation
 from tests.oracles import fosd_oracle_utilities, weak_order_count, weak_order_fault_oracle
@@ -160,6 +161,18 @@ def test_weak_order_construction_reads_one_shot_classes_once():
     for m, classes in ((1, ((0,), ())), (2, ((0,), (1,))), (2, ((1,), (0, 1)))):
         expected = _outcome(lambda: _oracle_build(m, iter(classes)))
         assert _outcome(lambda: WeakOrder(m, iter(classes))) == expected, classes
+
+
+def test_weak_order_stores_accepted_classes_as_tuples():
+    parsed = WeakOrder.parse("0>1")
+    table = uniform_lottery(2)
+    for classes in ([[0], [1]], ([0], [1]), [(0,), (1,)]):
+        order = WeakOrder(2, classes)
+        assert order.classes == ((0,), (1,)) and order == parsed
+        assert hash(order) == hash(parsed)
+        assert table.lottery(order) == table.lottery(parsed)
+    for classes in ([[0], [1]], ((0,), (1,))):
+        assert WeakOrder(2, iter(classes)).classes == ((0,), (1,))
 
 
 def test_order_classes_is_the_canonical_domain():
@@ -449,6 +462,23 @@ def test_record_keeps_dataclass_behaviour(name):
             hash(record)
         setattr(record, first, fields[first])
         assert record == by_keyword
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_constructor_refuses_bad_calls(name):
+    cls, _, fields = _record_samples()[name]
+    values = list(fields.values())
+    first = next(iter(fields))
+    # one value too many, an unknown name, a field given both ways, and the
+    # first field, which has no default, left out
+    for args, named in (
+        (values + [None], {}),
+        (values, {"no_such_field": None}),
+        (values, {first: values[0]}),
+        ((), {f: v for f, v in fields.items() if f != first}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **named)
 
 
 def test_records_of_different_classes_are_unequal():
