@@ -11,6 +11,10 @@ Every scan, loader and table builder runs on `order_classes(m)`, the class
 tuples of all orders in canonical order, and builds a `WeakOrder` only for
 an order it reports; `enumerate_weak_orders` is the same domain as
 `WeakOrder`s, for callers.
+
+Every record is a `Record`: one constructor binds its fields, and one
+encoder, `Record.to_json`, writes them by name through `json_value`, which
+gives a rational as ``"p/q"`` text and an order as its text form.
 """
 
 from __future__ import annotations
@@ -80,6 +84,24 @@ def format_rational(value: Fraction | int) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
+def json_value(value: object) -> object:
+    """The JSON form of a field value: a bool, int, str or None as it is, a
+    `Fraction` through `format_rational`, a dict with each value encoded, a
+    tuple or list as a list of encoded members, and anything else (a
+    record or a `WeakOrder`) as its own ``to_json()``. Dispatch is on the
+    exact type, which costs less than an ``isinstance`` chain."""
+    kind = type(value)
+    if kind is bool or kind is int or kind is str or value is None:
+        return value
+    if kind is Fraction:
+        return format_rational(value)
+    if kind is dict:
+        return {key: json_value(item) for key, item in value.items()}
+    if kind is tuple or kind is list:
+        return [json_value(item) for item in value]
+    return value.to_json()
+
+
 class Record:
     """Base of sepax's records: plain classes whose fields are their own
     ``__slots__`` (bar ``__dict__``), in order. One constructor serves every
@@ -87,7 +109,8 @@ class Record:
     in ``_defaults`` may be omitted (a default that is a type, such as
     ``dict``, is called, so each record gets its own). A record equals
     another only of the same class with equal field values, shows as
-    ``Name(field=value, ...)``, and is unhashable."""
+    ``Name(field=value, ...)``, is unhashable, and encodes as its fields
+    by name, in order, each through `json_value`."""
 
     __slots__ = ()
     __hash__ = None
@@ -140,6 +163,9 @@ class Record:
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({body})"
+
+    def to_json(self) -> dict:
+        return dict(zip(self._fields, map(json_value, self._field_values(self))))
 
 
 class FrozenRecord(Record):
@@ -263,6 +289,9 @@ class WeakOrder(FrozenRecord):
             raise ValueError(f"alternative {alt} out of range for m={self.m}")
 
     def __str__(self) -> str:
+        return self.text
+
+    def to_json(self) -> str:
         return self.text
 
     def __repr__(self) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import Record, format_rational
+from .core import Record, format_rational, json_value
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -87,17 +87,11 @@ class LPSolution(Record):
     _defaults = {"assignment": dict, "objective_value": None}
 
     def to_json(self) -> dict:
+        # the value before the assignment, which is sorted by name
         return {
-            "status": self.status,
-            "objective_value": (
-                None
-                if self.objective_value is None
-                else format_rational(self.objective_value)
-            ),
-            "assignment": {
-                name: format_rational(value)
-                for name, value in sorted(self.assignment.items())
-            },
+            "status": json_value(self.status),
+            "objective_value": json_value(self.objective_value),
+            "assignment": json_value(dict(sorted(self.assignment.items()))),
         }
 
 

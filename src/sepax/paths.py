@@ -39,7 +39,7 @@ from .core import (
     canonical_utility,
     classes_index,
     consistent,
-    format_rational,
+    json_value,
     order_classes,
     order_from_utility,
     ordered_set_partitions,
@@ -61,14 +61,6 @@ class MultiwaySeparation(FrozenRecord):
     def arity(self) -> int:
         return len(self.parts)
 
-    def to_json(self) -> dict:
-        return {
-            "coarse": self.coarse.text,
-            "fine": self.fine.text,
-            "kappa": self.kappa,
-            "parts": [list(p) for p in self.parts],
-        }
-
 
 class Refinement(FrozenRecord):
     """The fine order splits each coarse class k into ``blocks[k-1]`` (at
@@ -79,13 +71,6 @@ class Refinement(FrozenRecord):
     @property
     def is_identity(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
-
-    def to_json(self) -> dict:
-        return {
-            "coarse": self.coarse.text,
-            "fine": self.fine.text,
-            "blocks": [[list(p) for p in b] for b in self.blocks],
-        }
 
 
 def as_refinement(coarse: WeakOrder, fine: WeakOrder) -> Refinement | None:
@@ -293,12 +278,13 @@ class PathResult(Record):
         return out
 
     def to_json(self) -> dict:
+        # the segment's breakpoints in place of the segment, and the steps
         return {
-            "start": self.start.text,
-            "end": self.end.text,
-            "breakpoints": [format_rational(a) for a in self.segment.breakpoints],
-            "orders": [order.text for order in self.orders],
-            "alphas": [format_rational(a) for a in self.alphas],
+            "start": json_value(self.start),
+            "end": json_value(self.end),
+            "breakpoints": json_value(self.segment.breakpoints),
+            "orders": json_value(self.orders),
+            "alphas": json_value(self.alphas),
             "steps": [
                 {"direction": direction, **refinement.to_json()}
                 for direction, refinement in self.steps()

@@ -39,7 +39,6 @@ from .core import (
     FrozenRecord,
     Record,
     WeakOrder,
-    format_rational,
     order_classes,
 )
 from .mechanisms import MechanismTable, random_mechanism, unit_row
@@ -59,15 +58,6 @@ class SPViolation(FrozenRecord):
     __slots__ = (
         "truth", "misreport", "witness_alt", "truth_cumulative", "misreport_cumulative"
     )
-
-    def to_json(self) -> dict:
-        return {
-            "truth": self.truth.text,
-            "misreport": self.misreport.text,
-            "witness_alt": self.witness_alt,
-            "truth_cumulative": format_rational(self.truth_cumulative),
-            "misreport_cumulative": format_rational(self.misreport_cumulative),
-        }
 
 
 def _dominance_gap(
@@ -199,23 +189,6 @@ class EquivalenceReport(Record):
     )
     _defaults = {"sp_violation": None, "certificates": dict}
 
-    def to_json(self) -> dict:
-        return {
-            "statement": self.statement,
-            "mechanism": self.mechanism,
-            "m": self.m,
-            "sp_verdict": self.sp_verdict,
-            "axiom_verdicts": dict(self.axiom_verdicts),
-            "decomposition_verdict": self.decomposition_verdict,
-            "agreement": self.agreement,
-            "sp_violation": (
-                None if self.sp_violation is None else self.sp_violation.to_json()
-            ),
-            "certificates": {
-                axiom: cert.to_json() for axiom, cert in self.certificates.items()
-            },
-        }
-
 
 def _equivalence(
     mech: MechanismTable,
@@ -288,16 +261,18 @@ def fubini_number(m: int) -> int:
     return sum(math.factorial(j) * row[j] for j in range(m + 1))
 
 
-def _stirling2_row(m: int) -> list[int]:
+@lru_cache(maxsize=8)
+def _stirling2_row(m: int) -> tuple[int, ...]:
     """Stirling set numbers S(m, j) for j = 0..m, by the recurrence
-    S(n, j) = j * S(n-1, j) + S(n-1, j-1)."""
+    S(n, j) = j * S(n-1, j) + S(n-1, j-1). Cached: the counts, the
+    separation total and `amd.lp_summary` all read the row of one m."""
     row = [1]
     for n in range(1, m + 1):
         new = [0] * (n + 1)
         for j in range(1, n + 1):
             new[j] = (j * row[j] if j < n else 0) + row[j - 1]
         row = new
-    return row
+    return tuple(row)
 
 
 def _separations_total(m: int) -> int:
@@ -315,15 +290,6 @@ class ConstraintCounts(FrozenRecord):
     __slots__ = (
         "m", "orders", "ordered_pairs", "separations_total", "separations_max_per_order"
     )
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "orders": self.orders,
-            "ordered_pairs": self.ordered_pairs,
-            "separations_total": self.separations_total,
-            "separations_max_per_order": self.separations_max_per_order,
-        }
 
 
 def count_constraints(m: int) -> ConstraintCounts:
@@ -360,17 +326,6 @@ class ScanReport(Record):
     @property
     def all_agree(self) -> bool:
         return self.agreements == self.checked
-
-    def to_json(self) -> dict:
-        return {
-            "statement": self.statement,
-            "m": self.m,
-            "checked": self.checked,
-            "agreements": self.agreements,
-            "sp_count": self.sp_count,
-            "first_disagreement": self.first_disagreement,
-            "cross_checked": self.cross_checked,
-        }
 
 
 def scan_random_mechanisms(

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from sepax.core import (
     enumerate_weak_orders,
     fosd,
     format_rational,
+    json_value,
     order_classes,
     order_from_utility,
     order_texts,
@@ -64,6 +66,29 @@ def test_format_rational():
         for den in range(1, 9):
             q = F(num, den)
             assert parse_rational(format_rational(q)) == q
+
+
+def test_json_value():
+    # 5,000 digits, past the interpreter's 4,300-digit limit on str(int)
+    digits = "1" + "0" * 4998 + "7"
+    for value, expected in (
+        (F(3, 6), "1/2"),
+        (F(-2), "-2"),
+        (F(10**4999 + 7, 3), f"{digits}/3"),
+        (True, True),
+        (0, 0),
+        (None, None),
+        ("x", "x"),
+        (((1, 2), (F(1, 3),), ()), [[1, 2], ["1/3"], []]),
+        ([F(1), (0,)], ["1", [0]]),
+        (
+            {"a": F(1, 2), "b": False, 3: (WeakOrder.parse("1>0"),)},
+            {"a": "1/2", "b": False, 3: ["1>0"]},
+        ),
+        (WeakOrder.parse("0,1>2"), "0,1>2"),
+    ):
+        encoded = json_value(value)
+        assert encoded == expected and type(encoded) is type(expected)
 
 
 def test_weak_order_text_round_trip():
@@ -479,6 +504,15 @@ def test_record_constructor_refuses_bad_calls(name):
     ):
         with pytest.raises(TypeError):
             cls(*args, **named)
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_encodes_to_json(name):
+    cls, _, fields = _record_samples()[name]
+    data = cls(**fields).to_json()
+    json.dumps(data)
+    if "to_json" not in cls.__dict__:
+        assert list(data) == list(fields) == list(cls._fields)
 
 
 def test_records_of_different_classes_are_unequal():
