@@ -41,13 +41,11 @@ COUNTS_MAX_M = 500
 PATH_MAX_M = 64
 
 # Design solves the upper-set program, 2^m - 2 variables. On a 2-vCPU host
-# (CPython 3.11) `amd --m 6` on a seeded random objective takes 0.6-0.7 s
-# end to end (62 variables, 246 rows, a 1.0 MB report); the m=7 program
-# (126 variables, 679 rows) takes 36 s and 5,094 pivots to solve alone.
+# (CPython 3.11) `amd --m 6` on `random_objective(6, Random(0))` takes
+# 0.4-0.6 s end to end, 0.26-0.41 s of it `timing_s` (62 variables, 246
+# rows, a 1.0 MB report); the m=7 program (126 variables, 679 rows) takes
+# 36 s and 5,094 pivots to solve alone.
 AMD_MAX_M = 6
-
-# Building the m=7 `rank_score` table alone takes 3.0 s on the same host.
-ZOO_MAX_M = 6
 
 # modes whose verdict is one SP violation or none
 _SP_CHECKS = {"sp": verify.check_sp_bruteforce, "multisep": paths.check_refinement_sp}
@@ -227,8 +225,10 @@ def cmd_zoo(args: argparse.Namespace) -> tuple[dict, int]:
     m = args.m
     if m is None or m < 1:
         raise _InputError("zoo emit needs --m >= 1")
-    if m > ZOO_MAX_M:
-        raise _InputError(f"zoo tables beyond m={ZOO_MAX_M} are unreasonably large")
+    if m > core.ENUMERATION_MAX_M:
+        raise _InputError(
+            f"zoo tables beyond m={core.ENUMERATION_MAX_M} are unreasonably large"
+        )
     result = {"name": args.name, "m": m, "entries": len(order_classes(m))}
     _put_table(result, factory(m), args.out_mechanism)
     return {"zoo": result}, EXIT_PASS

@@ -27,8 +27,7 @@ import os
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, repeat, starmap
-from operator import mul
+from itertools import chain
 
 from .core import (
     ENUMERATION_MAX_M,
@@ -51,9 +50,9 @@ from .core import (
 # memory grows as that product times bits(D), and D as the lcm of the rows'
 # denominators. An m=6 table whose 4,683 rows each have their own 6-digit
 # prime denominator (2.2e9 by this measure) took 2.8 s and 309 MB to check
-# on a 2-vCPU host (CPython 3.11); the benchmark's tables stay below 3e6 and
-# the zoo's below 4.3e5. The bound admits D of about 9,500 bits at m=6 and
-# 800 at m=7.
+# on a 2-vCPU host (CPython 3.11); the benchmark's tables stay below 3e6, and
+# the zoo's below 5e6 up to m=7. The bound admits D of about 9,500 bits at
+# m=6 and 800 at m=7.
 TABLE_MAX_BITS = 1 << 28
 
 
@@ -192,9 +191,10 @@ def mechanism_to_json(mech: MechanismTable) -> dict:
 
 def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
     """Parse and fully validate the mechanism wire format. Raises a specific
-    `MechanismFormatError` subclass naming the offending entry; a table
-    past `TABLE_MAX_BITS` is refused at the entry whose tokens grow the
-    common denominator past it."""
+    `MechanismFormatError` subclass naming the offending entry. The common
+    denominator is fixed before any entry is checked, from every distinct
+    token of the file, so a table past `TABLE_MAX_BITS` is refused first,
+    with its bits at the first token, in file order, that takes it past."""
     if not isinstance(data, dict):
         raise MechanismFormatError("top level must be an object")
     m = data.get("m")
@@ -208,12 +208,29 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
         raise MechanismFormatError("entries must be a list")
 
     texts = order_texts(m)
-    # each distinct token is parsed once; ``scale`` is the lcm of their
-    # denominators, and ``scaled`` holds each token's value times it, all
-    # rescaled at once when a new token grows the scale
-    ratios: dict[str, tuple[int, int]] = {}
+    # before any entry is checked, each distinct token is parsed once, in file
+    # order: ``scale`` is the lcm of their denominators and ``scaled`` each
+    # token's value times it; a bad token is left for its entry's check
+    lotteries = [raw.get("lottery") for raw in raw_entries if isinstance(raw, dict)]
+    lotteries = [lottery for lottery in lotteries if isinstance(lottery, list)]
+    try:
+        tokens = dict.fromkeys(chain.from_iterable(lotteries))
+    except TypeError:  # an unhashable token
+        tokens = dict.fromkeys(
+            t for t in chain.from_iterable(lotteries) if isinstance(t, str)
+        )
+    ratios: dict[str, Fraction] = {}
     scale = 1
-    scaled: dict[str, int] = {}
+    for token in tokens:
+        try:
+            ratios[token] = value = parse_rational(token)
+        except FormatError:
+            continue
+        if scale % value.denominator:
+            scale = math.lcm(scale, value.denominator)
+            _check_table_size(len(texts), m, scale)
+    scaled = {t: v.numerator * (scale // v.denominator) for t, v in ratios.items()}
+
     rows: list = [None] * len(texts)
     for i, raw in enumerate(raw_entries):
         if not isinstance(raw, dict):
@@ -234,49 +251,26 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
             )
         try:
             row = tuple(map(scaled.__getitem__, raw_lottery))
-        except (KeyError, TypeError):  # an unseen, non-string or unhashable token
-            new = _parse_tokens(raw_lottery, ratios, i)
-            grown = math.lcm(scale, *(d for _, d in new.values()))
-            if grown != scale:
-                factor, scale = grown // scale, grown
-                _check_table_size(len(texts), m, scale)
-                scaled = dict(zip(scaled, map(mul, scaled.values(), repeat(factor))))
-            scaled.update((t, n * (scale // d)) for t, (n, d) in new.items())
-            row = tuple(map(scaled.__getitem__, raw_lottery))
+        except (KeyError, TypeError):  # a non-string, unhashable or malformed token
+            p, token = next(
+                (p, t) for p, t in enumerate(raw_lottery)
+                if not isinstance(t, str) or t not in scaled
+            )
+            fault = (
+                f"malformed rational {token!r}" if isinstance(token, str)
+                else "probabilities are strings"
+            )
+            raise MalformedRationalError(f"entry {i} position {p}: {fault}") from None
         if min(row) < 0 or sum(row) != scale:
             try:  # only a bad lottery becomes a `Lottery`, for its message
-                Lottery(m, starmap(Fraction, map(ratios.__getitem__, raw_lottery)))
+                Lottery(m, map(ratios.__getitem__, raw_lottery))
             except ValueError as exc:
                 where = f"entry {i} (order {texts[k]!r})"
                 raise InvalidLotteryError(f"{where}: {exc}") from None
         rows[k] = scale, row
 
-    # the table names the first missing order
+    # every row is over ``scale``; the table names the first missing order
     return MechanismTable(m, rows, name=name)
-
-
-def _parse_tokens(
-    tokens: list, ratios: dict[str, tuple[int, int]], i: int
-) -> dict[str, tuple[int, int]]:
-    """Parse the tokens of entry i that ``ratios`` lacks, in position order,
-    into it as (numerator, denominator); returns the new ones. Raises
-    `MalformedRationalError` naming the first token that is no string or
-    no rational."""
-    new = {}
-    for position, token in enumerate(tokens):
-        if not isinstance(token, str):
-            raise MalformedRationalError(
-                f"entry {i} position {position}: probabilities are strings"
-            )
-        if token not in ratios:
-            try:
-                value = parse_rational(token)
-            except FormatError:
-                raise MalformedRationalError(
-                    f"entry {i} position {position}: malformed rational {token!r}"
-                ) from None
-            ratios[token] = new[token] = value.numerator, value.denominator
-    return new
 
 
 def load_mechanism(path: str | os.PathLike) -> MechanismTable:
@@ -306,6 +300,10 @@ def write_atomic(path: str | os.PathLike, payload: str) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(payload)
+            # mkstemp's 0600 becomes the mode open() gives; setting the umask
+            # to read it races no other thread, as sepax is single-threaded
+            os.umask(umask := os.umask(0))
+            os.chmod(tmp_path, 0o666 & ~umask)
             os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):

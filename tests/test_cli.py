@@ -611,11 +611,22 @@ def test_zoo_rejects_large_m_before_building(monkeypatch):
 
     monkeypatch.setitem(mechanisms.ZOO, "rank_score", refuse)
     code, report, err = run_cli(
-        ["zoo", "emit", "--name", "rank_score", "--m", str(cli.ZOO_MAX_M + 1)]
+        ["zoo", "emit", "--name", "rank_score", "--m", str(ENUMERATION_MAX_M + 1)]
     )
     assert code == 3
     assert report is None
-    assert json.loads(err)["error"] == "zoo tables beyond m=6 are unreasonably large"
+    assert json.loads(err)["error"] == "zoo tables beyond m=7 are unreasonably large"
+
+
+def test_zoo_emits_at_the_enumeration_cap(tmp_path):
+    out = tmp_path / "k_sensitive_boost.json"
+    code, report, _ = run_cli(
+        ["zoo", "emit", "--name", "k_sensitive_boost", "--m", str(ENUMERATION_MAX_M),
+         "--out-mechanism", str(out)]
+    )
+    assert code == 0
+    assert report["result"]["zoo"]["entries"] == weak_order_count(ENUMERATION_MAX_M)
+    assert mechanisms.load_mechanism(out) == k_sensitive_boost(ENUMERATION_MAX_M)
 
 
 def test_table_over_the_size_bound_exits_3(tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import stat
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import sepax.mechanisms as mechanisms
 from sepax.core import Lottery, WeakOrder, enumerate_weak_orders
 from sepax.mechanisms import (
     ZOO,
@@ -146,6 +149,20 @@ def test_save_is_atomic_no_partial_file(tmp_path: Path):
     assert not list(tmp_path.glob("*.tmp*")) or all(
         p.name == "mech.json" for p in tmp_path.iterdir()
     )
+
+
+@pytest.mark.parametrize(
+    "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+)
+def test_saved_file_mode_follows_the_umask(tmp_path: Path, umask, mode):
+    # the mode open() would give, not the temporary file's 0600
+    path = tmp_path / "mech.json"
+    old = os.umask(umask)
+    try:
+        save_mechanism(uniform_lottery(2), path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_missing_order_error():
@@ -323,6 +340,11 @@ MALFORMED_FILES = {
     "bad_token_after_the_scale_grew": _set_entries(
         {9: ["1/7", "6/7", "0"], 11: ["1/2", "1/2", "0x"]}
     ),
+    "non_string_before_a_bad_token": _set_entry(2, lottery=[0.5, "1/x", "1/2"]),
+    "bad_token_before_a_non_string": _set_entry(2, lottery=["1/x", 0.5, "1/2"]),
+    "bad_token_in_two_entries": _set_entries(
+        {3: ["1/2", "1/x", "1/2"], 7: ["1/x", "1/2", "1/2"]}
+    ),
     "negative_probability": _set_entry(3, lottery=["2", "-1", "0"]),
     "sum_5_6": _set_entry(4, lottery=["1/2", "1/3", "0"]),
     "sum_2": _set_entry(4, lottery=["1", "1", "0"]),
@@ -358,9 +380,18 @@ def test_loader_matches_lottery_dict_oracle(tmp_path: Path, case):
 
 
 @pytest.mark.parametrize("m", [3, 4])
-def test_shuffled_file_with_a_denominator_per_row(tmp_path: Path, m):
-    # every row over its own denominator, so the loader's scale grows at
-    # almost every entry, wherever the file puts it
+def test_shuffled_file_with_a_denominator_per_row(tmp_path: Path, m, monkeypatch):
+    # every row over its own denominator, wherever the file puts it: the
+    # loader fixes the table's scale first, so every row it hands the
+    # constructor is over the table's denominator already
+    handed = []
+
+    def recording_table(size, rows, name=""):
+        rows = list(rows)
+        handed.extend(rows)
+        return MechanismTable(size, rows, name=name)
+
+    monkeypatch.setattr(mechanisms, "MechanismTable", recording_table)
     rng = random.Random(m)
     lotteries = []
     for i, order in enumerate(enumerate_weak_orders(m)):
@@ -378,6 +409,23 @@ def test_shuffled_file_with_a_denominator_per_row(tmp_path: Path, m):
     mech = load_mechanism(path)
     assert dict(mech.items()) == expected
     assert (mech.denominator, mech.rows) == integer_rows_oracle(lotteries)
+    assert len(handed) == len(lotteries)
+    assert {den for den, _ in handed} == {mech.denominator}
+
+
+def test_size_bound_is_refused_before_any_entry_is_checked(monkeypatch):
+    # entry 0 is no object, but the table is over the bound: the bound is
+    # checked first, with its bits at the first token that passes it
+    primes = [p for p in range(1009, 2000) if all(p % q for q in range(2, 45))][:13]
+    blob = mechanism_to_json(MechanismTable(3, [(p, (1, 1, p - 2)) for p in primes]))
+    blob["entries"][0] = "0>1>2"
+    monkeypatch.setattr(mechanisms, "TABLE_MAX_BITS", 13 * 3 * 40)
+    with pytest.raises(MechanismFormatError) as err:
+        mechanism_from_json(blob)
+    assert str(err.value) == (
+        "13 rows x 3 entries x 50 bits of common denominator = 1950 bits,"
+        " over the bound of 1560"
+    )
 
 
 def test_construction_rejects_orders_outside_the_domain_and_size_mismatch():
