@@ -89,6 +89,7 @@ from .verify import (
     fubini_number,
     scan_deterministic_decomposition,
     scan_random_mechanisms,
+    verify_sp_violation,
 )
 from .amd import (
     g_program,

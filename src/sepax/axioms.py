@@ -17,7 +17,9 @@ the quadratic scan over all order pairs:
 - lower_invariant: classes ranked below the split class keep their
   probability exactly.
 
-`find_violations` runs every check in one serial scan over the table's
+`find_violations` first asks one column verdict, `_upper_set_verdict`,
+whether every separation passes; on a table that passes, no separation is
+walked. Otherwise it runs every check in one serial scan over the table's
 integer rows (a `MechanismTable` is ``(m, denominator, rows)`` and is valid
 once built) and the orders' class tuples, where each axiom compares sums
 of ``int`` entries. One test clears a separation for all four axioms at
@@ -25,6 +27,12 @@ once; only the rest reach the per-axiom checks. It reports, per axiom,
 `Certificate`s pinpointing the failures in canonical separation order;
 certificates carry exact `Fraction`s, are self-contained, and are
 re-checked against the lotteries themselves by `verify_certificate`.
+
+The verdict reads, for every nonempty proper subset S of the
+alternatives, the masses on S of the orders that `_upper_set_index`
+names for S, picked from the table's columns. The holder half of that
+index also serves the SP check in `verify`, and the same verdict settles
+the refinement scan of `paths`.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, itemgetter
 
 from .core import (
     Classes,
@@ -134,6 +143,94 @@ def all_separations(m: int) -> tuple[Separation, ...]:
         Separation(orders[ci], orders[fi], k + 1, upper, lower)
         for ci, fi, k, upper, lower in _separation_layout(m)
     )
+
+
+@lru_cache(maxsize=8)
+def _upper_set_index(
+    m: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """For each bitmask S of alternatives (bit a is alternative a), the
+    canonical indices, ascending, of its holders and of its weak holders,
+    as two tuples indexed by S. An order R *holds* S when S is the union
+    of R's top j classes, for any j (so every order holds the full set);
+    R *weakly holds* S when S is R's top classes plus a nonempty proper
+    part of R's next class. Weak-holder pairs match separations one to
+    one: R is the coarse order, S the fine order's new upper set."""
+    holders: list[list[int]] = [[] for _ in range(1 << m)]
+    weak: list[list[int]] = [[] for _ in range(1 << m)]
+    # per distinct class: its bitmask, and those of its nonempty proper parts
+    masks: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    for i, classes in enumerate(order_classes(m)):
+        upper = 0
+        for cls in classes:
+            if cls not in masks:
+                full = sum(1 << alt for alt in cls)
+                parts, part = [], (full - 1) & full
+                while part:
+                    parts.append(part)
+                    part = (part - 1) & full
+                masks[cls] = full, parts
+            full, parts = masks[cls]
+            for part in parts:
+                weak[upper | part].append(i)
+            upper |= full
+            holders[upper].append(i)
+    return tuple(map(tuple, holders)), tuple(map(tuple, weak))
+
+
+def _upper_set_verdict(mech: MechanismTable) -> bool:
+    """Whether the table passes every local check: all four axioms on every
+    separation, and, equivalently, no profitable misreport in either
+    direction across any refinement pair. Both hold iff, for every
+    nonempty proper subset S of the alternatives,
+
+    (a) every holder of S puts the same mass G(S) on S, and
+    (b) no weak holder of S puts more than G(S) on S
+
+    (holders and weak holders as in `_upper_set_index`).
+
+    Axioms. A separation passes all four iff it passes the one test of
+    `find_violations`: every class but the split one keeps its mass, and
+    the upper part does not lose mass (a failure of the test breaks
+    responsive or an invariance axiom). As both rows sum to D, the test
+    says: equal mass on each upper set of the coarse order, which both
+    orders hold, and fine >= coarse on the fine order's new upper set,
+    which the fine order holds and the coarse one weakly holds. So
+    (a)+(b) pass every separation. Conversely, a holder of S is joined to
+    the two-class order (S, rest) by separations whose coarse orders all
+    hold S, so the test gives (a); and a weak holder of S is the coarse
+    order of the separation that splits the part off, so the test gives
+    (b).
+
+    Refinement pairs. For a pair (coarse R, fine R'), truthful at either
+    order dominating the other's lottery means equal mass on R's upper
+    sets, which both hold, and R' >= R on R''s other upper sets, which R'
+    holds and R weakly holds: again (a)+(b). Conversely, every holder of
+    S refines (S, rest), which gives (a), and a separation is a
+    refinement, which gives (b).
+
+    Neither argument uses strategyproofness or the paper's theorem.
+
+    Subsets run in ascending bitmask order, and the verdict is False at
+    the first that breaks (a) or (b). Only the masses of S's holders and
+    weak holders are read (at m=6 about 540 orders per subset, of 4,683):
+    one `itemgetter` picks their entries from each column of a member of
+    S, and one `map` adds each further member's. Every nonempty proper S
+    has a holder, (S, rest), and a weak holder, the order whose first
+    class is S and one more alternative, so the pick is always a tuple."""
+    holders, weak = _upper_set_index(mech.m)
+    columns = tuple(zip(*mech.rows))
+    for mask in range(1, len(holders) - 1):
+        held = holders[mask]
+        pick = itemgetter(*held, *weak[mask])
+        picked = [pick(col) for alt, col in enumerate(columns) if mask >> alt & 1]
+        masses = picked[0]
+        for more in picked[1:]:
+            masses = tuple(map(add, masses, more))
+        n = len(held)
+        if len(set(masses[:n])) > 1 or max(masses[n:]) > masses[0]:
+            return False
+    return True
 
 
 class Certificate(FrozenRecord):
@@ -271,7 +368,13 @@ def find_violations(
     rows sum to D, so the split class keeps its total, the lower part
     cannot gain mass, and direct is vacuous. Only a separation failing
     that one test reaches the per-axiom checks, and only a reported one
-    builds its two `WeakOrder`s."""
+    builds its two `WeakOrder`s.
+
+    A table that passes `_upper_set_verdict` passes every separation, so
+    its scan is skipped and every list is empty."""
+    found: dict[str, list[Certificate]] = {axiom: [] for axiom in AXIOMS}
+    if _upper_set_verdict(mech):
+        return found
     m, rows = mech.m, mech.rows
     domain = order_classes(m)
     class_mass = [
@@ -279,7 +382,6 @@ def find_violations(
         for classes, row in zip(domain, rows)
     ]
     orders: dict[int, WeakOrder] = {}  # the reported ones, each built once
-    found: dict[str, list[Certificate]] = {axiom: [] for axiom in AXIOMS}
     pending = set(AXIOMS)
     for index, (ci, fi, k, upper_part, lower_part) in enumerate(_separation_layout(m)):
         if not pending and not all_violations:

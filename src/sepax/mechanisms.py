@@ -116,7 +116,8 @@ class MechanismTable:
         (`ValueError`); then folds the least common denominator of the
         fractions they hold, refusing it as soon as rows x m x its bits
         passes `TABLE_MAX_BITS`, and scales the pairs to it once, keeping
-        a pair that is over it already."""
+        a pair that is over it already. When every pair has one
+        denominator, that fold is one gcd over it and every entry."""
         pairs = list(rows)
         texts = order_texts(m)
         outside = [f"row {i}" for i in range(len(texts), len(pairs))]
@@ -129,11 +130,17 @@ class MechanismTable:
         for text, (_, row) in zip(texts, pairs):
             if len(row) != m:
                 raise MechanismFormatError(f"size mismatch at order {text!r}")
-        reduced = []
         for den, row in pairs:
             if den < 1 or min(row) < 0 or sum(row) != den:
                 raise ValueError(f"row {list(row)} over {den} is not a lottery")
-            reduced.append(den // math.gcd(den, *row))
+        first = pairs[0][0]
+        if all(den == first for den, _ in pairs):
+            # one denominator, as from the loader: the least common one is
+            # it over the gcd of every entry, and no row is reduced alone
+            entries = chain.from_iterable(row for _, row in pairs)
+            reduced = [first // math.gcd(first, *entries)]
+        else:
+            reduced = [den // math.gcd(den, *row) for den, row in pairs]
         D = 1
         for den in reduced:
             if D % den:

@@ -11,11 +11,16 @@ A multiway separation decomposes into a chain of plain separations in two
 standard styles, and any pair of orders is connected through a path of
 refinements derived from the straight-line segment between consistent
 utility functions. `check_refinement_sp` checks local strategyproofness
-across every refinement pair, the widest of the three moves: it walks the
-refinements of each order with the move generator behind
+across every refinement pair, the widest of the three moves. No pair has
+a profitable misreport exactly when the table passes the upper-set column
+verdict `axioms._upper_set_verdict` (its docstring gives the argument,
+which uses neither strategyproofness nor the paper's theorem), so a table
+that passes it is settled without walking a pair. Any other table is
+walked by `_refinement_walk`, which names the first violation: it walks
+the refinements of each order with the move generator behind
 `enumerate_refinements` and names each fine order by its canonical index
 (`core.classes_index`). Orders are the class tuples of
-`core.order_classes`, so the scan builds `WeakOrder`s only for the
+`core.order_classes`, so the walk builds `WeakOrder`s only for the
 violation it reports. It runs on the table's integer rows with the same
 dominance test as `verify.check_sp_bruteforce`; agreement with the full
 pairwise scan, and with a `Fraction` reference scan, is what the test
@@ -29,7 +34,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
 
-from .axioms import Separation, as_separation
+from .axioms import Separation, _upper_set_verdict, as_separation
 from .core import (
     Classes,
     FrozenRecord,
@@ -192,11 +197,20 @@ def split_chain(
 
 
 def check_refinement_sp(mech: MechanismTable) -> SPViolation | None:
-    """No profitable misreport across any refinement pair. Coarse orders run
-    by canonical index, each order's refinements as `_refinement_moves`
-    lists them (the identity skipped); each pair is tested truthful at the
-    coarse order against reporting the fine one, then the reverse, and the
-    first gap is reported."""
+    """No profitable misreport across any refinement pair: None when the
+    table passes `axioms._upper_set_verdict`, else the first violation
+    that `_refinement_walk` finds."""
+    if _upper_set_verdict(mech):
+        return None
+    return _refinement_walk(mech)
+
+
+def _refinement_walk(mech: MechanismTable) -> SPViolation | None:
+    """The first profitable misreport across a refinement pair, or None.
+    Coarse orders run by canonical index, each order's refinements as
+    `_refinement_moves` lists them (the identity skipped); each pair is
+    tested truthful at the coarse order against reporting the fine one,
+    then the reverse, and the first gap is reported."""
     rows = mech.rows
     index = classes_index(mech.m)
     for ci, classes in enumerate(order_classes(mech.m)):

@@ -6,12 +6,17 @@ pair of orders (truth, misreport): the truthful lottery must stochastically
 dominate the misreport's at the truth. Every quantifier is universal, so it
 runs as a contour-maximum check on the table's integer rows, in columns:
 each subset's masses over the distinct rows are its parent subset's plus
-one column, one `map` call, and `_contour_holders` names the truths that
-each subset can fail. The decomposition checks re-derive the same verdict
+one column, one `map` call, and the holder half of
+`axioms._upper_set_index` names the truths that each subset can fail.
+The axiom verdict `axioms._upper_set_verdict` reads the same index, but
+the two checks share no verdict: the SP check compares every holder with
+the largest mass any row puts on the subset, and never asks whether the
+axioms hold. The decomposition checks re-derive the same verdict
 from the separation axioms alone and report whether the two routes agree;
 a disagreement would mean a bug in one of them, never a property of the
 mechanism. The pairwise scan
 itself lives on as the test oracle in ``tests/oracles.py``.
+`verify_sp_violation` re-checks a reported violation from the lotteries.
 
 `_dominance_gap` is the one dominance test behind every SP violation,
 here and in the local scans of `paths`: it compares ``int`` rows of the
@@ -33,7 +38,7 @@ from functools import lru_cache
 from itertools import compress, count, islice
 from operator import add
 
-from .axioms import _separation_layout, check_all_axioms
+from .axioms import _separation_layout, _upper_set_index, check_all_axioms
 from .core import (
     Classes,
     FrozenRecord,
@@ -95,21 +100,6 @@ def _sp_violation(
     )
 
 
-@lru_cache(maxsize=8)
-def _contour_holders(m: int) -> tuple[tuple[int, ...], ...]:
-    """For each bitmask S of alternatives (bit a is alternative a), the
-    canonical indices, ascending, of the orders that have S as an
-    upper-contour set."""
-    holders: list[list[int]] = [[] for _ in range(1 << m)]
-    for i, classes in enumerate(order_classes(m)):
-        mask = 0
-        for cls in classes:
-            for alt in cls:
-                mask |= 1 << alt
-            holders[mask].append(i)
-    return tuple(map(tuple, holders))
-
-
 def _first_failing_truth(mech: MechanismTable) -> int | None:
     """Smallest canonical index of a truth with a profitable misreport, or
     None. Truth i fails iff p_i(S) < best(S) at one of its upper-contour
@@ -125,7 +115,7 @@ def _first_failing_truth(mech: MechanismTable) -> int | None:
     firsts = tuple(map(seen.setdefault, mech.rows, count()))
     row_ids = tuple(map(dict(zip(seen.values(), count())).__getitem__, firsts))
     columns = tuple(zip(*seen))
-    holders = _contour_holders(m)
+    holders = _upper_set_index(m)[0]
     id_of = row_ids.__getitem__
     first = len(row_ids)
 
@@ -169,6 +159,26 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
         if gap is not None:
             return _sp_violation(mech, truth, misreport, gap)
     raise AssertionError("a failing truth has a profitable misreport")
+
+
+def verify_sp_violation(mech: MechanismTable, violation: SPViolation) -> bool:
+    """Re-derive both cumulatives of a reported violation from the
+    lotteries: the truthful lottery's and the misreport's mass on the
+    truth's upper contour of ``witness_alt``. True iff both match the
+    report and the misreport's is the larger. A violation over another
+    problem size, or whose witness is no alternative, is rejected."""
+    truth, misreport = violation.truth, violation.misreport
+    if truth.m != mech.m or misreport.m != mech.m:
+        return False
+    try:
+        upper = truth.upper_contour(violation.witness_alt)
+    except (TypeError, ValueError):
+        return False
+    truthful = mech.lottery(truth).mass(upper)
+    other = mech.lottery(misreport).mass(upper)
+    return (truthful, other) == (
+        violation.truth_cumulative, violation.misreport_cumulative
+    ) and other > truthful
 
 
 class EquivalenceReport(Record):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -475,6 +476,46 @@ def separation_axiom_oracle(mech) -> dict[str, list[dict]]:
                             cert(axiom, "class", j + 1, lhs, rhs)
                             break
     return found
+
+
+@lru_cache(maxsize=8)
+def upper_set_holders_oracle(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per bitmask S of alternatives (bit a is alternative a), the
+    canonical indices of the orders that hold S and of those that weakly
+    hold it, straight from the definitions, one (S, order) pair at a time:
+    R holds S when S is the union of R's top j classes for some j >= 1;
+    R weakly holds S when S is R's top j classes, j >= 0, plus a nonempty
+    proper part of class j + 1."""
+    holders: list[list[int]] = [[] for _ in range(1 << m)]
+    weak: list[list[int]] = [[] for _ in range(1 << m)]
+    for S in range(1 << m):
+        members = {a for a in range(m) if S >> a & 1}
+        for i, order in enumerate(enumerate_weak_orders(m)):
+            top: set[int] = set()
+            for cls in order.classes:
+                part = members - top
+                if top <= members and part and part < set(cls):
+                    weak[S].append(i)
+                top |= set(cls)
+                if top == members:
+                    holders[S].append(i)
+    return tuple(map(tuple, holders)), tuple(map(tuple, weak))
+
+
+def upper_set_condition_oracle(mech) -> tuple[bool, bool]:
+    """The two parts of the upper-set condition, with Fraction sums, over
+    every nonempty proper subset S: (a) every holder of S puts one mass
+    on S; (b) no weak holder of S puts more mass on S than any holder
+    does."""
+    probs = [lottery.probs for _, lottery in mech.items()]
+    holders, weak = upper_set_holders_oracle(mech.m)
+    same = below = True
+    for S in range(1, (1 << mech.m) - 1):
+        alts = [a for a in range(mech.m) if S >> a & 1]
+        held = {_mass(probs[i], alts) for i in holders[S]}
+        same = same and len(held) == 1
+        below = below and all(_mass(probs[i], alts) <= min(held) for i in weak[S])
+    return same, below
 
 
 def fosd_oracle_utilities(x, y, order) -> bool:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -14,11 +15,15 @@ from sepax.core import (
     order_from_utility,
     strictly_consistent,
 )
+from sepax import axioms
 from sepax.axioms import (
     _separation_layout,
+    _upper_set_verdict,
     all_separations,
     as_separation,
     enumerate_separations,
+    find_violations,
+    verify_certificate,
 )
 from sepax.mechanisms import (
     ZOO,
@@ -33,6 +38,7 @@ from sepax import paths
 from sepax.paths import (
     SPLIT_CHAIN_STYLES,
     _refinement_moves,
+    _refinement_walk,
     as_multiway_separation,
     as_refinement,
     blend_utilities,
@@ -44,8 +50,15 @@ from sepax.paths import (
     split_chain,
     utility_segment,
 )
-from sepax.verify import _dominance_gap
-from tests.oracles import local_sp_oracle, lottery_table, weak_order_count
+from sepax.verify import _dominance_gap, check_sp_bruteforce, verify_sp_violation
+from tests.oracles import (
+    local_sp_oracle,
+    lottery_table,
+    separation_axiom_oracle,
+    sp_pairwise_oracle,
+    upper_set_condition_oracle,
+    weak_order_count,
+)
 
 
 def wo(text: str) -> WeakOrder:
@@ -145,6 +158,17 @@ def proper_refinements(coarse: WeakOrder):
     return (r for r in enumerate_refinements(coarse) if not r.is_identity)
 
 
+@lru_cache(maxsize=8)
+def refinement_pairs(m: int) -> tuple[tuple[WeakOrder, WeakOrder], ...]:
+    """Every (coarse, fine) refinement pair at size m but the identities,
+    in the order the refinement walk tests them."""
+    return tuple(
+        (move.coarse, move.fine)
+        for order in enumerate_weak_orders(m)
+        for move in proper_refinements(order)
+    )
+
+
 def perturbed(mech: MechanismTable, rng: random.Random) -> MechanismTable:
     """Move a share of one entry's mass from a preferred alternative to a
     less preferred one, at a seeded order deep in the canonical scan."""
@@ -187,14 +211,100 @@ def test_local_sp_scans_match_fraction_oracle():
     assert k_sensitive_boost(5) in tables
     for mech in tables:
         violation = check_refinement_sp(mech)
-        pairs = (
-            (move.coarse, move.fine)
-            for order in enumerate_weak_orders(mech.m)
-            for move in proper_refinements(order)
-        )
-        expected = local_sp_oracle(mech, pairs)
+        expected = local_sp_oracle(mech, refinement_pairs(mech.m))
         actual = None if violation is None else violation.to_json()
         assert actual == expected, mech.name
+        assert violation is None or verify_sp_violation(mech, violation), mech.name
+        assert _upper_set_verdict(mech) == (expected is None), mech.name
+
+
+def test_upper_set_verdict_matches_oracles(population):
+    # the verdict holds iff no refinement pair has a profitable misreport,
+    # and iff all four axioms hold on every separation; each population's
+    # other oracle is run, and held to the verdict, in
+    # test_local_sp_scans_match_fraction_oracle and
+    # test_verify.py::test_integer_kernel_matches_oracles
+    zoo = [factory(1) for _, factory in sorted(ZOO.items())]
+    verdicts = []
+    for mech in population + zoo:
+        verdicts.append(_upper_set_verdict(mech))
+        expected = local_sp_oracle(mech, refinement_pairs(mech.m)) is None
+        assert verdicts[-1] == expected, mech.name
+    for mech in local_population() + zoo:
+        verdicts.append(_upper_set_verdict(mech))
+        expected = not any(separation_axiom_oracle(mech).values())
+        assert verdicts[-1] == expected, mech.name
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_upper_set_verdict_on_the_m6_zoo(monkeypatch):
+    # the Fraction oracles take seconds per passing m=6 table, so the
+    # verdict is held to the integer walks, which the oracles pin at m <= 5,
+    # run with the verdict switched off
+    tables = [factory(6) for _, factory in sorted(ZOO.items())]
+    with monkeypatch.context() as patch:
+        patch.setattr(axioms, "_upper_set_verdict", lambda mech: False)
+        walks = [
+            (not any(find_violations(mech).values()), _refinement_walk(mech) is None)
+            for mech in tables
+        ]
+    verdicts = [_upper_set_verdict(mech) for mech in tables]
+    assert [(v, v) for v in verdicts] == walks
+    assert verdicts == [name != "k_sensitive_boost" for name in sorted(ZOO)]
+
+
+def one_part_broken(m: int, rng: random.Random):
+    """Tables that break exactly one part of the upper-set condition, as
+    (table, part), from `uniform_lottery(m)` with one row moved by 1/(2m):
+    - "a": a strict order moves it from its last alternative to its first,
+      so it puts more mass than the other holders on each of its upper
+      sets, and it weakly holds no set;
+    - "b": an order with a class of two or more moves it, inside that
+      class, from the class's last member to its first, so its upper sets
+      keep their mass, and it puts more than the holders do on each set
+      it weakly holds with that class's first member but not its last."""
+    orders = enumerate_weak_orders(m)
+    strict = [i for i, order in enumerate(orders) if order.num_classes == m]
+    tied = [i for i, order in enumerate(orders) if order.num_classes < m]
+    for part, picks in (("a", strict), ("b", tied)):
+        for i in (picks[0], *rng.sample(picks[1:-1], 2), picks[-1]):
+            classes = orders[i].classes
+            if part == "a":
+                gain, loss = classes[0][0], classes[-1][0]
+            else:
+                cls = rng.choice([cls for cls in classes if len(cls) > 1])
+                gain, loss = cls[0], cls[-1]
+            row = [2] * m
+            row[gain] += 1
+            row[loss] -= 1
+            rows = [(m, (1,) * m)] * len(orders)
+            rows[i] = (2 * m, tuple(row))
+            yield MechanismTable(m, rows, name=f"{part}-{m}-{orders[i].text}"), part
+
+
+def test_tables_breaking_one_part_fall_back_to_the_walks():
+    rng = random.Random(31)
+    for m in (3, 4):
+        for mech, part in one_part_broken(m, rng):
+            expected = (part == "b", part == "a")
+            assert upper_set_condition_oracle(mech) == expected, mech.name
+            assert _upper_set_verdict(mech) is False, mech.name
+            found = find_violations(mech, all_violations=True)
+            assert any(found.values()), mech.name
+            assert {
+                axiom: [cert.to_json() for cert in certs]
+                for axiom, certs in found.items()
+            } == separation_axiom_oracle(mech), mech.name
+            for certs in found.values():
+                for cert in certs:
+                    assert verify_certificate(mech, cert), mech.name
+            for violation, expected in (
+                (check_refinement_sp(mech), local_sp_oracle(mech, refinement_pairs(m))),
+                (check_sp_bruteforce(mech), sp_pairwise_oracle(mech)),
+            ):
+                assert violation is not None, mech.name
+                assert violation.to_json() == expected, mech.name
+                assert verify_sp_violation(mech, violation), mech.name
 
 
 def test_move_layouts_match_public_enumerators():
@@ -221,7 +331,7 @@ def test_refinement_scan_tests_each_pair_both_ways(monkeypatch):
         return _dominance_gap(*args)
 
     monkeypatch.setattr(paths, "_dominance_gap", counting)
-    assert check_refinement_sp(rank_score(6)) is None
+    assert paths._refinement_walk(rank_score(6)) is None
     # each order has the product of its classes' Fubini numbers as
     # refinements, the identity among them
     pairs = sum(

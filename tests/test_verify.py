@@ -5,6 +5,8 @@ import pytest
 
 from sepax.core import Lottery, WeakOrder, enumerate_weak_orders
 from sepax.axioms import (
+    _upper_set_index,
+    _upper_set_verdict,
     all_separations,
     enumerate_separations,
     find_violations,
@@ -22,7 +24,6 @@ from sepax.mechanisms import (
 )
 from sepax.verify import (
     NotDeterministicError,
-    _contour_holders,
     check_decomposition,
     check_deterministic_decomposition,
     check_relaxed_decomposition,
@@ -31,11 +32,14 @@ from sepax.verify import (
     fubini_number,
     scan_deterministic_decomposition,
     scan_random_mechanisms,
+    verify_sp_violation,
 )
 from tests.oracles import (
     lottery_table,
+    replace,
     separation_axiom_oracle,
     sp_pairwise_oracle,
+    upper_set_holders_oracle,
     weak_order_count,
 )
 
@@ -100,6 +104,7 @@ def _assert_kernel_matches_pairwise_oracle(mech):
     violation = check_sp_bruteforce(mech)
     expected = sp_pairwise_oracle(mech)
     assert (None if violation is None else violation.to_json()) == expected, mech.name
+    assert violation is None or verify_sp_violation(mech, violation), mech.name
     return expected
 
 
@@ -112,6 +117,7 @@ def test_integer_kernel_matches_oracles(population):
         assert {
             axiom: [cert.to_json() for cert in certs] for axiom, certs in found.items()
         } == oracle, mech.name
+        assert _upper_set_verdict(mech) == (not any(oracle.values())), mech.name
         for certs in found.values():
             for cert in certs:
                 assert verify_certificate(mech, cert), mech.name
@@ -169,12 +175,46 @@ def test_contour_holders_list_each_upper_contour_set_once(m):
         masks = {sum(1 << a for a in order.upper_contour(alt)) for alt in range(m)}
         for mask in sorted(masks):
             expected[mask].append(i)
-    holders = _contour_holders(m)
+    holders = _upper_set_index(m)[0]
     assert [list(held) for held in holders] == expected
     assert all(list(held) == sorted(set(held)) for held in holders)
     assert sum(map(len, holders)) == sum(
         order.num_classes for order in enumerate_weak_orders(m)
     )
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_weak_holders_follow_their_definition(m):
+    holders, weak = _upper_set_index(m)
+    assert (holders, weak) == upper_set_holders_oracle(m)
+    # a weak holder of S is the coarse order of the separation that splits
+    # S's part off, so the pairs number the separations
+    assert sum(map(len, weak)) == count_constraints(m).separations_total
+
+
+def test_verify_sp_violation_rejects_altered_violations():
+    mech = k_sensitive_boost(4)
+    violation = check_sp_bruteforce(mech)
+    assert verify_sp_violation(mech, violation)
+    altered = [
+        replace(violation, truth_cumulative=violation.truth_cumulative + 1),
+        replace(violation, misreport_cumulative=violation.truth_cumulative),
+        replace(violation, truth=violation.misreport, misreport=violation.truth),
+        replace(violation, misreport=violation.truth),
+        # numbers that match the lotteries but show no gap
+        replace(
+            violation,
+            misreport=violation.truth,
+            misreport_cumulative=violation.truth_cumulative,
+        ),
+        replace(violation, witness_alt=mech.m),
+        replace(violation, witness_alt=-1),
+        replace(violation, witness_alt="0"),
+    ]
+    for other in altered:
+        assert not verify_sp_violation(mech, other), other
+    # the same violation read against a table over another m
+    assert not verify_sp_violation(k_sensitive_boost(3), violation)
 
 
 def test_decomposition_report_on_violator():
