@@ -17,7 +17,6 @@ from .axioms import (
     Certificate,
     Separation,
     all_separations,
-    as_separation,
     check_all_axioms,
     enumerate_separations,
     find_violations,
@@ -65,6 +64,7 @@ from .paths import (
     Refinement,
     UtilitySegment,
     as_multiway_separation,
+    as_separation,
     as_refinement,
     blend_utilities,
     check_refinement_sp,

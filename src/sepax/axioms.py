@@ -27,6 +27,7 @@ once; only the rest reach the per-axiom checks. It reports, per axiom,
 `Certificate`s pinpointing the failures in canonical separation order;
 certificates carry exact `Fraction`s, are self-contained, and are
 re-checked against the lotteries themselves by `verify_certificate`.
+Recognizing a separation is the move ladder's job (`paths.as_separation`).
 
 The verdict reads, for every nonempty proper subset S of the
 alternatives, the masses on S of the orders that `_upper_set_index`
@@ -67,32 +68,15 @@ class Separation(FrozenRecord):
 
     def to_json(self) -> dict:
         # the split parts under the paper's names; spelt out, this is half
-        # the cost of renaming two keys of the generic encoding
+        # the cost of renaming two keys of the generic encoding, and the
+        # parts, tuples of ints, need no per-member encoding
         return {
             "coarse": json_value(self.coarse),
             "fine": json_value(self.fine),
             "kappa": self.kappa,
-            "M1": json_value(self.upper_part),
-            "M2": json_value(self.lower_part),
+            "M1": list(self.upper_part),
+            "M2": list(self.lower_part),
         }
-
-
-def as_separation(coarse: WeakOrder, fine: WeakOrder) -> Separation | None:
-    """Recognize whether (coarse, fine) is a separation; None otherwise."""
-    if coarse.m != fine.m:
-        raise ValueError("orders over different alternative sets")
-    if fine.num_classes != coarse.num_classes + 1:
-        return None
-    k = 0
-    while coarse.classes[k] == fine.classes[k]:
-        k += 1
-        # fine has one more class, so a first difference always exists
-    upper, lower = fine.classes[k], fine.classes[k + 1]
-    if set(upper) | set(lower) != set(coarse.classes[k]):
-        return None
-    if coarse.classes[k + 1 :] != fine.classes[k + 2 :]:
-        return None
-    return Separation(coarse, fine, k + 1, upper, lower)
 
 
 def _split_moves(
@@ -286,7 +270,7 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     sep = cert.separation
     if sep.coarse.m != mech.m or sep.fine.m != mech.m:
         return False
-    if as_separation(sep.coarse, sep.fine) != sep:
+    if sep not in enumerate_separations(sep.coarse):
         return False
     if cert.witness != "class" and cert.k != sep.kappa:
         return False

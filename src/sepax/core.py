@@ -1,6 +1,7 @@
 """Exact-arithmetic foundations: weak preference orders over a finite set of
 alternatives, lotteries, utility functions, and first-order stochastic
-dominance.
+dominance, whose one test, `_dominance_gap`, runs on a lottery's
+`Fraction`s in `fosd` and on a table's ``int`` rows in the SP scans.
 
 Alternatives are the integers ``0 .. m-1``. A weak order is an ordered
 partition of them into indifference classes, most preferred class first. All
@@ -264,6 +265,7 @@ class WeakOrder(FrozenRecord):
 
     @cached_property
     def _class_index(self) -> tuple[int, ...]:
+        # each alternative's 1-based class rank: the one rank table
         index = [0] * self.m
         for k, cls in enumerate(self.classes, start=1):
             for alt in cls:
@@ -470,35 +472,45 @@ class UtilityFn(FrozenRecord):
         super().__init__(m, values)
 
     def expected(self, lottery: Lottery) -> Fraction:
-        if lottery.m != self.m:
-            raise ValueError("size mismatch")
+        _check_same_m(self, lottery)
         return sum(
             (v * p for v, p in zip(self.values, lottery.probs)), start=Fraction(0)
         )
 
 
 def _check_same_m(*sized) -> int:
+    """The one problem size ``m`` of ``sized``; mixed sizes raise `ValueError`."""
     sizes = {obj.m for obj in sized}
     if len(sizes) != 1:
         raise ValueError(f"mixed problem sizes: {sorted(sizes)}")
     return sizes.pop()
 
 
+def _dominance_gap(
+    truth: Classes, truthful: Sequence, other: Sequence
+) -> tuple[int, int | Fraction, int | Fraction] | None:
+    """First class of the true order, given by its class tuple ``truth``,
+    where the truthful side's upper-contour mass falls below the other's,
+    as (witness, the two masses) with the class's smallest member as
+    witness, or None if the truthful side dominates. Contour sets are
+    constant within a class, so one check per class suffices. Entries are
+    a lottery's `Fraction`s or a table's ``int`` rows (masses scaled by D)."""
+    cum_t = cum_o = 0
+    for cls in truth:
+        for alt in cls:
+            cum_t += truthful[alt]
+            cum_o += other[alt]
+        if cum_t < cum_o:
+            return cls[0], cum_t, cum_o
+    return None
+
+
 def fosd(x: Lottery, y: Lottery, order: WeakOrder) -> bool:
     """First-order stochastic dominance of ``x`` over ``y`` at ``order``:
     every upper-contour set receives at least as much probability under
-    ``x`` as under ``y``. Contour sets are constant within an indifference
-    class, so one cumulative check per class suffices."""
+    ``x`` as under ``y``."""
     _check_same_m(x, y, order)
-    cum_x = Fraction(0)
-    cum_y = Fraction(0)
-    for cls in order.classes:
-        for alt in cls:
-            cum_x += x.probs[alt]
-            cum_y += y.probs[alt]
-        if cum_x < cum_y:
-            return False
-    return True
+    return _dominance_gap(order.classes, x.probs, y.probs) is None
 
 
 def consistent(u: UtilityFn, order: WeakOrder) -> bool:
@@ -526,11 +538,7 @@ def canonical_utility(order: WeakOrder) -> UtilityFn:
     """The standard strictly consistent utility: class k (1-based, K classes)
     gets value K - k + 1, so the least preferred class gets 1."""
     K = order.num_classes
-    values = [Fraction(0)] * order.m
-    for k, cls in enumerate(order.classes, start=1):
-        for alt in cls:
-            values[alt] = Fraction(K - k + 1)
-    return UtilityFn(order.m, tuple(values))
+    return UtilityFn(order.m, tuple(Fraction(K - k + 1) for k in order._class_index))
 
 
 def order_from_utility(u: UtilityFn) -> WeakOrder:

@@ -7,6 +7,9 @@ Three nested moves connect a coarse order to a finer one:
 - `Refinement`: every class splits independently in place (possibly into
   one part, so the identity counts).
 
+One class walk, `as_refinement`, recognizes all three: a multiway
+separation is a refinement touching one class, a separation one of two parts.
+
 A multiway separation decomposes into a chain of plain separations in two
 standard styles, and any pair of orders is connected through a path of
 refinements derived from the straight-line segment between consistent
@@ -22,9 +25,9 @@ the refinements of each order with the move generator behind
 (`core.classes_index`). Orders are the class tuples of
 `core.order_classes`, so the walk builds `WeakOrder`s only for the
 violation it reports. It runs on the table's integer rows with the same
-dominance test as `verify.check_sp_bruteforce`; agreement with the full
-pairwise scan, and with a `Fraction` reference scan, is what the test
-batteries exercise.
+dominance test as `verify.check_sp_bruteforce`, `core._dominance_gap`;
+agreement with the full pairwise scan, and with a `Fraction` reference
+scan, is what the test batteries exercise.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
 
-from .axioms import Separation, _upper_set_verdict, as_separation
+from .axioms import Separation, _upper_set_verdict
 from .core import (
     Classes,
     FrozenRecord,
     Record,
     UtilityFn,
     WeakOrder,
+    _check_same_m,
+    _dominance_gap,
     canonical_utility,
     classes_index,
     consistent,
@@ -51,7 +56,7 @@ from .core import (
     strictly_consistent,
 )
 from .mechanisms import MechanismTable
-from .verify import SPViolation, _dominance_gap, _sp_violation
+from .verify import SPViolation, _sp_violation
 
 SPLIT_CHAIN_STYLES = ("top_first", "bottom_merge")
 
@@ -84,20 +89,16 @@ def as_refinement(coarse: WeakOrder, fine: WeakOrder) -> Refinement | None:
     if coarse.m != fine.m:
         raise ValueError("orders over different alternative sets")
     blocks: list[tuple[tuple[int, ...], ...]] = []
-    i = 0
+    parts = iter(fine.classes)
     for cls in coarse.classes:
-        target = set(cls)
+        remaining = set(cls)
         taken: list[tuple[int, ...]] = []
-        covered: set[int] = set()
-        while covered != target:
-            if i >= fine.num_classes:
+        while remaining:
+            part = next(parts, None)
+            if part is None or not remaining.issuperset(part):
                 return None
-            part = fine.classes[i]
-            if not set(part) <= target - covered:
-                return None
+            remaining.difference_update(part)
             taken.append(part)
-            covered |= set(part)
-            i += 1
         blocks.append(tuple(taken))
     return Refinement(coarse, fine, tuple(blocks))
 
@@ -114,6 +115,14 @@ def as_multiway_separation(
         return None
     k = touched[0]
     return MultiwaySeparation(coarse, fine, k + 1, refinement.blocks[k])
+
+
+def as_separation(coarse: WeakOrder, fine: WeakOrder) -> Separation | None:
+    """Recognize a separation: a multiway separation into two parts."""
+    multi = as_multiway_separation(coarse, fine)
+    if multi is None or multi.arity != 2:
+        return None
+    return Separation(coarse, fine, multi.kappa, *multi.parts)
 
 
 def _multiway_moves(classes: Classes) -> Iterator[tuple[int, Classes, Classes]]:
@@ -236,8 +245,7 @@ class UtilitySegment(FrozenRecord):
 
 
 def blend_utilities(u: UtilityFn, v: UtilityFn, alpha: Fraction) -> UtilityFn:
-    if u.m != v.m:
-        raise ValueError("size mismatch")
+    _check_same_m(u, v)
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError("alpha outside [0, 1]")
@@ -251,8 +259,7 @@ def utility_segment(u: UtilityFn, v: UtilityFn) -> UtilitySegment:
     """Collect the interior crossing points. A pair (a, b) crosses where
     (1 - alpha) * (u_a - u_b) + alpha * (v_a - v_b) = 0; pairs with equal
     values along the whole segment never produce a breakpoint."""
-    if u.m != v.m:
-        raise ValueError("size mismatch")
+    _check_same_m(u, v)
     points: set[Fraction] = set()
     for a in range(u.m):
         for b in range(a + 1, u.m):
@@ -357,11 +364,7 @@ def random_strict_utility(order: WeakOrder, rng: random.Random) -> UtilityFn:
     per-class jitter in [0, 1) with denominator 24, which keeps every
     between-class gap strictly positive."""
     K = order.num_classes
-    values = [Fraction(0)] * order.m
-    for k, cls in enumerate(order.classes, start=1):
-        level = Fraction(K - k + 1) + Fraction(rng.randrange(24), 24)
-        for alt in cls:
-            values[alt] = level
-    u = UtilityFn(order.m, tuple(values))
+    levels = [Fraction(K - k) + Fraction(rng.randrange(24), 24) for k in range(K)]
+    u = UtilityFn(order.m, tuple(levels[k - 1] for k in order._class_index))
     assert consistent(u, order)
     return u

@@ -18,9 +18,9 @@ mechanism. The pairwise scan
 itself lives on as the test oracle in ``tests/oracles.py``.
 `verify_sp_violation` re-checks a reported violation from the lotteries.
 
-`_dominance_gap` is the one dominance test behind every SP violation,
-here and in the local scans of `paths`: it compares ``int`` rows of the
-table on an order's class tuple from `core.order_classes`, and
+`core._dominance_gap` is the one dominance test behind every SP
+violation, here and in the local scans of `paths`: it compares ``int``
+rows of the table on an order's class tuple from `core.order_classes`, and
 `WeakOrder`s and `Fraction`s are built only for the violation reported.
 
 Also here: closed-form constraint counting (how much smaller the separation
@@ -40,10 +40,11 @@ from operator import add
 
 from .axioms import _separation_layout, _upper_set_index, check_all_axioms
 from .core import (
-    Classes,
     FrozenRecord,
     Record,
     WeakOrder,
+    _dominance_gap,
+    enumerate_weak_orders,
     order_classes,
 )
 from .mechanisms import MechanismTable, random_mechanism, unit_row
@@ -63,24 +64,6 @@ class SPViolation(FrozenRecord):
     __slots__ = (
         "truth", "misreport", "witness_alt", "truth_cumulative", "misreport_cumulative"
     )
-
-
-def _dominance_gap(
-    truth: Classes, truthful: tuple[int, ...], other: tuple[int, ...]
-) -> tuple[int, int, int] | None:
-    """First class of the true order, given by its class tuple ``truth``,
-    where the truthful row's upper-contour mass falls below the other
-    row's, as (witness, the two masses) with the class's smallest member
-    as witness, or None if the truthful row dominates. Rows are a table's,
-    so the masses are scaled by its denominator."""
-    cum_t = cum_o = 0
-    for cls in truth:
-        for alt in cls:
-            cum_t += truthful[alt]
-            cum_o += other[alt]
-        if cum_t < cum_o:
-            return cls[0], cum_t, cum_o
-    return None
 
 
 def _sp_violation(
@@ -363,26 +346,13 @@ def scan_random_mechanisms(
 
 # Deterministic fast path. Tables whose lotteries are all point masses are
 # reduced to a tuple of chosen alternatives; the axiom and SP conditions
-# collapse to set-membership tests on precomputed separation data. The
+# collapse to comparisons of class ranks (`WeakOrder._class_index`) and
+# membership tests on the split parts of `axioms._separation_layout`. The
 # integer route of `check_deterministic_decomposition` stays the reference:
 # scans cross-check a prefix of every population against it. Feeding the
 # same populations through that route as unit rows takes about 13 times as
-# long (250 tables at m=4: 13 ms here, 165 ms there, in-process on a 2-vCPU
-# host with CPython 3.11), which is why this path stays.
-
-
-@lru_cache(maxsize=4)
-def _det_context(m: int):
-    # each order's 1-based class rank of every alternative, from its classes
-    class_ix = tuple(
-        tuple(k for a in range(m) for k, cls in enumerate(classes, 1) if a in cls)
-        for classes in order_classes(m)
-    )
-    seps = tuple(
-        (ci, fi, frozenset(upper), frozenset(lower))
-        for ci, fi, _, upper, lower in _separation_layout(m)
-    )
-    return class_ix, seps
+# long (250 tables at m=4: 7-13 ms here, 115-170 ms there, in-process on a
+# 2-vCPU host with CPython 3.11), which is why this path stays.
 
 
 def _det_sp(choices: tuple[int, ...], class_ix) -> bool:
@@ -396,7 +366,7 @@ def _det_sp(choices: tuple[int, ...], class_ix) -> bool:
 
 
 def _det_monotonic(choices: tuple[int, ...], class_ix, seps) -> bool:
-    for coarse_i, fine_i, upper, lower in seps:
+    for coarse_i, fine_i, _, upper, lower in seps:
         a = choices[coarse_i]
         b = choices[fine_i]
         if a in upper and b not in upper:
@@ -416,7 +386,8 @@ def scan_deterministic_decomposition(
     """Monotonic-vs-SP agreement over ``count`` random deterministic tables,
     via the fast integer path. The first ``cross_check`` tables are also run
     through the generic checkers; any mismatch raises RuntimeError."""
-    class_ix, seps = _det_context(m)
+    class_ix = tuple(order._class_index for order in enumerate_weak_orders(m))
+    seps = _separation_layout(m)
     rng = random.Random(seed)
     report = ScanReport(
         statement="monotonic_vs_sp_deterministic",

@@ -6,7 +6,6 @@ from sepax.core import Lottery, WeakOrder, enumerate_weak_orders
 from sepax.axioms import (
     AXIOMS,
     all_separations,
-    as_separation,
     check_all_axioms,
     enumerate_separations,
     find_violations,
@@ -18,6 +17,7 @@ from sepax.mechanisms import (
     top_class_uniform,
     uniform_lottery,
 )
+from sepax.paths import as_separation
 from tests.oracles import lottery_table, replace, separation_axiom_oracle, split_count
 
 

@@ -9,6 +9,7 @@ from sepax.core import (
     Lottery,
     UtilityFn,
     WeakOrder,
+    _dominance_gap,
     canonical_utility,
     classes_index,
     enumerate_weak_orders,
@@ -20,7 +21,6 @@ from sepax.axioms import (
     _separation_layout,
     _upper_set_verdict,
     all_separations,
-    as_separation,
     enumerate_separations,
     find_violations,
     verify_certificate,
@@ -41,6 +41,7 @@ from sepax.paths import (
     _refinement_walk,
     as_multiway_separation,
     as_refinement,
+    as_separation,
     blend_utilities,
     check_refinement_sp,
     enumerate_multiway_separations,
@@ -50,7 +51,7 @@ from sepax.paths import (
     split_chain,
     utility_segment,
 )
-from sepax.verify import _dominance_gap, check_sp_bruteforce, verify_sp_violation
+from sepax.verify import check_sp_bruteforce, verify_sp_violation
 from tests.oracles import (
     local_sp_oracle,
     lottery_table,
@@ -388,6 +389,18 @@ def test_blend_utilities():
     assert blend_utilities(u, v, F(1)).values == v.values
 
 
+def test_mixed_sizes_raise_the_shared_message():
+    u2 = UtilityFn(2, (F(1), F(0)))
+    u3 = canonical_utility(wo("0>1>2"))
+    for call in (
+        lambda: u2.expected(Lottery.uniform(3)),
+        lambda: blend_utilities(u2, u3, F(1, 2)),
+        lambda: utility_segment(u3, u2),
+    ):
+        with pytest.raises(ValueError, match=r"^mixed problem sizes: \[2, 3\]$"):
+            call()
+
+
 def test_utility_segment_pinned():
     seg = utility_segment(
         canonical_utility(wo("0>1>2")), canonical_utility(wo("2>1>0"))
@@ -473,3 +486,21 @@ def test_random_strict_utility_reproducible():
     b = random_strict_utility(order, random.Random(4))
     assert a.values == b.values
     assert strictly_consistent(a, order)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_utilities_match_a_per_class_reference(seed):
+    # one draw per class, in class order, from one shared stream: the
+    # canonical level K - k (0-based k) plus a jitter in 24ths
+    rng, reference = random.Random(seed), random.Random(seed)
+    for m in range(1, 5):
+        for order in enumerate_weak_orders(m):
+            K = order.num_classes
+            canonical, jittered = [None] * m, [None] * m
+            for k, cls in enumerate(order.classes):
+                jitter = F(reference.randrange(24), 24)
+                for alt in cls:
+                    canonical[alt] = F(K - k)
+                    jittered[alt] = F(K - k) + jitter
+            assert canonical_utility(order).values == tuple(canonical)
+            assert random_strict_utility(order, rng).values == tuple(jittered)
