@@ -3,9 +3,9 @@ against. Everything here is written from first principles on purpose; do
 not import algorithmic helpers from sepax into this module. Mechanism
 tables are read only through ``items()``: canonical orders with their
 lotteries. The table builders at the end (the `Fraction` zoo rules, the
-`Lottery`-dict loader, `integer_row` and `lottery_table`) use sepax's
-value types, parsers and error classes, because what they pin is how a
-table is built from those. The design LP builder after them walks sepax's `Separation` objects into its
+`Lottery`-dict loader, `integer_row`, `lottery_table` and `perturbed`)
+use sepax's value types, parsers and error classes, because what they
+pin is how a table is built from those. The design LP builder after them walks sepax's `Separation` objects into its
 `LinearProgram`, because what it pins is the row system built from
 those; the LP helpers after it read a `LinearProgram`'s rows, a
 table's lotteries, a solution's entries, or an objective's coefficients.
@@ -701,6 +701,22 @@ def lottery_table(m: int, lotteries: dict, name: str = "") -> MechanismTable:
         for order in enumerate_weak_orders(m)
     )
     return MechanismTable(m, rows, name=name)
+
+
+def perturbed(mech: MechanismTable, rng: random.Random) -> MechanismTable:
+    """Move a share of one entry's mass from a preferred alternative to a
+    less preferred one, at a seeded order deep in the canonical scan."""
+    entries = dict(mech.items())
+    orders = [order for order in entries if order.num_classes > 1]
+    order = rng.choice(orders[len(orders) // 2 :])
+    high = rng.choice([a for a in order.classes[0] if entries[order].probs[a]])
+    low = rng.choice(order.classes[-1])
+    probs = list(entries[order].probs)
+    eps = probs[high] / rng.choice((3, 5, 7))
+    probs[high] -= eps
+    probs[low] += eps
+    entries[order] = Lottery(mech.m, tuple(probs))
+    return lottery_table(mech.m, entries, name=f"perturbed-{mech.name}")
 
 
 def lottery_dict_load_file(path) -> dict:

@@ -1,0 +1,186 @@
+"""Digests of the CLI's reports over one fixed sweep of command lines.
+
+Each command line runs in-process through `sepax.cli.main` with its
+streams redirected, inside a temporary directory that holds the input
+files under relative names, so no report or message carries a temporary
+path. Per command line the digest keeps the exit code and the sha256 of
+the exact stdout and stderr bytes, with the ``timing_s`` value replaced
+by a fixed token. A change to any report byte, its formatting included,
+moves an entry.
+
+    python -m tests.report_sweep --check   # name every entry that moved
+    python -m tests.report_sweep --write   # regenerate the digest file
+
+A change that moves report bytes on purpose regenerates the file and
+names the moved entries in its description. Only the stdlib, sepax and
+`tests.oracles` are used, so the check runs on an interpreter with no
+third-party package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from sepax import cli
+from sepax.amd import random_objective, top_class_welfare_objective
+from sepax.mechanisms import (
+    ZOO,
+    random_deterministic_mechanism,
+    random_mechanism,
+    rank_score,
+    save_mechanism,
+    top_class_uniform,
+)
+from tests.oracles import objective_to_json, perturbed
+
+DIGESTS = Path(__file__).with_name("report_digests.json")
+
+_TIMING = re.compile(rb'"timing_s": [^,\n}]+')
+_TIMING_TOKEN = b'"timing_s": "<timing>"'
+
+
+def _write_json(name: str, data: object) -> str:
+    Path(name).write_text(json.dumps(data), encoding="utf-8")
+    return name
+
+
+def _tables() -> list:
+    """The checked tables: the zoo at m=1..5, then seeded random, random
+    deterministic and perturbed tables at m=3 and 4."""
+    tables = [factory(m) for m in range(1, 6) for _, factory in sorted(ZOO.items())]
+    rng = random.Random(2027)
+    for m in (3, 4):
+        tables += [random_mechanism(m, rng, name=f"random-{m}-{i}") for i in range(3)]
+        tables += [
+            random_deterministic_mechanism(m, rng, name=f"random-deterministic-{m}-{i}")
+            for i in range(3)
+        ]
+        tables += [perturbed(factory(m), rng) for factory in (rank_score, top_class_uniform)]
+    return tables
+
+
+def sweep_argvs() -> list[list[str]]:
+    """Write every input file into the current directory, under a relative
+    name, and return the sweep's command lines in run order."""
+    argvs = []
+    for mech in _tables():
+        name = f"{mech.name}-m{mech.m}.json"
+        save_mechanism(mech, name)
+        for mode in cli.CHECK_MODES:
+            base = ["check", "--mechanism", name, "--mode", mode]
+            argvs += [base, base + ["--emit-all-certificates"]]
+    for m in range(1, 5):
+        for what in ("orders", "separations"):
+            argvs.append(["enumerate", "--m", str(m), "--what", what])
+    for m in (1, 5, 7, 50):
+        argvs.append(["enumerate", "--m", str(m), "--what", "counts"])
+    for start, end in (
+        ("0", "0"),
+        ("0>1>2", "2>1>0"),
+        ("0,1>2", "2>0,1"),
+        ("0>1,2>3", "3,2>1>0"),
+        ("0,1,2,3", "3>2>1>0"),
+    ):
+        argvs.append(["path", "--from", start, "--to", end])
+    u = _write_json("u-from.json", {"values": ["3", "2", "1", "0"]})
+    v = _write_json("u-to.json", {"values": ["1/2", "1/3", "5", "7/4"]})
+    argvs.append(
+        ["path", "--from", "0>1>2>3", "--to", "2>3>0>1", "--utilities-from", u, "--utilities-to", v]
+    )
+    for m in (2, 3, 4):
+        objectives = {"welfare": top_class_welfare_objective(m)}
+        for seed in (0, 1):
+            objectives[f"random{seed}"] = random_objective(m, random.Random(seed))
+        for label, coeffs in objectives.items():
+            name = _write_json(f"objective-{label}-m{m}.json", objective_to_json(m, coeffs))
+            argvs.append(["amd", "--m", str(m), "--objective", name])
+    argvs.append(["zoo", "list"])
+    for name in sorted(ZOO):
+        argvs.append(["zoo", "emit", "--name", name, "--m", "3"])
+    # bad input whose message sepax itself words (exit 3)
+    Path("bad-json.json").write_text('{"m": 1, "entries": [', encoding="utf-8")
+    _write_json("bad-token.json", {"m": 1, "entries": [{"order": "0", "lottery": ["x"]}]})
+    _write_json("too-large.json", {"m": 8, "entries": []})
+    argvs += [
+        ["check", "--mechanism", "missing.json"],
+        ["check", "--mechanism", "bad-json.json"],
+        ["check", "--mechanism", "bad-token.json"],
+        ["check", "--mechanism", "too-large.json"],
+        ["path", "--from", "0>1", "--to", "0>1>2"],
+        ["enumerate", "--m", "8", "--what", "orders"],
+        ["enumerate", "--m", "501", "--what", "counts"],
+        ["amd", "--m", "7", "--objective", "objective-welfare-m2.json"],
+        ["zoo", "emit", "--name", "nonesuch", "--m", "3"],
+    ]
+    return argvs
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stdout = _TIMING.sub(_TIMING_TOKEN, out.getvalue().encode("utf-8"))
+    return {
+        "exit": code,
+        "stdout": _digest(stdout),
+        "stderr": _digest(err.getvalue().encode("utf-8")),
+    }
+
+
+def run_sweep() -> dict[str, dict]:
+    """Each command line of the sweep, joined by spaces, mapped to its exit
+    code and stream digests."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            return {" ".join(argv): _run(argv) for argv in sweep_argvs()}
+        finally:
+            os.chdir(cwd)
+
+
+def load_digests() -> dict[str, dict]:
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+def moved_entries(expected: dict[str, dict], actual: dict[str, dict]) -> list[str]:
+    """Every command line whose entry differs, is missing or is new, in
+    sweep order with the missing ones last."""
+    moved = [key for key, entry in actual.items() if expected.get(key) != entry]
+    return moved + [key for key in expected if key not in actual]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m tests.report_sweep")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--check", action="store_true", help="compare with the digest file")
+    action.add_argument("--write", action="store_true", help="regenerate the digest file")
+    args = parser.parse_args(argv)
+    actual = run_sweep()
+    if args.write:
+        DIGESTS.write_text(json.dumps(actual, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(actual)} entries to {DIGESTS.name}")
+        return 0
+    moved = moved_entries(load_digests(), actual)
+    for key in moved:
+        print(f"moved: {key}")
+    print(f"{len(moved)} of {len(actual)} entries moved")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

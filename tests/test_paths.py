@@ -54,7 +54,7 @@ from sepax.paths import (
 from sepax.verify import check_sp_bruteforce, verify_sp_violation
 from tests.oracles import (
     local_sp_oracle,
-    lottery_table,
+    perturbed,
     separation_axiom_oracle,
     sp_pairwise_oracle,
     upper_set_condition_oracle,
@@ -168,22 +168,6 @@ def refinement_pairs(m: int) -> tuple[tuple[WeakOrder, WeakOrder], ...]:
         for order in enumerate_weak_orders(m)
         for move in proper_refinements(order)
     )
-
-
-def perturbed(mech: MechanismTable, rng: random.Random) -> MechanismTable:
-    """Move a share of one entry's mass from a preferred alternative to a
-    less preferred one, at a seeded order deep in the canonical scan."""
-    entries = dict(mech.items())
-    orders = [order for order in entries if order.num_classes > 1]
-    order = rng.choice(orders[len(orders) // 2 :])
-    high = rng.choice([a for a in order.classes[0] if entries[order].probs[a]])
-    low = rng.choice(order.classes[-1])
-    probs = list(entries[order].probs)
-    eps = probs[high] / rng.choice((3, 5, 7))
-    probs[high] -= eps
-    probs[low] += eps
-    entries[order] = Lottery(mech.m, tuple(probs))
-    return lottery_table(mech.m, entries, name=f"perturbed-{mech.name}")
 
 
 def local_population() -> list[MechanismTable]:
