@@ -26,8 +26,9 @@ of ``int`` entries. One test clears a separation for all four axioms at
 once; only the rest reach the per-axiom checks. It reports, per axiom,
 `Certificate`s pinpointing the failures in canonical separation order;
 certificates carry exact `Fraction`s, are self-contained, and are
-re-checked against the lotteries themselves by `verify_certificate`.
-Recognizing a separation is the move ladder's job (`paths.as_separation`).
+re-checked against the lotteries by `verify_certificate`, which takes a
+separation as a move of `_split_moves` on its coarse classes. Recognizing
+any pair as a separation is the move ladder's job (`paths.as_separation`).
 
 The verdict reads, for every nonempty proper subset S of the
 alternatives, the masses on S of the orders that `_upper_set_index`
@@ -142,18 +143,15 @@ def _upper_set_index(
     one: R is the coarse order, S the fine order's new upper set."""
     holders: list[list[int]] = [[] for _ in range(1 << m)]
     weak: list[list[int]] = [[] for _ in range(1 << m)]
-    # per distinct class: its bitmask, and those of its nonempty proper parts
+    # per distinct class: its bitmask, and those of its nonempty proper
+    # parts, the upper parts of its `class_splits`
     masks: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     for i, classes in enumerate(order_classes(m)):
         upper = 0
         for cls in classes:
             if cls not in masks:
-                full = sum(1 << alt for alt in cls)
-                parts, part = [], (full - 1) & full
-                while part:
-                    parts.append(part)
-                    part = (part - 1) & full
-                masks[cls] = full, parts
+                parts = [sum(1 << alt for alt in part) for part, _ in class_splits(cls)]
+                masks[cls] = sum(1 << alt for alt in cls), parts
             full, parts = masks[cls]
             for part in parts:
                 weak[upper | part].append(i)
@@ -263,14 +261,15 @@ class Certificate(FrozenRecord):
 
 def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     """Re-derive the certificate's numbers from the mechanism and confirm
-    they exhibit the claimed violation. A witness class outside 1..K (the
-    coarse order's classes), a split part named at any position but the
-    split class, an unknown witness kind, or a separation over another
-    problem size is rejected."""
+    they exhibit the claimed violation. Rejected: a separation over another
+    problem size or no move of `_split_moves` on its coarse classes, a
+    witness class outside 1..K (the coarse order's classes), a split part
+    named at any position but the split class, or an unknown witness kind."""
     sep = cert.separation
     if sep.coarse.m != mech.m or sep.fine.m != mech.m:
         return False
-    if sep not in enumerate_separations(sep.coarse):
+    move = (sep.kappa - 1, sep.upper_part, sep.lower_part, sep.fine.classes)
+    if move not in _split_moves(sep.coarse.classes):
         return False
     if cert.witness != "class" and cert.k != sep.kappa:
         return False
@@ -280,8 +279,7 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
         return False
     coarse_lot = mech.lottery(sep.coarse)
     fine_lot = mech.lottery(sep.fine)
-    lhs = coarse_lot.mass(witness)
-    rhs = fine_lot.mass(witness)
+    lhs, rhs = coarse_lot.mass(witness), fine_lot.mass(witness)
     if (lhs, rhs) != (cert.lhs, cert.rhs):
         return False
     if cert.axiom == "responsive":

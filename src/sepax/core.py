@@ -274,7 +274,7 @@ class WeakOrder(FrozenRecord):
 
     def class_of(self, alt: int) -> int:
         """1-based rank of the class containing ``alt`` (1 = most preferred)."""
-        self._check_alt(alt)
+        _check_alt(alt, self.m)
         return self._class_index[alt]
 
     def upper_contour(self, alt: int) -> frozenset[int]:
@@ -285,10 +285,6 @@ class WeakOrder(FrozenRecord):
 
     def indifferent(self, a: int, b: int) -> bool:
         return self.class_of(a) == self.class_of(b)
-
-    def _check_alt(self, alt: int) -> None:
-        if not 0 <= alt < self.m:
-            raise ValueError(f"alternative {alt} out of range for m={self.m}")
 
     def __str__(self) -> str:
         return self.text
@@ -437,16 +433,14 @@ class Lottery(FrozenRecord):
     @staticmethod
     def unit(m: int, alt: int) -> "Lottery":
         """Point mass on a single alternative."""
-        if not 0 <= alt < m:
-            raise ValueError(f"alternative {alt} out of range for m={m}")
+        _check_alt(alt, m)
         return Lottery(m, tuple(Fraction(1 if a == alt else 0) for a in range(m)))
 
     def mass(self, alts: Iterable[int]) -> Fraction:
         """Total probability of a set of alternatives."""
         total = Fraction(0)
         for alt in set(alts):
-            if not 0 <= alt < self.m:
-                raise ValueError(f"alternative {alt} out of range for m={self.m}")
+            _check_alt(alt, self.m)
             total += self.probs[alt]
         return total
 
@@ -476,6 +470,12 @@ class UtilityFn(FrozenRecord):
         return sum(
             (v * p for v, p in zip(self.values, lottery.probs)), start=Fraction(0)
         )
+
+
+def _check_alt(alt: int, m: int) -> None:
+    """Raise `ValueError` unless ``alt`` is one of the alternatives 0..m-1."""
+    if not 0 <= alt < m:
+        raise ValueError(f"alternative {alt} out of range for m={m}")
 
 
 def _check_same_m(*sized) -> int:

@@ -9,6 +9,7 @@ Three nested moves connect a coarse order to a finer one:
 
 One class walk, `as_refinement`, recognizes all three: a multiway
 separation is a refinement touching one class, a separation one of two parts.
+`axioms.verify_certificate` instead matches a split to `_split_moves`.
 
 A multiway separation decomposes into a chain of plain separations in two
 standard styles, and any pair of orders is connected through a path of
@@ -86,8 +87,7 @@ class Refinement(FrozenRecord):
 def as_refinement(coarse: WeakOrder, fine: WeakOrder) -> Refinement | None:
     """Recognize whether ``fine`` refines ``coarse`` class by class, in
     place. The identity (fine == coarse) qualifies."""
-    if coarse.m != fine.m:
-        raise ValueError("orders over different alternative sets")
+    _check_same_m(coarse, fine)
     blocks: list[tuple[tuple[int, ...], ...]] = []
     parts = iter(fine.classes)
     for cls in coarse.classes:
@@ -125,16 +125,6 @@ def as_separation(coarse: WeakOrder, fine: WeakOrder) -> Separation | None:
     return Separation(coarse, fine, multi.kappa, *multi.parts)
 
 
-def _multiway_moves(classes: Classes) -> Iterator[tuple[int, Classes, Classes]]:
-    """Each multiway separation of the order with these classes, in
-    canonical order, as (0-based position of the split class, its parts,
-    the fine order's classes)."""
-    for k, cls in enumerate(classes):
-        for parts in ordered_set_partitions(cls):
-            if len(parts) > 1:
-                yield k, parts, classes[:k] + parts + classes[k + 1 :]
-
-
 def _refinement_moves(
     classes: Classes,
 ) -> Iterator[tuple[tuple[Classes, ...], Classes]]:
@@ -150,8 +140,12 @@ def enumerate_multiway_separations(
 ) -> Iterator[MultiwaySeparation]:
     """All multiway separations with this coarse side, by class position and
     then the canonical order of ordered partitions of the class."""
-    for k, parts, fine in _multiway_moves(coarse.classes):
-        yield MultiwaySeparation(coarse, WeakOrder(coarse.m, fine), k + 1, parts)
+    classes = coarse.classes
+    for k, cls in enumerate(classes):
+        for parts in ordered_set_partitions(cls):
+            if len(parts) > 1:
+                fine = WeakOrder(coarse.m, classes[:k] + parts + classes[k + 1 :])
+                yield MultiwaySeparation(coarse, fine, k + 1, parts)
 
 
 def enumerate_refinements(coarse: WeakOrder) -> Iterator[Refinement]:
@@ -328,8 +322,7 @@ def refinement_path(
     induced order can only gain or lose ties all at once, which is what
     makes every adjacent pair a refinement one way or the other.
     """
-    if start.m != end.m:
-        raise ValueError("orders over different alternative sets")
+    _check_same_m(start, end)
     if u is None:
         u = canonical_utility(start)
     if v is None:

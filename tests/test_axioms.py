@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from sepax.axioms import (
 from sepax.mechanisms import (
     MechanismTable,
     k_sensitive_boost,
+    random_mechanism,
     top_class_uniform,
     uniform_lottery,
 )
@@ -251,6 +253,28 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(k_sensitive_boost(4), cert)
     foreign = replace(cert, separation=replace(cert.separation, fine=wo("0>1>2>3")))
     assert not verify_certificate(mech, foreign)
+
+
+def test_verify_certificate_rejects_a_moved_split_or_another_fine_order():
+    orders = enumerate_weak_orders(3)
+    for mech in (k_sensitive_boost(3), random_mechanism(3, random.Random(0))):
+        certs = [
+            cert
+            for found in find_violations(mech, all_violations=True).values()
+            for cert in found
+        ]
+        assert certs
+        for cert in certs:
+            sep = cert.separation
+            assert verify_certificate(mech, cert)
+            for kappa in range(1, sep.coarse.num_classes + 1):
+                if kappa != sep.kappa:
+                    moved = replace(cert, separation=replace(sep, kappa=kappa))
+                    assert not verify_certificate(mech, moved)
+            for fine in orders:
+                if fine != sep.fine:
+                    swapped = replace(cert, separation=replace(sep, fine=fine))
+                    assert not verify_certificate(mech, swapped)
 
 
 def test_invariance_k_bounds():

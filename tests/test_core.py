@@ -250,8 +250,10 @@ def test_class_of_and_upper_contour():
     assert WeakOrder.parse("2>1>0").upper_contour(1) == {1, 2}
     assert order.indifferent(0, 1)
     assert not order.indifferent(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alternative 3 out of range for m=3$"):
         order.class_of(3)
+    with pytest.raises(ValueError, match=r"^alternative -1 out of range for m=3$"):
+        order.upper_contour(-1)
 
 
 def test_lottery_validation():
@@ -265,6 +267,9 @@ def test_lottery_validation():
     assert Lottery.unit(3, 1).probs == (0, 1, 0)
     assert Lottery.unit(2, 0).is_deterministic
     assert not Lottery.uniform(2).is_deterministic
+    for alt in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^alternative {alt} out of range for m=3$"):
+            Lottery.unit(3, alt)
 
 
 def test_lottery_mass():
@@ -273,7 +278,7 @@ def test_lottery_mass():
     assert lot.mass(range(3)) == 1
     assert lot.mass([0, 2]) == F(5, 6)
     assert lot.mass([0, 0, 2]) == F(5, 6)  # duplicates count once
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alternative 3 out of range for m=3$"):
         lot.mass([3])
 
 
@@ -282,7 +287,7 @@ def test_subset_prob():
     assert lot.mass({0, 2}) == F(2, 3)
     assert lot.mass(set()) == 0
     assert lot.mass({0, 1, 2}) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alternative 5 out of range for m=3$"):
         lot.mass({5})
 
 

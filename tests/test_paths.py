@@ -376,10 +376,15 @@ def test_blend_utilities():
 def test_mixed_sizes_raise_the_shared_message():
     u2 = UtilityFn(2, (F(1), F(0)))
     u3 = canonical_utility(wo("0>1>2"))
+    o2, o3 = wo("0>1"), wo("0,1>2")
     for call in (
         lambda: u2.expected(Lottery.uniform(3)),
         lambda: blend_utilities(u2, u3, F(1, 2)),
         lambda: utility_segment(u3, u2),
+        lambda: as_refinement(o2, o3),
+        lambda: as_separation(o3, o2),
+        lambda: as_multiway_separation(o2, o3),
+        lambda: refinement_path(o3, o2),
     ):
         with pytest.raises(ValueError, match=r"^mixed problem sizes: \[2, 3\]$"):
             call()
