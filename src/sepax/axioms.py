@@ -22,13 +22,14 @@ whether every separation passes; on a table that passes, no separation is
 walked. Otherwise it runs every check in one serial scan over the table's
 integer rows (a `MechanismTable` is ``(m, denominator, rows)`` and is valid
 once built) and the orders' class tuples, where each axiom compares sums
-of ``int`` entries. One test clears a separation for all four axioms at
-once; only the rest reach the per-axiom checks. It reports, per axiom,
-`Certificate`s pinpointing the failures in canonical separation order;
-certificates carry exact `Fraction`s, are self-contained, and are
-re-checked against the lotteries by `verify_certificate`, which takes a
-separation as a move of `_split_moves` on its coarse classes. Recognizing
-any pair as a separation is the move ladder's job (`paths.as_separation`).
+of ``int`` entries. Each separation is judged in one block: one test
+clears it for all four axioms at once, and otherwise each axiom's failure
+is stated once. It reports, per axiom, `Certificate`s pinpointing the
+failures in canonical separation order; certificates carry exact
+`Fraction`s, are self-contained, and are re-checked against the table's
+integer rows by `verify_certificate`, which takes a separation as a move
+of `_split_moves` on its coarse classes. Recognizing any pair as a
+separation is the move ladder's job (`paths.as_separation`).
 
 The verdict reads, for every nonempty proper subset S of the
 alternatives, the masses on S of the orders that `_upper_set_index`
@@ -260,11 +261,12 @@ class Certificate(FrozenRecord):
 
 
 def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
-    """Re-derive the certificate's numbers from the mechanism and confirm
-    they exhibit the claimed violation. Rejected: a separation over another
-    problem size or no move of `_split_moves` on its coarse classes, a
-    witness class outside 1..K (the coarse order's classes), a split part
-    named at any position but the split class, or an unknown witness kind."""
+    """Re-derive the certificate's numbers from the mechanism's integer rows
+    and confirm they exhibit the claimed violation. Rejected: a separation
+    over another problem size or no move of `_split_moves` on its coarse
+    classes, a witness class outside 1..K (the coarse order's classes), a
+    split part named at any position but the split class, or an unknown
+    witness kind."""
     sep = cert.separation
     if sep.coarse.m != mech.m or sep.fine.m != mech.m:
         return False
@@ -277,10 +279,12 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
         witness = cert.witness_set()
     except ValueError:
         return False
-    coarse_lot = mech.lottery(sep.coarse)
-    fine_lot = mech.lottery(sep.fine)
-    lhs, rhs = coarse_lot.mass(witness), fine_lot.mass(witness)
-    if (lhs, rhs) != (cert.lhs, cert.rhs):
+    index = classes_index(mech.m)
+    coarse_row = mech.rows[index[sep.coarse.classes]].__getitem__
+    fine_row = mech.rows[index[sep.fine.classes]].__getitem__
+    lhs, rhs = sum(map(coarse_row, witness)), sum(map(fine_row, witness))
+    D = mech.denominator
+    if (Fraction(lhs, D), Fraction(rhs, D)) != (cert.lhs, cert.rhs):
         return False
     if cert.axiom == "responsive":
         if cert.witness == "upper_part":
@@ -290,7 +294,8 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
         return False
     if cert.axiom == "direct":
         triggered = any(
-            coarse_lot.mass(cls) != fine_lot.mass(cls) for cls in sep.coarse.classes
+            sum(map(coarse_row, cls)) != sum(map(fine_row, cls))
+            for cls in sep.coarse.classes
         )
         return triggered and lhs == rhs and cert.witness in ("upper_part", "lower_part")
     if cert.axiom == "upper_invariant":
@@ -300,44 +305,6 @@ def verify_certificate(mech: MechanismTable, cert: Certificate) -> bool:
     return False
 
 
-def _violation(
-    axiom: str,
-    coarse: tuple[int, ...],
-    fine: tuple[int, ...],
-    k: int,
-    upper: tuple[int, int],
-    lower: tuple[int, int],
-) -> tuple[str, int, int, int] | None:
-    """One axiom on one separation, on integer rows: the first failure
-    as (witness, class position, lhs, rhs), or None. ``coarse`` and ``fine``
-    are the class masses of the two reports, each over its own classes, so
-    the split class ``coarse[k]`` appears in ``fine`` as ``fine[k]`` and
-    ``fine[k + 1]``. ``upper`` and ``lower`` are the (coarse, fine) masses
-    of the two parts."""
-    if axiom == "responsive":
-        if upper[1] < upper[0]:
-            return ("upper_part", k + 1, *upper)
-        if lower[1] > lower[0]:
-            return ("lower_part", k + 1, *lower)
-        return None
-    if axiom == "direct":
-        # both rows sum to D, so the split class moved iff another class did
-        if coarse[:k] == fine[:k] and coarse[k + 1 :] == fine[k + 2 :]:
-            return None
-        for witness, (lhs, rhs) in (("upper_part", upper), ("lower_part", lower)):
-            if lhs == rhs:
-                return (witness, k + 1, lhs, rhs)
-        return None
-    if axiom == "upper_invariant":
-        positions = ((j, j) for j in range(k))
-    else:
-        positions = ((j, j + 1) for j in range(k + 1, len(coarse)))
-    for j, fine_j in positions:
-        if coarse[j] != fine[fine_j]:
-            return ("class", j + 1, coarse[j], fine[fine_j])
-    return None
-
-
 def find_violations(
     mech: MechanismTable, *, all_violations: bool = False
 ) -> dict[str, list[Certificate]]:
@@ -345,66 +312,71 @@ def find_violations(
     axiom, the violations in canonical order: just the first unless
     ``all_violations``.
 
-    A separation passes all four axioms at once when every class but the
-    split one keeps its mass and the upper part does not lose mass: both
+    Each separation is judged once, on the class masses of its two integer
+    rows: ``above`` and ``below`` say whether a class ranked above or
+    below the split one changed mass. A separation passes all four axioms
+    at once when neither did and the upper part does not lose mass: both
     rows sum to D, so the split class keeps its total, the lower part
-    cannot gain mass, and direct is vacuous. Only a separation failing
-    that one test reaches the per-axiom checks, and only a reported one
-    builds its two `WeakOrder`s.
+    cannot gain mass, and direct is vacuous. Any other separation states
+    each axiom's failure once, in `AXIOMS` order; without
+    ``all_violations`` an axiom that has its certificate is not tested
+    again, and the scan stops once all four have one. Only a reported
+    separation builds its two `WeakOrder`s.
 
     A table that passes `_upper_set_verdict` passes every separation, so
     its scan is skipped and every list is empty."""
     found: dict[str, list[Certificate]] = {axiom: [] for axiom in AXIOMS}
     if _upper_set_verdict(mech):
         return found
-    m, rows = mech.m, mech.rows
+    m, rows, D = mech.m, mech.rows, mech.denominator
     domain = order_classes(m)
     class_mass = [
         tuple([sum(map(row.__getitem__, cls)) for cls in classes])
         for classes, row in zip(domain, rows)
     ]
     orders: dict[int, WeakOrder] = {}  # the reported ones, each built once
-    pending = set(AXIOMS)
     for index, (ci, fi, k, upper_part, lower_part) in enumerate(_separation_layout(m)):
-        if not pending and not all_violations:
-            break
+        # each over its own classes: the split class coarse[k] is fine[k]
+        # (the upper part) and fine[k + 1] (the lower part)
         coarse, fine = class_mass[ci], class_mass[fi]
+        above = coarse[:k] != fine[:k]
+        below = coarse[k + 1 :] != fine[k + 2 :]
         upper_lhs = sum(map(rows[ci].__getitem__, upper_part))
-        if (
-            coarse[:k] == fine[:k]
-            and coarse[k + 1 :] == fine[k + 2 :]
-            and fine[k] >= upper_lhs
-        ):
+        if not (above or below) and fine[k] >= upper_lhs:
             continue
         upper = (upper_lhs, fine[k])
         lower = (coarse[k] - upper_lhs, fine[k + 1])
-        separation = None
-        for axiom in AXIOMS:
-            if not all_violations and axiom not in pending:
-                continue
-            hit = _violation(axiom, coarse, fine, k, upper, lower)
-            if hit is None:
-                continue
-            if separation is None:
-                for i in (ci, fi):
-                    if i not in orders:
-                        orders[i] = WeakOrder(m, domain[i])
-                separation = Separation(
-                    orders[ci], orders[fi], k + 1, upper_part, lower_part
-                )
-            witness, position, lhs, rhs = hit
+        hits = []  # (axiom, witness, class position, lhs, rhs)
+        if all_violations or not found["responsive"]:
+            if upper[1] < upper[0]:
+                hits.append(("responsive", "upper_part", k + 1, *upper))
+            elif lower[1] > lower[0]:
+                hits.append(("responsive", "lower_part", k + 1, *lower))
+        # both rows sum to D, so the split class moved iff another class did
+        if (above or below) and (all_violations or not found["direct"]):
+            if upper[0] == upper[1]:
+                hits.append(("direct", "upper_part", k + 1, *upper))
+            elif lower[0] == lower[1]:
+                hits.append(("direct", "lower_part", k + 1, *lower))
+        if above and (all_violations or not found["upper_invariant"]):
+            j = next(j for j in range(k) if coarse[j] != fine[j])
+            hits.append(("upper_invariant", "class", j + 1, coarse[j], fine[j]))
+        if below and (all_violations or not found["lower_invariant"]):
+            j = next(j for j in range(k + 1, len(coarse)) if coarse[j] != fine[j + 1])
+            hits.append(("lower_invariant", "class", j + 1, coarse[j], fine[j + 1]))
+        if not hits:
+            continue
+        for i in (ci, fi):
+            if i not in orders:
+                orders[i] = WeakOrder(m, domain[i])
+        separation = Separation(orders[ci], orders[fi], k + 1, upper_part, lower_part)
+        for axiom, witness, position, lhs, rhs in hits:
+            lhs, rhs = Fraction(lhs, D), Fraction(rhs, D)
             found[axiom].append(
-                Certificate(
-                    axiom,
-                    separation,
-                    witness,
-                    position,
-                    Fraction(lhs, mech.denominator),
-                    Fraction(rhs, mech.denominator),
-                    index,
-                )
+                Certificate(axiom, separation, witness, position, lhs, rhs, index)
             )
-            pending.discard(axiom)
+        if not all_violations and all(found.values()):
+            break
     return found
 
 

@@ -16,7 +16,7 @@ from the separation axioms alone and report whether the two routes agree;
 a disagreement would mean a bug in one of them, never a property of the
 mechanism. The pairwise scan
 itself lives on as the test oracle in ``tests/oracles.py``.
-`verify_sp_violation` re-checks a reported violation from the lotteries.
+`verify_sp_violation` re-checks a reported violation from the integer rows.
 
 `core._dominance_gap` is the one dominance test behind every SP
 violation, here and in the local scans of `paths`: it compares ``int``
@@ -44,6 +44,7 @@ from .core import (
     Record,
     WeakOrder,
     _dominance_gap,
+    classes_index,
     enumerate_weak_orders,
     order_classes,
 )
@@ -145,10 +146,10 @@ def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
 
 
 def verify_sp_violation(mech: MechanismTable, violation: SPViolation) -> bool:
-    """Re-derive both cumulatives of a reported violation from the
-    lotteries: the truthful lottery's and the misreport's mass on the
-    truth's upper contour of ``witness_alt``. True iff both match the
-    report and the misreport's is the larger. A violation over another
+    """Re-derive both cumulatives of a reported violation from the table's
+    integer rows: the truthful row's and the misreport's mass on the
+    truth's upper contour of ``witness_alt``, over D. True iff both match
+    the report and the misreport's is the larger. A violation over another
     problem size, or whose witness is no alternative, is rejected."""
     truth, misreport = violation.truth, violation.misreport
     if truth.m != mech.m or misreport.m != mech.m:
@@ -157,9 +158,11 @@ def verify_sp_violation(mech: MechanismTable, violation: SPViolation) -> bool:
         upper = truth.upper_contour(violation.witness_alt)
     except (TypeError, ValueError):
         return False
-    truthful = mech.lottery(truth).mass(upper)
-    other = mech.lottery(misreport).mass(upper)
-    return (truthful, other) == (
+    index = classes_index(mech.m)
+    truthful = sum(map(mech.rows[index[truth.classes]].__getitem__, upper))
+    other = sum(map(mech.rows[index[misreport.classes]].__getitem__, upper))
+    D = mech.denominator
+    return (Fraction(truthful, D), Fraction(other, D)) == (
         violation.truth_cumulative, violation.misreport_cumulative
     ) and other > truthful
 
@@ -243,7 +246,6 @@ _STATEMENT_CHECKS = {
 }
 
 
-@lru_cache(maxsize=32)
 def fubini_number(m: int) -> int:
     """Number of weak orders on m alternatives: sum over j of j! * S(m, j),
     the ways to split the alternatives into j classes, times the orders of

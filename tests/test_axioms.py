@@ -15,12 +15,20 @@ from sepax.axioms import (
 from sepax.mechanisms import (
     MechanismTable,
     k_sensitive_boost,
+    random_deterministic_mechanism,
     random_mechanism,
+    rank_score,
     top_class_uniform,
     uniform_lottery,
 )
 from sepax.paths import as_separation
-from tests.oracles import lottery_table, replace, separation_axiom_oracle, split_count
+from tests.oracles import (
+    lottery_table,
+    perturbed,
+    replace,
+    separation_axiom_oracle,
+    split_count,
+)
 
 
 def wo(text: str) -> WeakOrder:
@@ -204,6 +212,28 @@ def test_pass_test_clauses_against_axiom_oracle(name):
     } == separation_axiom_oracle(mech)
     for certs in found.values():
         assert all(verify_certificate(mech, cert) for cert in certs)
+
+
+def _failing_tables():
+    yield direct_violator()
+    for m in (3, 4, 5):
+        yield k_sensitive_boost(m)
+        yield random_mechanism(m, random.Random(m))
+        yield random_deterministic_mechanism(m, random.Random(m))
+        yield perturbed(rank_score(m), random.Random(m))
+
+
+@pytest.mark.parametrize(
+    "mech", _failing_tables(), ids=lambda mech: f"{mech.name}-{mech.m}"
+)
+def test_first_only_walk_matches_axiom_oracle(mech):
+    # without all_violations each axiom reports the oracle's first failure,
+    # also once the walk has stopped testing the axioms already found
+    found = find_violations(mech)
+    expected = separation_axiom_oracle(mech)
+    assert any(found.values())
+    for axiom in AXIOMS:
+        assert [cert.to_json() for cert in found[axiom]] == expected[axiom][:1]
 
 
 def test_monotonic_prefers_earliest_separation():
