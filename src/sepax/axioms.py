@@ -200,20 +200,37 @@ def _upper_set_verdict(mech: MechanismTable) -> bool:
     one `itemgetter` picks their entries from each column of a member of
     S, and one `map` adds each further member's. Every nonempty proper S
     has a holder, (S, rest), and a weak holder, the order whose first
-    class is S and one more alternative, so the pick is always a tuple."""
-    holders, weak = _upper_set_index(mech.m)
+    class is S and one more alternative, so the pick is always a tuple.
+    The members and the `itemgetter` of each S are built once per m, by
+    `_upper_set_picks`."""
     columns = tuple(zip(*mech.rows))
-    for mask in range(1, len(holders) - 1):
-        held = holders[mask]
-        pick = itemgetter(*held, *weak[mask])
-        picked = [pick(col) for alt, col in enumerate(columns) if mask >> alt & 1]
+    for members, pick, n in _upper_set_picks(mech.m):
+        picked = [pick(columns[alt]) for alt in members]
         masses = picked[0]
         for more in picked[1:]:
             masses = tuple(map(add, masses, more))
-        n = len(held)
         if len(set(masses[:n])) > 1 or max(masses[n:]) > masses[0]:
             return False
     return True
+
+
+@lru_cache(maxsize=8)
+def _upper_set_picks(
+    m: int,
+) -> tuple[tuple[tuple[int, ...], itemgetter, int], ...]:
+    """Per nonempty proper subset S, in ascending bitmask order, what
+    `_upper_set_verdict` reads: S's members, one `itemgetter` of the
+    entries of S's holders and then its weak holders from a column, and
+    the number of holders."""
+    holders, weak = _upper_set_index(m)
+    return tuple(
+        (
+            tuple(alt for alt in range(m) if mask >> alt & 1),
+            itemgetter(*holders[mask], *weak[mask]),
+            len(holders[mask]),
+        )
+        for mask in range(1, len(holders) - 1)
+    )
 
 
 class Certificate(FrozenRecord):
@@ -320,7 +337,11 @@ def find_violations(
     cannot gain mass, and direct is vacuous. Any other separation states
     each axiom's failure once, in `AXIOMS` order; without
     ``all_violations`` an axiom that has its certificate is not tested
-    again, and the scan stops once all four have one. Only a reported
+    again, and the scan stops once all four have one. An order's class
+    masses are summed when the walk first reads them, so a scan that
+    stops early sums only the rows it reached; the coarse side is looked
+    up once per coarse order, as the layout runs coarse order by coarse
+    order, and a full scan sums every row once. Only a reported
     separation builds its two `WeakOrder`s.
 
     A table that passes `_upper_set_verdict` passes every separation, so
@@ -330,18 +351,29 @@ def find_violations(
         return found
     m, rows, D = mech.m, mech.rows, mech.denominator
     domain = order_classes(m)
-    class_mass = [
-        tuple([sum(map(row.__getitem__, cls)) for cls in classes])
-        for classes, row in zip(domain, rows)
-    ]
+
+    def masses(i: int) -> tuple[int, ...]:
+        row = rows[i].__getitem__
+        return tuple([sum(map(row, cls)) for cls in domain[i]])
+
+    # each order's class masses, built when the walk first reads them
+    class_mass: list[tuple[int, ...] | None] = [None] * len(rows)
     orders: dict[int, WeakOrder] = {}  # the reported ones, each built once
+    last = None
     for index, (ci, fi, k, upper_part, lower_part) in enumerate(_separation_layout(m)):
         # each over its own classes: the split class coarse[k] is fine[k]
         # (the upper part) and fine[k + 1] (the lower part)
-        coarse, fine = class_mass[ci], class_mass[fi]
+        if ci != last:  # the layout runs coarse order by coarse order
+            last, coarse_row = ci, rows[ci].__getitem__
+            coarse = class_mass[ci]
+            if coarse is None:
+                coarse = class_mass[ci] = masses(ci)
+        fine = class_mass[fi]
+        if fine is None:
+            fine = class_mass[fi] = masses(fi)
         above = coarse[:k] != fine[:k]
         below = coarse[k + 1 :] != fine[k + 2 :]
-        upper_lhs = sum(map(rows[ci].__getitem__, upper_part))
+        upper_lhs = sum(map(coarse_row, upper_part))
         if not (above or below) and fine[k] >= upper_lhs:
             continue
         upper = (upper_lhs, fine[k])
@@ -393,6 +425,5 @@ def check_all_axioms(
     found = find_violations(mech, all_violations=all_violations)
     verdicts = {axiom: not found[axiom] for axiom in AXIOMS}
     verdicts["monotonic"] = verdicts["responsive"] and verdicts["direct"]
-    return AxiomReport(
-        mechanism=mech.name, m=mech.m, verdicts=verdicts, certificates=found
-    )
+    # by position, in slot order: binding keywords costs several times more
+    return AxiomReport(mech.name, mech.m, verdicts, found)

@@ -48,7 +48,7 @@ from .core import (
     enumerate_weak_orders,
     order_classes,
 )
-from .mechanisms import MechanismTable, random_mechanism, unit_row
+from .mechanisms import MechanismTable, _draws, _point_masses, random_mechanism
 
 
 class NotDeterministicError(ValueError):
@@ -89,36 +89,39 @@ def _first_failing_truth(mech: MechanismTable) -> int | None:
     None. Truth i fails iff p_i(S) < best(S) at one of its upper-contour
     sets S, best(S) being the largest mass any row puts on S. The masses
     of S over the distinct rows form one vector, its parent subset's plus
-    one column, so the subsets are walked depth first with at most m
-    vectors alive; at each S only the holders below the failing truth
-    found so far are read, and the walk stops once truth 0 fails."""
-    m = mech.m
+    one column, so the subsets are walked depth first from an explicit
+    stack, each vector built once; a stack entry holds its parent's, so
+    only the current path's vectors are alive. At each S only the holders
+    below the failing truth found so far are read, and the walk stops
+    once truth 0 fails. A holder is mapped to its distinct row's id only
+    when some rows repeat; otherwise its canonical index is that id."""
+    m, rows = mech.m, mech.rows
     # each row is hashed once: first to the index of its first occurrence,
     # then, through int keys, to its id among the distinct rows
     seen: dict[tuple[int, ...], int] = {}
-    firsts = tuple(map(seen.setdefault, mech.rows, count()))
-    row_ids = tuple(map(dict(zip(seen.values(), count())).__getitem__, firsts))
+    firsts = tuple(map(seen.setdefault, rows, count()))
     columns = tuple(zip(*seen))
     holders = _upper_set_index(m)[0]
-    id_of = row_ids.__getitem__
-    first = len(row_ids)
-
-    def visit(mask: int, vector: tuple[int, ...], start: int) -> None:
-        nonlocal first
-        best = max(vector)
-        if min(vector) < best:
-            held = holders[mask]
-            below = islice(held, bisect_left(held, first))
-            masses = map(vector.__getitem__, map(id_of, below))
-            first = next(compress(held, map(best.__gt__, masses)), first)
-        for alt in range(start, m):
-            if first == 0:
-                return
-            visit(mask | 1 << alt, tuple(map(add, vector, columns[alt])), alt + 1)
-
-    for alt in range(m):
-        visit(1 << alt, columns[alt], alt + 1)
-    return first if first < len(row_ids) else None
+    id_of = None  # a holder's distinct row is its own when no row repeats
+    if len(seen) < len(rows):
+        ids = dict(zip(seen.values(), count()))
+        id_of = tuple(map(ids.__getitem__, firsts)).__getitem__
+    first = len(rows)
+    # (a subset, its masses, an alternative above its members to add);
+    # the subsets with smaller bits come off first, as in a recursion
+    stack = [(0, (), alt) for alt in reversed(range(m))]
+    while stack and first:
+        parent, masses, alt = stack.pop()
+        mask = parent | 1 << alt
+        vector = tuple(map(add, masses, columns[alt])) if masses else columns[alt]
+        held = holders[mask]
+        below = islice(held, bisect_left(held, first))
+        if id_of:
+            below = map(id_of, below)
+        fails = map(max(vector).__gt__, map(vector.__getitem__, below))
+        first = next(compress(held, fails), first)
+        stack.extend((mask, vector, child) for child in reversed(range(alt + 1, m)))
+    return first if first < len(rows) else None
 
 
 def check_sp_bruteforce(mech: MechanismTable) -> SPViolation | None:
@@ -199,16 +202,10 @@ def _equivalence(
     certificates = {
         axiom: certs[0] for axiom, certs in report.certificates.items() if certs
     }
+    # by position, in slot order: binding keywords costs several times more
     return EquivalenceReport(
-        statement=statement,
-        mechanism=mech.name,
-        m=mech.m,
-        sp_verdict=sp,
-        axiom_verdicts=verdicts,
-        decomposition_verdict=decomposition,
-        agreement=decomposition == sp,
-        sp_violation=violation,
-        certificates=certificates,
+        statement, mech.name, mech.m, sp, verdicts, decomposition,
+        decomposition == sp, violation, certificates,
     )
 
 
@@ -352,9 +349,11 @@ def scan_random_mechanisms(
 # membership tests on the split parts of `axioms._separation_layout`. The
 # integer route of `check_deterministic_decomposition` stays the reference:
 # scans cross-check a prefix of every population against it. Feeding the
-# same populations through that route as unit rows takes about 13 times as
-# long (250 tables at m=4: 7-13 ms here, 115-170 ms there, in-process on a
-# 2-vCPU host with CPython 3.11), which is why this path stays.
+# same populations through that route as unit rows takes about 23 times as
+# long (250 tables at m=4: 2.4-2.5 ms here, 56-63 ms there, in-process on a
+# 2-vCPU host with CPython 3.11.7), which is why this path stays. Each
+# table's choices are one batch of `mechanisms._draws`, the values that one
+# ``rng.randrange(m)`` per order would give.
 
 
 def _det_sp(choices: tuple[int, ...], class_ix) -> bool:
@@ -400,7 +399,7 @@ def scan_deterministic_decomposition(
         cross_checked=min(cross_check, count),
     )
     for i in range(count):
-        choices = tuple(rng.randrange(m) for _ in range(len(class_ix)))
+        choices = tuple(_draws(rng, m, len(class_ix)))
         sp = _det_sp(choices, class_ix)
         monotonic = _det_monotonic(choices, class_ix, seps)
         if sp == monotonic:
@@ -410,8 +409,7 @@ def scan_deterministic_decomposition(
         if sp:
             report.sp_count += 1
         if i < cross_check:
-            rows = [(1, unit_row(m, choice)) for choice in choices]
-            table = MechanismTable(m, rows, name=f"random-det-{m}-{seed}-{i}")
+            table = _point_masses(m, choices, f"random-det-{m}-{seed}-{i}")
             slow = check_deterministic_decomposition(table)
             if slow.sp_verdict != sp or slow.axiom_verdicts["monotonic"] != monotonic:
                 raise RuntimeError(

@@ -9,8 +9,12 @@ pin is how a table is built from those. The design LP builder after them walks s
 `LinearProgram`, because what it pins is the row system built from
 those; the LP helpers after it read a `LinearProgram`'s rows, a
 table's lotteries, a solution's entries, or an objective's coefficients.
-`saved_layout_fault` reads a saved mechanism file's lines. `replace` at
-the very end copies a sepax record with some fields changed."""
+`saved_layout_fault` reads a saved mechanism file's lines.
+`deterministic_scan_oracle` judges each table through sepax's generic
+`check_deterministic_decomposition`, because what it pins is the
+deterministic scan's fast path and its batched draws against that route
+and one `randrange` per draw. `replace` at the very end copies a sepax
+record with some fields changed."""
 
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from sepax.core import (
     parse_rational,
 )
 from sepax.lp import LinearProgram
+from sepax.verify import check_deterministic_decomposition
 from sepax.mechanisms import (
     DuplicateOrderError,
     InvalidLotteryError,
@@ -850,6 +855,27 @@ def saved_layout_fault(path, wire: dict) -> str | None:
     if json.loads(text) != wire:
         return "the file does not parse to the wire format"
     return None
+
+
+def deterministic_scan_oracle(m: int, count: int, seed: int) -> dict:
+    """`scan_deterministic_decomposition`'s counts the slow way: per table,
+    one ``rng.randrange(m)`` per order, in canonical order, picks the
+    alternative of a point mass, and `check_deterministic_decomposition`
+    judges the table."""
+    rng = random.Random(seed)
+    counts = {"checked": count, "agreements": 0, "sp_count": 0, "first_disagreement": None}
+    for i in range(count):
+        choices = [rng.randrange(m) for _ in range(weak_order_count(m))]
+        rows = [(1, tuple(int(a == choice) for a in range(m))) for choice in choices]
+        report = check_deterministic_decomposition(
+            MechanismTable(m, rows, name=f"random-det-{m}-{seed}-{i}")
+        )
+        if report.agreement:
+            counts["agreements"] += 1
+        elif counts["first_disagreement"] is None:
+            counts["first_disagreement"] = report.mechanism
+        counts["sp_count"] += report.sp_verdict
+    return counts
 
 
 def replace(record, **changes):

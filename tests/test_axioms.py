@@ -236,6 +236,59 @@ def test_first_only_walk_matches_axiom_oracle(mech):
         assert [cert.to_json() for cert in found[axiom]] == expected[axiom][:1]
 
 
+# a random table stops the first-only walk early, a perturbed SP table
+# late; each full walk of a random m=6 table costs about 0.3 s
+@pytest.mark.parametrize(
+    "mech",
+    [random_mechanism(6, random.Random(0)), perturbed(rank_score(6), random.Random(6))],
+    ids=lambda mech: mech.name,
+)
+def test_first_only_walk_is_head_of_full_walk_m6(mech):
+    # the first-only walk builds an order's class masses when it first
+    # reads them, the full walk reads every order: the same certificates
+    found = find_violations(mech)
+    everything = find_violations(mech, all_violations=True)
+    assert any(found.values())
+    for axiom in AXIOMS:
+        assert found[axiom] == everything[axiom][:1]
+
+
+# the first-only certificates of random_mechanism(7, Random(0)), as the walk
+# that built every order's class masses up front reported them
+M7_RANDOM_FIRST_CERTIFICATES = {
+    "responsive": (1, {
+        "coarse": "0>1>2>3>4>5,6", "fine": "0>1>2>3>4>6>5", "kappa": 6,
+        "M1": [6], "M2": [5], "k": 6, "witness": "upper_part",
+        "lhs": "9/38", "rhs": "3/46",
+    }),
+    "direct": (92, {
+        "coarse": "0>1>2>6>3,5>4", "fine": "0>1>2>6>3>5>4", "kappa": 5,
+        "M1": [3], "M2": [5], "k": 5, "witness": "lower_part",
+        "lhs": "0", "rhs": "0",
+    }),
+    "upper_invariant": (0, {
+        "coarse": "0>1>2>3>4>5,6", "fine": "0>1>2>3>4>5>6", "kappa": 6,
+        "M1": [5], "M2": [6], "k": 1, "witness": "class",
+        "lhs": "4/19", "rhs": "6/43",
+    }),
+    "lower_invariant": (4, {
+        "coarse": "0>1>2>3>4,5>6", "fine": "0>1>2>3>4>5>6", "kappa": 5,
+        "M1": [4], "M2": [5], "k": 6, "witness": "class",
+        "lhs": "0", "rhs": "7/43",
+    }),
+}
+
+
+def test_first_only_walk_m7_random_table():
+    mech = random_mechanism(7, random.Random(0))
+    found = find_violations(mech)
+    for axiom, (index, fields) in M7_RANDOM_FIRST_CERTIFICATES.items():
+        [cert] = found[axiom]
+        assert cert.separation_index == index
+        assert cert.to_json() == {"axiom": axiom, **fields}
+        assert verify_certificate(mech, cert)
+
+
 def test_monotonic_prefers_earliest_separation():
     # monotonic is responsive and direct together; its earliest failure is
     # the lowest separation index over both, responsive first on a tie

@@ -292,7 +292,23 @@ def test_zoo_rules_match_fraction_oracle(name, m):
     assert mech.is_deterministic == all(p in (0, 1) for probs in expected for p in probs)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 14))
+def test_sampler_draws_equal_randrange(n):
+    # the batched sampler behind every seeded table: the values of
+    # randrange(n) and randint(0, n - 1), and the generator left where
+    # they leave it
+    for seed in range(5):
+        by_range, by_int, batched = (random.Random(seed) for _ in range(3))
+        expected = [by_range.randrange(n) for _ in range(3000)]
+        assert [by_int.randint(0, n - 1) for _ in range(3000)] == expected
+        assert mechanisms._draws(batched, n, 3000) == expected
+        assert batched.getstate() == by_range.getstate() == by_int.getstate()
+        assert mechanisms._draws(batched, n, 0) == []
+    with pytest.raises(ValueError):
+        mechanisms._draws(random.Random(0), 0, 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_random_samplers_match_fraction_oracle(m):
     for seed in range(5):
         _assert_matches_lotteries(

@@ -35,6 +35,7 @@ from sepax.verify import (
     verify_sp_violation,
 )
 from tests.oracles import (
+    deterministic_scan_oracle,
     lottery_table,
     replace,
     separation_axiom_oracle,
@@ -341,6 +342,18 @@ def test_deterministic_scan_fast_path_matches_generic():
     fast = scan_deterministic_decomposition(3, 300, 77, cross_check=300)
     assert fast.all_agree
     assert fast.checked == fast.cross_checked == 300
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_deterministic_scan_matches_randrange_oracle(m):
+    # the fast path's counts, and the tables its batched draws make, equal
+    # those of one randrange per order and the generic checkers
+    for seed in range(3):
+        report = scan_deterministic_decomposition(m, 120, seed)
+        assert {
+            key: getattr(report, key)
+            for key in ("checked", "agreements", "sp_count", "first_disagreement")
+        } == deterministic_scan_oracle(m, 120, seed)
 
 
 def test_deterministic_scan_reproducible():
