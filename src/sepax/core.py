@@ -379,11 +379,24 @@ def classes_index(m: int) -> dict[Classes, int]:
 @lru_cache(maxsize=8)
 def order_texts(m: int) -> tuple[str, ...]:
     """The text of each weak order on m alternatives, in canonical order,
-    built from the classes alone, each distinct class formatted once."""
-    domain = order_classes(m)
-    distinct = {cls for classes in domain for cls in classes}
-    part = {cls: ",".join(map(str, cls)) for cls in distinct}
-    return tuple(">".join([part[cls] for cls in classes]) for classes in domain)
+    built the way `_ordered_partitions` builds the orders: each first
+    class's text is joined to each text of the orders on its rest, and
+    those are built once per rest, for this call alone."""
+    if m < 1:
+        raise ValueError("need at least one alternative")
+    memo: dict[tuple[int, ...], list[str]] = {}
+
+    def texts(elems: tuple[int, ...]) -> list[str]:
+        if elems not in memo:
+            out: list[str] = []
+            for first, rest in class_splits(elems):
+                head = ",".join(map(str, first)) + ">"
+                out += [head + tail for tail in texts(rest)]
+            out.append(",".join(map(str, elems)))
+            memo[elems] = out
+        return memo[elems]
+
+    return tuple(texts(tuple(range(m))))
 
 
 @lru_cache(maxsize=8)

@@ -3,20 +3,24 @@ file format, built-in generator mechanisms, and random samplers used by the
 test batteries.
 
 A table is one common denominator and one row of ints per order, built by
-its one constructor from one ``(den, ints)`` pair per order; the loader,
-the zoo rules and the samplers hand it those pairs directly, and
-`Fraction`s appear only in JSON text and in `Lottery` values for callers.
+its constructor from one ``(den, ints)`` pair per order; the zoo rules and
+the samplers hand it those pairs directly, and `Fraction`s appear only in
+JSON text and in `Lottery` values for callers. The loader checks a file's
+entries once, all together, and hands the rows it read to
+`MechanismTable._checked`, which checks nothing again.
 
 File format (orders listed in canonical enumeration order; `save_mechanism`
-writes one entry per line, and any JSON layout loads)::
+writes one entry per line, each as ``json.dumps`` writes it, and any JSON
+layout loads)::
 
     {"m": 3, "entries": [
     {"order": "0>1>2", "lottery": ["1/2", "1/3", "1/6"]},
     ...
     ]}
 
-Tables are built and loaded on the classes of `order_classes`, with no
-`WeakOrder` made; `lottery` and `items` build them for callers.
+Tables are built on the classes of `order_classes` and loaded and saved on
+the texts of `order_texts`, with no `WeakOrder` made; `lottery` and
+`items` build them for callers.
 
 Every seeded draw, here and in `verify`'s deterministic scan, goes through
 one sampler, `_draws`: a batch of ``rng.randrange(n)`` values, drawn the
@@ -26,13 +30,13 @@ as one `randrange` call per value, at under half the cost.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import floordiv, mul
 
 from .core import (
     ENUMERATION_MAX_M,
@@ -40,6 +44,7 @@ from .core import (
     FormatError,
     Lottery,
     WeakOrder,
+    _text_index,
     classes_index,
     enumerate_weak_orders,
     format_rational,
@@ -118,10 +123,11 @@ class MechanismTable:
         the pairs, naming the first missing (None) order, then rows past
         the domain, then a row of the wrong size (all three
         `MechanismFormatError`), then a row that is not a lottery
-        (`ValueError`); then folds the least common denominator of the
-        fractions they hold, refusing it as soon as rows x m x its bits
-        passes `TABLE_MAX_BITS`, and scales the pairs to it once, keeping
-        a pair that is over it already. When every pair has one
+        (`ValueError`), each check run over all the pairs at once; then
+        folds the least common denominator of the fractions they hold,
+        refusing it as soon as rows x m x its bits passes
+        `TABLE_MAX_BITS`, and scales every entry to it in one pass, unless
+        every pair is over it already. When every pair has one
         denominator, that fold is one gcd over it and every entry."""
         pairs = list(rows)
         texts = order_texts(m)
@@ -132,30 +138,53 @@ class MechanismTable:
             raise MissingOrderError(f"no lottery for order {text!r}")
         if outside:
             raise MechanismFormatError(f"entries outside the domain: {outside}")
-        for text, (_, row) in zip(texts, pairs):
-            if len(row) != m:
-                raise MechanismFormatError(f"size mismatch at order {text!r}")
-        for den, row in pairs:
-            if den < 1 or min(row) < 0 or sum(row) != den:
-                raise ValueError(f"row {list(row)} over {den} is not a lottery")
-        first = pairs[0][0]
-        if all(den == first for den, _ in pairs):
+        dens = [den for den, _ in pairs]
+        ints = [row for _, row in pairs]
+        # each check runs over every row at once; a failed one names its
+        # first row
+        if set(map(len, ints)) != {m}:
+            text = next(t for t, row in zip(texts, ints) if len(row) != m)
+            raise MechanismFormatError(f"size mismatch at order {text!r}")
+        entries = chain.from_iterable(ints)
+        if min(dens) < 1 or min(entries) < 0 or list(map(sum, ints)) != dens:
+            den, row = next(
+                (den, row) for den, row in pairs
+                if den < 1 or min(row) < 0 or sum(row) != den
+            )
+            raise ValueError(f"row {list(row)} over {den} is not a lottery")
+        if dens.count(dens[0]) == len(dens):
             # one denominator, as from the loader: the least common one is
             # it over the gcd of every entry, and no row is reduced alone
-            entries = chain.from_iterable(row for _, row in pairs)
-            reduced = [first // math.gcd(first, *entries)]
-        else:
-            reduced = [den // math.gcd(den, *row) for den, row in pairs]
+            first = dens[0]
+            reduced = [first // math.gcd(first, *chain.from_iterable(ints))]
+        else:  # each row's own, over the gcd of its den and its entries
+            reduced = dict.fromkeys(map(floordiv, dens, map(math.gcd, dens, *zip(*ints))))
         D = 1
         for den in reduced:
             if D % den:
                 D = math.lcm(D, den)
                 _check_table_size(len(pairs), m, D)
         self.m, self.name, self.denominator = m, name, D
-        self.rows = tuple(
-            tuple(row) if den == D else tuple(x * D // den for x in row)
-            for den, row in pairs
-        )
+        if dens.count(D) == len(dens):
+            self.rows = tuple(map(tuple, ints))
+        else:  # x * D // den is exact, as den over its row's gcd divides D
+            scaled = map(
+                floordiv,
+                map(mul, chain.from_iterable(ints), repeat(D)),
+                chain.from_iterable(map(repeat, dens, repeat(m))),
+            )
+            self.rows = tuple(zip(*[scaled] * m))
+
+    @classmethod
+    def _checked(
+        cls, m: int, denominator: int, rows: tuple[tuple[int, ...], ...], name: str
+    ) -> "MechanismTable":
+        """The table of ``rows``, tuples of ints over ``denominator``, which
+        the caller has checked as the constructor would: one lottery per
+        order, and ``denominator`` the least common one."""
+        table = cls.__new__(cls)
+        table.m, table.name, table.denominator, table.rows = m, name, denominator, rows
+        return table
 
     def lottery(self, order: WeakOrder) -> Lottery:
         i = classes_index(self.m).get(order.classes)
@@ -206,7 +235,10 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
     `MechanismFormatError` subclass naming the offending entry. The common
     denominator is fixed before any entry is checked, from every distinct
     token of the file, so a table past `TABLE_MAX_BITS` is refused first,
-    with its bits at the first token, in file order, that takes it past."""
+    with its bits at the first token, in file order, that takes it past.
+    Then `_bulk_rows` runs every check once over all the entries; only a
+    file that fails one, or that spells an order in another way, is read
+    again entry by entry, which names the first fault."""
     if not isinstance(data, dict):
         raise MechanismFormatError("top level must be an object")
     m = data.get("m")
@@ -223,8 +255,12 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
     # before any entry is checked, each distinct token is parsed once, in file
     # order: ``scale`` is the lcm of their denominators and ``scaled`` each
     # token's value times it; a bad token is left for its entry's check
-    lotteries = [raw.get("lottery") for raw in raw_entries if isinstance(raw, dict)]
-    lotteries = [lottery for lottery in lotteries if isinstance(lottery, list)]
+    if set(map(type, raw_entries)) == {dict}:
+        lotteries = list(map(dict.get, raw_entries, repeat("lottery")))
+    else:
+        lotteries = [raw.get("lottery") for raw in raw_entries if isinstance(raw, dict)]
+    if set(map(type, lotteries)) != {list}:
+        lotteries = [lottery for lottery in lotteries if isinstance(lottery, list)]
     try:
         tokens = dict.fromkeys(chain.from_iterable(lotteries))
     except TypeError:  # an unhashable token
@@ -243,7 +279,15 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
             _check_table_size(len(texts), m, scale)
     scaled = {t: v.numerator * (scale // v.denominator) for t, v in ratios.items()}
 
-    rows: list = [None] * len(texts)
+    rows = _bulk_rows(m, raw_entries, lotteries, scaled, scale)
+    if rows is not None:
+        # every token is in lowest terms, so ``scale``, the lcm of their
+        # denominators, is the table's least common denominator
+        return MechanismTable._checked(m, scale, rows, name)
+
+    # a bulk check failed: the same checks, entry by entry, name the first
+    # fault (or read an order spelled in another way)
+    rows = [None] * len(texts)
     for i, raw in enumerate(raw_entries):
         if not isinstance(raw, dict):
             raise MechanismFormatError(f"entry {i} must be an object")
@@ -285,6 +329,36 @@ def mechanism_from_json(data: object, name: str = "") -> MechanismTable:
     return MechanismTable(m, rows, name=name)
 
 
+def _bulk_rows(
+    m: int, raw_entries: list, lotteries: list, scaled: dict[str, int], scale: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """The rows, in canonical order, of a file in which every entry passes
+    every check of `mechanism_from_json`, with each check run once over all
+    the entries; None when any fails, or when an order is not spelled as
+    `order_texts` spells it. ``lotteries`` are the entries' lottery lists,
+    those that are lists of entries that are objects."""
+    index = _text_index(m)
+    n = len(index)
+    # an entry that is no object or has no lottery list is one list short
+    if not len(raw_entries) == len(lotteries) == n:
+        return None
+    try:
+        ks = list(map(index.__getitem__, map(dict.get, raw_entries, repeat("order"))))
+        flat = list(map(scaled.__getitem__, chain.from_iterable(lotteries)))
+    except (KeyError, TypeError):  # an order or a token that is not as written
+        return None
+    # the lookups found every token of the file in ``scaled``, which holds
+    # only the file's, so its least value is the file's
+    if len(set(ks)) < n or set(map(len, lotteries)) != {m} or min(scaled.values()) < 0:
+        return None
+    rows = list(zip(*[iter(flat)] * m))
+    if set(map(sum, rows)) != {scale}:
+        return None
+    if ks != list(range(n)):  # a shuffled file
+        rows = [row for _, row in sorted(zip(ks, rows))]
+    return tuple(rows)
+
+
 def load_mechanism(path: str | os.PathLike) -> MechanismTable:
     data = read_json(path, "not valid JSON", MechanismFormatError)
     name = os.path.splitext(os.path.basename(path))[0]
@@ -293,11 +367,21 @@ def load_mechanism(path: str | os.PathLike) -> MechanismTable:
 
 def save_mechanism(mech: MechanismTable, path: str | os.PathLike) -> None:
     """Write the table atomically, one entry per line (see the module
-    docstring): each line goes through the C JSON encoder, which
-    ``indent`` would replace with the pure-Python one."""
-    data = mechanism_to_json(mech)
-    entries = ",\n".join(map(json.dumps, data["entries"]))
-    write_atomic(path, f'{{"m": {data["m"]}, "entries": [\n{entries}\n]}}\n')
+    docstring), each line the bytes ``json.dumps`` gives its entry of
+    `mechanism_to_json`: an order's text and a probability hold only
+    digits, ",", ">" and "/", which JSON writes as they are. Each distinct
+    probability is formatted once, and each distinct row's lottery once."""
+    D = mech.denominator
+    quoted = {
+        x: f'"{format_rational(Fraction(x, D))}"'
+        for x in set(chain.from_iterable(mech.rows))
+    }
+    lotteries = {row: ", ".join(map(quoted.__getitem__, row)) for row in set(mech.rows)}
+    entries = ",\n".join([
+        f'{{"order": "{text}", "lottery": [{lotteries[row]}]}}'
+        for text, row in zip(order_texts(mech.m), mech.rows)
+    ])
+    write_atomic(path, f'{{"m": {mech.m}, "entries": [\n{entries}\n]}}\n')
 
 
 def write_atomic(path: str | os.PathLike, payload: str) -> None:

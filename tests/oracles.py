@@ -44,6 +44,7 @@ from sepax.mechanisms import (
     MechanismFormatError,
     MechanismTable,
     MissingOrderError,
+    mechanism_to_json,
 )
 
 
@@ -837,6 +838,15 @@ def objective_to_json(m: int, coeffs: dict[int, Fraction]) -> dict:
             if c != 0
         ],
     }
+
+
+def json_dumps_file_text(mech: MechanismTable) -> str:
+    """The text `save_mechanism` writes, made through the `json` module:
+    each entry of the wire format through ``json.dumps``, one per line,
+    between an opening and a closing line."""
+    data = mechanism_to_json(mech)
+    entries = ",\n".join(map(json.dumps, data["entries"]))
+    return f'{{"m": {data["m"]}, "entries": [\n{entries}\n]}}\n'
 
 
 def saved_layout_fault(path, wire: dict) -> str | None:

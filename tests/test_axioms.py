@@ -253,6 +253,44 @@ def test_first_only_walk_is_head_of_full_walk_m6(mech):
         assert found[axiom] == everything[axiom][:1]
 
 
+def _walk_tables():
+    # random tables whose direct failure comes after the other three
+    # axioms' first failures (seed 0 at m=5 and 6, seed 1 at m=4), so the
+    # first-only walk finds it on the direct-only tail, and random tables
+    # whose direct failure comes first; k_sensitive_boost never fails
+    # direct, and its tail runs to the end past separations whose parts
+    # both keep their mass
+    for m in (4, 5, 6):
+        for seed in (0, 1):
+            yield random_mechanism(m, random.Random(seed), name=f"random-{seed}")
+        yield k_sensitive_boost(m)
+        yield perturbed(rank_score(m), random.Random(m))
+        yield random_deterministic_mechanism(m, random.Random(m))
+
+
+@pytest.mark.parametrize("mech", _walk_tables(), ids=lambda mech: f"{mech.name}-{mech.m}")
+def test_first_only_certificates_head_the_full_walk(mech):
+    found = find_violations(mech)
+    everything = find_violations(mech, all_violations=True)
+    assert any(found.values())
+    for axiom in AXIOMS:
+        assert found[axiom] == everything[axiom][:1]
+    if mech.m < 6:
+        assert {
+            axiom: [cert.to_json() for cert in certs] for axiom, certs in everything.items()
+        } == separation_axiom_oracle(mech)
+
+
+def test_direct_is_found_on_the_tail_at_each_size():
+    # the tables above do reach the direct-only tail with direct still open
+    for m, seed in ((4, 1), (5, 0), (6, 0)):
+        found = find_violations(random_mechanism(m, random.Random(seed)))
+        first = {axiom: certs[0].separation_index for axiom, certs in found.items()}
+        assert first["direct"] > max(
+            first[axiom] for axiom in AXIOMS if axiom != "direct"
+        )
+
+
 # the first-only certificates of random_mechanism(7, Random(0)), as the walk
 # that built every order's class masses up front reported them
 M7_RANDOM_FIRST_CERTIFICATES = {

@@ -704,3 +704,56 @@ def test_readme_examples_parse(tmp_path, monkeypatch):
             assert report["command"] == argv[0]
             ran += 1
     assert ran >= 4
+
+
+# command lines that start with a command's name, each parsed, shown help
+# or refused; none of them runs a command
+ONE_COMMAND_ARGVS = [
+    ["check", "--help"],
+    ["enumerate", "-h"],
+    ["path", "--help"],
+    ["amd", "--help"],
+    ["zoo", "--help"],
+    ["check", "--mechanism", "x", "-h"],
+    ["check"],
+    ["check", "--mechanism"],
+    ["check", "--mechanism", "x", "--mode", "bogus"],
+    ["check", "--mechanism", "x", "--seed", "7"],
+    ["check", "--mechanism", "x", "extra"],
+    ["check", "--mech", "x", "--emit"],
+    ["check", "--mechanism", "a", "--", "b"],
+    ["check", "--mechanism", "x", "--mode", "sp", "--out", "r.json"],
+    ["enumerate", "--m", "x"],
+    ["enumerate", "--what", "orders"],
+    ["enumerate", "--m", "3", "--what", "separations", "--summary"],
+    ["path", "--from", "0>1"],
+    ["path", "--from", "0>1", "--to", "1>0", "--utilities-from"],
+    ["amd", "--m", "3"],
+    ["amd", "--m", "3", "--objective", "o.json", "--out-mechanism", "t.json"],
+    ["zoo"],
+    ["zoo", "show"],
+    ["zoo", "emit", "--m", "3", "--name"],
+    ["zoo", "list", "--summary"],
+    ["zoo", "list", "--out", "r.json"],
+]
+
+
+def _parse_outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except cli._InputError as exc:
+            result = ("input error", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ONE_COMMAND_ARGVS, ids=" ".join)
+def test_one_subparser_parses_as_all_five(argv):
+    # a run builds only its command's subparser: the namespace, the help
+    # text and every refusal are those of the parser with all five
+    assert _parse_outcome(cli.build_parser(argv[0]), argv) == _parse_outcome(
+        cli.build_parser(), argv
+    )

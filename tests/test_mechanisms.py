@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -33,9 +34,12 @@ from sepax.verify import check_sp_bruteforce
 from tests.oracles import (
     ZOO_RULE_ORACLES,
     integer_rows_oracle,
+    json_dumps_file_text,
     lotteries_json_oracle,
     lottery_dict_load_file,
+    lottery_dict_loader,
     lottery_table,
+    perturbed,
     random_deterministic_lotteries_oracle,
     random_lotteries_oracle,
     saved_layout_fault,
@@ -129,6 +133,30 @@ def test_saved_zoo_files_round_trip_one_entry_per_line(tmp_path: Path, m):
         path = tmp_path / f"{name}.json"
         save_mechanism(mech, path)
         assert saved_layout_fault(path, mechanism_to_json(mech)) is None
+        assert load_mechanism(path) == mech
+
+
+def _saved_tables(m):
+    yield from (factory(m) for _, factory in sorted(ZOO.items()))
+    for weight_cap in (12, 1):
+        yield random_mechanism(m, random.Random(m), weight_cap=weight_cap)
+    yield random_deterministic_mechanism(m, random.Random(m))
+    if m > 1:  # m=1 has no order to perturb
+        yield perturbed(rank_score(m), random.Random(m))
+        yield perturbed(top_class_uniform(m), random.Random(m))
+    if m == 2:  # probabilities of 4,001 digits
+        D = 10**4000
+        yield MechanismTable(2, [(D, (1, D - 1)), (1, (1, 0)), (1, (0, 1))])
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_saved_bytes_equal_json_dumps_oracle(tmp_path: Path, m):
+    # the writer builds each line by hand; the bytes are those of json.dumps
+    # on each entry, as this interpreter's json module writes them
+    path = tmp_path / "mech.json"
+    for mech in _saved_tables(m):
+        save_mechanism(mech, path)
+        assert path.read_bytes() == json_dumps_file_text(mech).encode(), mech.name
         assert load_mechanism(path) == mech
 
 
@@ -481,3 +509,94 @@ def test_rank_score_emit_makes_a_fraction_per_printed_value_at_most(monkeypatch)
     monkeypatch.undo()
     printed = {p for entry in blob["entries"] for p in entry["lottery"]}
     assert 0 < len(made) <= len(printed)
+
+
+def _fault(kind, blob, rng):
+    """Inject one fault of this kind into the wire-format ``blob``, at a
+    position drawn from ``rng``."""
+    entries, m = blob["entries"], blob["m"]
+    i, p = rng.randrange(len(entries)), rng.randrange(m)
+    entry, lottery = entries[i], entries[i]["lottery"]
+    if kind == "non_object_entry":
+        entries[i] = rng.choice([entry["order"], [entry], None, 3])
+    elif kind == "missing_order":
+        del entry["order"]
+    elif kind == "non_string_order":
+        entry["order"] = rng.choice([None, 7, 1.5, True, ["0"], {"0": 1}])
+    elif kind == "duplicate_order":
+        entry["order"] = entries[(i + rng.randrange(1, len(entries))) % len(entries)]["order"]
+    elif kind == "short_lottery":
+        del lottery[p]
+    elif kind == "long_lottery":
+        lottery.insert(p, "0")
+    elif kind == "non_list_lottery":
+        entry["lottery"] = rng.choice([tuple(lottery), "1", None, {"0": "1"}])
+    elif kind == "non_string_token":
+        lottery[p] = rng.choice([0.5, 1, 0, True, None, [1], {"1": 1}])
+    elif kind == "malformed_token":
+        lottery[p] = rng.choice(["1/x", "1/0", "", "0x", "1//2", "1 /2", "+"])
+    elif kind == "negative_token":
+        q = (p + 1) % m if m > 1 else p
+        lottery[p], lottery[q] = "-1/2", "3/2"
+        for j in range(m):
+            if j not in (p, q):
+                lottery[j] = "0"
+    elif kind == "non_summing_token":
+        lottery[p] = str(F(lottery[p]) + F(1, rng.choice((2, 3, 7))))
+    elif kind == "extra_entry":
+        entries.insert(rng.randrange(len(entries) + 1), copy.deepcopy(entry))
+    elif kind == "missing_entry":
+        del entries[i]
+    elif kind == "shuffled_entries":
+        rng.shuffle(entries)
+    elif kind == "respelled_order":
+        classes = entry["order"].split(">")
+        respelled = ">".join(",".join(reversed(c.split(","))) for c in classes)
+        entry["order"] = respelled if respelled != entry["order"] else f" {respelled}"
+    else:
+        raise ValueError(kind)
+
+
+LOADER_FAULTS = [
+    "non_object_entry", "missing_order", "non_string_order", "duplicate_order",
+    "short_lottery", "long_lottery", "non_list_lottery", "non_string_token",
+    "malformed_token", "negative_token", "non_summing_token", "extra_entry",
+    "missing_entry", "shuffled_entries", "respelled_order",
+]
+
+
+@pytest.mark.parametrize("kind", LOADER_FAULTS)
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_loader_faults_match_lottery_dict_oracle(m, kind):
+    # each fault at seeded positions: the loader raises the oracle's class
+    # and message, or, on a file with no fault, reads the oracle's table
+    base = mechanism_to_json(random_mechanism(m, random.Random(m), weight_cap=6))
+    for seed in range(4):
+        blob = copy.deepcopy(base)
+        _fault(kind, blob, random.Random(f"{kind}-{m}-{seed}"))
+        try:
+            expected = lottery_dict_loader(copy.deepcopy(blob))
+        except MechanismFormatError as exc:
+            with pytest.raises(MechanismFormatError) as err:
+                mechanism_from_json(blob)
+            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+            continue
+        assert kind in ("shuffled_entries", "respelled_order")
+        assert dict(mechanism_from_json(blob).items()) == expected
+
+
+def test_canonical_and_shuffled_files_skip_the_per_entry_checks(monkeypatch):
+    # a file that passes the bulk checks never reaches the constructor,
+    # which would check every row again
+    tables = [rank_score(5), random_mechanism(4, random.Random(1))]
+    blobs = [mechanism_to_json(mech) for mech in tables]
+    random.Random(0).shuffle(blobs[1]["entries"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the constructor ran")
+
+    monkeypatch.setattr(MechanismTable, "__init__", refuse)
+    for mech, blob in zip(tables, blobs):
+        loaded = mechanism_from_json(blob, name="x")
+        assert loaded == mech and loaded.name == "x"
+        assert loaded.rows == mech.rows and loaded.denominator == mech.denominator

@@ -293,7 +293,7 @@ def test_tables_breaking_one_part_fall_back_to_the_walks():
 
 
 def test_move_layouts_match_public_enumerators():
-    for m in range(1, 6):
+    for m in range(1, 7):
         orders = enumerate_weak_orders(m)
         index = {order: i for i, order in enumerate(orders)}
         seps = [sep for order in orders for sep in enumerate_separations(order)]
