@@ -24,12 +24,14 @@ integer rows (a `MechanismTable` is ``(m, denominator, rows)`` and is valid
 once built) and the orders' class tuples, where each axiom compares sums
 of ``int`` entries. Each separation is judged in one block: one test
 clears it for all four axioms at once, and otherwise each axiom's failure
-is stated once. It reports, per axiom, `Certificate`s pinpointing the
-failures in canonical separation order; certificates carry exact
-`Fraction`s, are self-contained, and are re-checked against the table's
-integer rows by `verify_certificate`, which takes a separation as a move
-of `_split_moves` on its coarse classes. Recognizing any pair as a
-separation is the move ladder's job (`paths.as_separation`).
+is stated once; once a first-only scan has only direct open, it reads the
+other classes only where a split part keeps its mass. It reports, per
+axiom, `Certificate`s pinpointing the failures in canonical separation
+order; certificates carry exact `Fraction`s, are self-contained, and are
+re-checked against the table's integer rows by `verify_certificate`, which
+takes a separation as a move of `_split_moves` on its coarse classes.
+Recognizing any pair as a separation is the move ladder's job
+(`paths.as_separation`).
 
 The verdict reads, for every nonempty proper subset S of the
 alternatives, the masses on S of the orders that `_upper_set_index`
@@ -60,7 +62,6 @@ from .core import (
 from .mechanisms import MechanismTable
 
 AXIOMS = ("responsive", "direct", "upper_invariant", "lower_invariant")
-_NOT_DIRECT = ("responsive", "upper_invariant", "lower_invariant")
 
 
 class Separation(FrozenRecord):
@@ -392,15 +393,15 @@ def find_violations(
     each axiom's failure once, in `AXIOMS` order; without
     ``all_violations`` an axiom that has its certificate is not tested
     again, and the scan stops once all four have one. Once only direct
-    is open, the rest of the scan runs the direct test alone, which reads
-    the classes around the split one only at a separation where a part
-    keeps its mass; on `k_sensitive_boost`, which never fails direct,
-    that is nearly the whole scan. An order's class masses are summed
-    when the walk first reads them, so a scan that stops early sums only
-    the rows it reached; the coarse side is looked up once per coarse
-    order, as the layout runs coarse order by coarse order, and a full
-    scan sums every row once. Only a reported separation builds its two
-    `WeakOrder`s, and each distinct certificate value its `Fraction`.
+    is open, the same walk skips a separation where neither part keeps
+    its mass, which cannot break direct, before it compares the classes
+    around the split one; on `k_sensitive_boost`, which never fails
+    direct, that is nearly the whole scan. An order's class masses are
+    summed when the walk first reads them, so a scan that stops early
+    sums only the rows it reached; the coarse side is looked up once per
+    coarse order, as the layout runs coarse order by coarse order, and a
+    full scan sums every row once. Only a reported separation builds its
+    two `WeakOrder`s, and each distinct certificate value its `Fraction`.
 
     A table that passes `_upper_set_verdict` passes every separation, so
     its scan is skipped and every list is empty."""
@@ -440,7 +441,7 @@ def find_violations(
             )
 
     last = None
-    tail = len(layout)  # where a first-only walk that has all but direct goes on
+    direct_only = False  # a first-only walk has every certificate but direct's
     for index, (ci, fi, k, upper_part, lower_part) in enumerate(layout):
         # each over its own classes: the split class coarse[k] is fine[k]
         # (the upper part) and fine[k + 1] (the lower part)
@@ -448,9 +449,12 @@ def find_violations(
             last, coarse_row = ci, rows[ci].__getitem__
             coarse = class_mass[ci] or masses(ci)
         fine = class_mass[fi] or masses(fi)
+        upper_lhs = sum(map(coarse_row, upper_part))
+        # direct fails only where a part keeps its mass
+        if direct_only and fine[k] != upper_lhs and fine[k + 1] != coarse[k] - upper_lhs:
+            continue
         above = coarse[:k] != fine[:k]
         below = coarse[k + 1 :] != fine[k + 2 :]
-        upper_lhs = sum(map(coarse_row, upper_part))
         if not (above or below) and fine[k] >= upper_lhs:
             continue
         upper = (upper_lhs, fine[k])
@@ -477,31 +481,11 @@ def find_violations(
         if not hits:
             continue
         report(index, hits)
-        if not all_violations and all(found[axiom] for axiom in _NOT_DIRECT):
-            if not found["direct"]:
-                tail = index + 1
-            break
-
-    # first-only, with only direct open: a separation breaks it when one of
-    # its parts keeps its mass and some class moved, so the parts are
-    # tested first, and the classes above and below the split one only
-    # when a part kept its mass
-    last = None
-    for index, (ci, fi, k, upper_part, lower_part) in enumerate(layout[tail:], tail):
-        if ci != last:
-            last, coarse_row = ci, rows[ci].__getitem__
-            coarse = class_mass[ci] or masses(ci)
-        fine = class_mass[fi] or masses(fi)
-        upper_lhs = sum(map(coarse_row, upper_part))
-        if fine[k] == upper_lhs:
-            witness, part = "upper_part", (upper_lhs, fine[k])
-        elif fine[k + 1] == coarse[k] - upper_lhs:
-            witness, part = "lower_part", (coarse[k] - upper_lhs, fine[k + 1])
-        else:
-            continue
-        if coarse[:k] != fine[:k] or coarse[k + 1 :] != fine[k + 2 :]:
-            report(index, [("direct", witness, k + 1, *part)])
-            break
+        if not all_violations:
+            open_axioms = [axiom for axiom in AXIOMS if not found[axiom]]
+            if not open_axioms:
+                break
+            direct_only = open_axioms == ["direct"]
     return found
 
 

@@ -281,13 +281,13 @@ def _zoo_parser(sub) -> argparse.ArgumentParser:
     return p
 
 
-# each subcommand's parser, in the order help lists them
-_SUBPARSERS = {
-    "check": _check_parser,
-    "enumerate": _enumerate_parser,
-    "path": _path_parser,
-    "amd": _amd_parser,
-    "zoo": _zoo_parser,
+# each subcommand's parser builder and handler, in the order help lists them
+_COMMANDS = {
+    "check": (_check_parser, cmd_check),
+    "enumerate": (_enumerate_parser, cmd_enumerate),
+    "path": (_path_parser, cmd_path),
+    "amd": (_amd_parser, cmd_amd),
+    "zoo": (_zoo_parser, cmd_zoo),
 }
 
 
@@ -306,20 +306,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, add_parser in _SUBPARSERS.items():
+    for name, (add_parser, _) in _COMMANDS.items():
         if command in (None, name):
             p = add_parser(sub)
             p.add_argument("--out", help="also write the JSON report to this file")
     return parser
-
-
-_COMMANDS = {
-    "check": cmd_check,
-    "enumerate": cmd_enumerate,
-    "path": cmd_path,
-    "amd": cmd_amd,
-    "zoo": cmd_zoo,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -345,10 +336,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _SUBPARSERS else None
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     started = time.perf_counter()
-    result, code = _COMMANDS[args.command](args)
+    result, code = _COMMANDS[args.command][1](args)
     report = {
         "command": args.command,
         # every scan is serial; the key keeps the report's shape

@@ -66,14 +66,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def read_json(path: str | os.PathLike, label: str, error=FormatError) -> object:
-    """Parse a JSON file. Text that is not UTF-8, not JSON, or nested too
-    deep for the parser raises ``error("<label>: <reason>")``; a file that
-    cannot be opened raises `OSError`."""
+    """Parse a JSON file. Text that is not UTF-8, not JSON, nested too deep
+    for the parser, or holding an integer literal past the interpreter's
+    digit limit raises ``error("<label>: <reason>")``; a file that cannot
+    be opened raises `OSError`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise error(f"{label}: {exc}") from None
+        except ValueError:  # the int digit limit, in words that do not vary by version
+            raise error(f"{label}: an integer literal has too many digits") from None
 
 
 def format_rational(value: Fraction | int) -> str:

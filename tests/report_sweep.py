@@ -111,6 +111,15 @@ def sweep_argvs() -> list[list[str]]:
     Path("bad-json.json").write_text('{"m": 1, "entries": [', encoding="utf-8")
     _write_json("bad-token.json", {"m": 1, "entries": [{"order": "0", "lottery": ["x"]}]})
     _write_json("too-large.json", {"m": 8, "entries": []})
+    # an integer literal one digit past the interpreter's default limit
+    long = "9" * 4301
+    for name, text in (
+        ("long-m.json", f'{{"m": {long}, "entries": []}}'),
+        ("long-entry.json", f'{{"m": 1, "entries": [{{"order": "0", "lottery": [{long}]}}]}}'),
+        ("long-term.json", f'{{"terms": [{{"order": "0>1>2", "alt": {long}, "coef": "1"}}]}}'),
+        ("long-value.json", f'{{"values": [{long}, "0"]}}'),
+    ):
+        Path(name).write_text(text, encoding="utf-8")
     argvs += [
         ["check", "--mechanism", "missing.json"],
         ["check", "--mechanism", "bad-json.json"],
@@ -121,6 +130,10 @@ def sweep_argvs() -> list[list[str]]:
         ["enumerate", "--m", "501", "--what", "counts"],
         ["amd", "--m", "7", "--objective", "objective-welfare-m2.json"],
         ["zoo", "emit", "--name", "nonesuch", "--m", "3"],
+        ["check", "--mechanism", "long-m.json"],
+        ["check", "--mechanism", "long-entry.json"],
+        ["amd", "--m", "3", "--objective", "long-term.json"],
+        ["path", "--from", "0>1", "--to", "1>0", "--utilities-from", "long-value.json"],
     ]
     return argvs
 

@@ -256,10 +256,10 @@ def test_first_only_walk_is_head_of_full_walk_m6(mech):
 def _walk_tables():
     # random tables whose direct failure comes after the other three
     # axioms' first failures (seed 0 at m=5 and 6, seed 1 at m=4), so the
-    # first-only walk finds it on the direct-only tail, and random tables
-    # whose direct failure comes first; k_sensitive_boost never fails
-    # direct, and its tail runs to the end past separations whose parts
-    # both keep their mass
+    # first-only walk finds it after it has skipped to the part test, and
+    # random tables whose direct failure comes first; k_sensitive_boost
+    # never fails direct, and its walk runs on the part test to the end,
+    # past separations whose parts both keep their mass
     for m in (4, 5, 6):
         for seed in (0, 1):
             yield random_mechanism(m, random.Random(seed), name=f"random-{seed}")
@@ -282,7 +282,7 @@ def test_first_only_certificates_head_the_full_walk(mech):
 
 
 def test_direct_is_found_on_the_tail_at_each_size():
-    # the tables above do reach the direct-only tail with direct still open
+    # the tables above do reach the part test with only direct open
     for m, seed in ((4, 1), (5, 0), (6, 0)):
         found = find_violations(random_mechanism(m, random.Random(seed)))
         first = {axiom: certs[0].separation_index for axiom, certs in found.items()}

@@ -479,7 +479,7 @@ def test_internal_fault_exits_2_without_traceback(monkeypatch):
     def boom(args):
         raise RuntimeError("simulated fault")
 
-    monkeypatch.setitem(cli._COMMANDS, "zoo", boom)
+    monkeypatch.setitem(cli._COMMANDS, "zoo", (cli._zoo_parser, boom))
     code, report, err = run_cli(["zoo", "list"])
     assert code == 2
     assert report is None
@@ -603,6 +603,39 @@ def test_unreadable_input_file_exits_3(tmp_path, reader, content):
     assert code == 3
     assert report is None
     assert "not valid JSON" in json.loads(err)["error"]
+
+
+# one digit past the default limit on turning text into an int, which json
+# applies to every integer literal it reads
+LONG_LITERAL = "9" * 4301
+
+OVER_LONG_LITERALS = {
+    "mechanism-m": ("mechanism", f'{{"m": {LONG_LITERAL}, "entries": []}}'),
+    "mechanism-entry": (
+        "mechanism", f'{{"m": 1, "entries": [{{"order": "0", "lottery": [{LONG_LITERAL}]}}]}}'
+    ),
+    "mechanism-extra-key": ("mechanism", f'{{"m": 3, "entries": [], "pad": {LONG_LITERAL}}}'),
+    "objective-term": (
+        "objective", f'{{"terms": [{{"order": "0>1", "alt": {LONG_LITERAL}, "coef": "1"}}]}}'
+    ),
+    "utility-value": ("utilities", f'{{"values": [{LONG_LITERAL}, "0"]}}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_LONG_LITERALS))
+def test_integer_literal_past_the_digit_limit_exits_3(tmp_path, case):
+    # bad input in sepax's own words, the same on every interpreter, not an
+    # internal fault carrying the interpreter's message
+    reader, text = OVER_LONG_LITERALS[case]
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    code, report, err = run_cli(_reader_argv(reader, str(path)))
+    assert code == 3
+    assert report is None
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].endswith(
+        "not valid JSON: an integer literal has too many digits"
+    )
 
 
 def test_zoo_rejects_large_m_before_building(monkeypatch):
