@@ -252,40 +252,24 @@ def _upper_set_verdict(mech: MechanismTable) -> bool:
     Subsets run in ascending bitmask order, and the verdict is False at
     the first that breaks (a) or (b). Only the masses of S's holders and
     weak holders are read (at m=6 about 540 orders per subset, of 4,683):
-    one `itemgetter` picks their entries from each column of a member of
-    S, and one `map` adds each further member's. Every nonempty proper S
-    has a holder, (S, rest), and a weak holder, the order whose first
-    class is S and one more alternative, so the pick is always a tuple.
-    The members and the `itemgetter` of each S are built once per m, by
-    `_upper_set_picks`."""
+    one `itemgetter` over the index's holders and then weak holders of S
+    picks their entries from each column of a member of S, and one `map`
+    adds each further member's. Every nonempty proper S has a holder,
+    (S, rest), and a weak holder, the order whose first class is S and
+    one more alternative, so the pick is always a tuple."""
+    m = mech.m
+    holders, weak = _upper_set_index(m)
     columns = tuple(zip(*mech.rows))
-    for members, pick, n in _upper_set_picks(mech.m):
-        picked = [pick(columns[alt]) for alt in members]
+    for mask in range(1, len(holders) - 1):
+        pick = itemgetter(*holders[mask], *weak[mask])
+        picked = [pick(columns[alt]) for alt in range(m) if mask >> alt & 1]
         masses = picked[0]
         for more in picked[1:]:
             masses = tuple(map(add, masses, more))
+        n = len(holders[mask])
         if len(set(masses[:n])) > 1 or max(masses[n:]) > masses[0]:
             return False
     return True
-
-
-@lru_cache(maxsize=8)
-def _upper_set_picks(
-    m: int,
-) -> tuple[tuple[tuple[int, ...], itemgetter, int], ...]:
-    """Per nonempty proper subset S, in ascending bitmask order, what
-    `_upper_set_verdict` reads: S's members, one `itemgetter` of the
-    entries of S's holders and then its weak holders from a column, and
-    the number of holders."""
-    holders, weak = _upper_set_index(m)
-    return tuple(
-        (
-            tuple(alt for alt in range(m) if mask >> alt & 1),
-            itemgetter(*holders[mask], *weak[mask]),
-            len(holders[mask]),
-        )
-        for mask in range(1, len(holders) - 1)
-    )
 
 
 class Certificate(FrozenRecord):

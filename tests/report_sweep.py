@@ -12,7 +12,9 @@ moves an entry.
     python -m tests.report_sweep --write   # regenerate the digest file
 
 A change that moves report bytes on purpose regenerates the file and
-names the moved entries in its description. Only the stdlib, sepax and
+names the moved entries in its description. The crafted input files of
+the sweep's last entries are defined here, and `tests/test_cli.py` runs
+them too. Only the stdlib, sepax and
 `tests.oracles` are used, so the check runs on an interpreter with no
 third-party package.
 """
@@ -47,6 +49,95 @@ DIGESTS = Path(__file__).with_name("report_digests.json")
 
 _TIMING = re.compile(rb'"timing_s": [^,\n}]+')
 _TIMING_TOKEN = b'"timing_s": "<timing>"'
+
+
+# crafted input files
+
+READERS = ("mechanism", "objective", "utilities")
+
+
+def reader_argv(reader: str, path: str) -> list[str]:
+    """A command line that reads ``path`` as a file of kind ``reader``."""
+    return {
+        "mechanism": ["check", "--mechanism", path],
+        "objective": ["amd", "--m", "2", "--objective", path],
+        "utilities": ["path", "--from", "0>1", "--to", "1>0", "--utilities-from", path],
+    }[reader]
+
+
+# bytes that no reader takes for JSON
+UNREADABLE_FILES = {
+    "not_utf8": b'\xff\xfe{"m":2}',
+    "nested_too_deep": b"[" * 100_000,
+    "utf8_bom": b'\xef\xbb\xbf{"m": 1, "entries": []}',
+    "empty": b"",
+}
+
+# each file kind's fields that take an int in range or a string, with @
+# where the value goes; json reads 1e999999 and Infinity as float("inf"),
+# NaN as float("nan") and -0 as 0
+NUMBER_FIELDS = {
+    "mechanism-m": ("mechanism", '{"m": @, "entries": []}'),
+    "mechanism-entry": ("mechanism", '{"m": 1, "entries": [{"order": "0", "lottery": [@]}]}'),
+    "objective-alt": ("objective", '{"terms": [{"order": "0>1", "alt": @, "coef": "1"}]}'),
+    "objective-coef": ("objective", '{"terms": [{"order": "0>1", "alt": 0, "coef": @}]}'),
+    "utility-value": ("utilities", '{"values": [@, "0"]}'),
+}
+
+# JSON files that are not valid input, as (reader, text); a text of None
+# puts a directory where the file goes
+CRAFTED_FILES = {
+    f"{field}={number}": (reader, template.replace("@", number))
+    for field, (reader, template) in NUMBER_FIELDS.items()
+    for number in ("1e999999", "NaN", "Infinity", "-0")
+    # alternative -0 is alternative 0: a valid file, in RESPELLED_FILES
+    if (field, number) != ("objective-alt", "-0")
+}
+CRAFTED_FILES |= {
+    # a lone surrogate escape decodes to a str that no order text matches
+    "mechanism-surrogate": (
+        "mechanism", '{"m": 1, "entries": [{"order": "\\ud800", "lottery": ["1"]}]}'
+    ),
+    "objective-surrogate": (
+        "objective", '{"terms": [{"order": "\\udc00>1", "alt": 0, "coef": "1"}]}'
+    ),
+}
+CRAFTED_FILES |= {f"{reader}-directory": (reader, None) for reader in READERS}
+
+# valid files in a crafted spelling, as (reader, text, plain spelling): a
+# repeated key keeps its last value, and -0 reads as 0
+RESPELLED_FILES = {
+    "repeated-key": (
+        "mechanism",
+        '{"m": 9, "m": 1, "entries": [{"order": "0", "lottery": ["1"]}]}',
+        '{"m": 1, "entries": [{"order": "0", "lottery": ["1"]}]}',
+    ),
+    "alt-minus-zero": (
+        "objective",
+        '{"terms": [{"order": "0>1", "alt": -0, "coef": "1"}]}',
+        '{"terms": [{"order": "0>1", "alt": 0, "coef": "1"}]}',
+    ),
+}
+
+
+def _crafted_argvs() -> list[list[str]]:
+    """Write every crafted file into the current directory and return the
+    command lines that read them."""
+    argvs = []
+    for content, data in sorted(UNREADABLE_FILES.items()):
+        for reader in READERS:
+            name = f"unreadable-{content}-{reader}.json"
+            Path(name).write_bytes(data)
+            argvs.append(reader_argv(reader, name))
+    texts = {case: (reader, text) for case, (reader, text, _) in RESPELLED_FILES.items()}
+    for case, (reader, text) in sorted((CRAFTED_FILES | texts).items()):
+        name = f"crafted-{case}.json"
+        if text is None:
+            os.mkdir(name)
+        else:
+            Path(name).write_text(text, encoding="utf-8")
+        argvs.append(reader_argv(reader, name))
+    return argvs
 
 
 def _write_json(name: str, data: object) -> str:
@@ -135,7 +226,7 @@ def sweep_argvs() -> list[list[str]]:
         ["amd", "--m", "3", "--objective", "long-term.json"],
         ["path", "--from", "0>1", "--to", "1>0", "--utilities-from", "long-value.json"],
     ]
-    return argvs
+    return argvs + _crafted_argvs()
 
 
 def _digest(data: bytes) -> str:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import sepax.axioms as axioms
 import sepax.cli as cli
 import sepax.mechanisms as mechanisms
 import sepax.verify as verify
@@ -26,6 +27,13 @@ from sepax.mechanisms import (
 )
 from sepax.paths import refinement_path
 from tests.oracles import objective_to_json, saved_layout_fault, weak_order_count
+from tests.report_sweep import (
+    CRAFTED_FILES,
+    READERS,
+    RESPELLED_FILES,
+    UNREADABLE_FILES,
+    reader_argv,
+)
 
 
 def run_cli(argv: list[str]) -> tuple[int, dict | None, str]:
@@ -578,30 +586,18 @@ def test_path_rejects_large_m_before_walking(monkeypatch):
     assert f"capped at m={cli.PATH_MAX_M}" in json.loads(err)["error"]
 
 
-UNREADABLE_FILES = {
-    "not_utf8": b'\xff\xfe{"m":2}',
-    "nested_too_deep": b"[" * 100_000,
-}
-
-
-def _reader_argv(reader: str, path: str) -> list[str]:
-    return {
-        "mechanism": ["check", "--mechanism", path],
-        "objective": ["amd", "--m", "2", "--objective", path],
-        "utilities": ["path", "--from", "0>1", "--to", "1>0", "--utilities-from", path],
-    }[reader]
-
-
 @pytest.mark.parametrize("content", sorted(UNREADABLE_FILES))
-@pytest.mark.parametrize("reader", ["mechanism", "objective", "utilities"])
+@pytest.mark.parametrize("reader", READERS)
 def test_unreadable_input_file_exits_3(tmp_path, reader, content):
-    # bytes that are not UTF-8 or JSON nested past the parser's depth are
-    # bad input, not internal faults
+    # bytes that are not UTF-8, JSON nested past the parser's depth, a
+    # leading byte order mark and an empty file are bad input, not
+    # internal faults
     path = tmp_path / "input.json"
     path.write_bytes(UNREADABLE_FILES[content])
-    code, report, err = run_cli(_reader_argv(reader, str(path)))
+    code, report, err = run_cli(reader_argv(reader, str(path)))
     assert code == 3
     assert report is None
+    assert err.count("\n") == 1
     assert "not valid JSON" in json.loads(err)["error"]
 
 
@@ -629,13 +625,59 @@ def test_integer_literal_past_the_digit_limit_exits_3(tmp_path, case):
     reader, text = OVER_LONG_LITERALS[case]
     path = tmp_path / "input.json"
     path.write_text(text, encoding="utf-8")
-    code, report, err = run_cli(_reader_argv(reader, str(path)))
+    code, report, err = run_cli(reader_argv(reader, str(path)))
     assert code == 3
     assert report is None
     assert err.count("\n") == 1
     assert json.loads(err)["error"].endswith(
         "not valid JSON: an integer literal has too many digits"
     )
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_FILES))
+def test_crafted_input_file_exits_3(tmp_path, case):
+    # a file text of None passes a directory where the file goes
+    reader, text = CRAFTED_FILES[case]
+    path = tmp_path / "input.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text, encoding="utf-8")
+    code, report, err = run_cli(reader_argv(reader, str(path)))
+    assert code == 3
+    assert report is None
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("case", sorted(RESPELLED_FILES))
+def test_respelled_valid_file_keeps_its_verdict(tmp_path, case):
+    reader, crafted, plain = RESPELLED_FILES[case]
+    reports = []
+    for text in (crafted, plain):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code, report, err = run_cli(reader_argv(reader, str(path)))
+        assert (code, err) == (0, "")
+        del report["timing_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_closed_stdout_exits_3():
+    # a reader that stops early is an OSError on stdout, which main reports
+    # as bad input; the 3.4 MB report outgrows any pipe buffer
+    with subprocess.Popen(
+        [sys.executable, "-m", "sepax", "enumerate", "--m", "6", "--what", "separations"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    ) as proc:
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (3, b'{"error": "[Errno 32] Broken pipe"}\n')
 
 
 def test_zoo_rejects_large_m_before_building(monkeypatch):
@@ -660,6 +702,23 @@ def test_zoo_emits_at_the_enumeration_cap(tmp_path):
     assert code == 0
     assert report["result"]["zoo"]["entries"] == weak_order_count(ENUMERATION_MAX_M)
     assert mechanisms.load_mechanism(out) == k_sensitive_boost(ENUMERATION_MAX_M)
+
+
+@pytest.mark.parametrize("name, code", [("rank_score", 0), ("k_sensitive_boost", 1)])
+def test_local_checks_at_the_enumeration_cap(tmp_path, monkeypatch, name, code):
+    # rank_score passes the upper-set verdict, which settles both modes with
+    # no walk; k_sensitive_boost fails it, so each mode walks. The verdict
+    # is then held to the separation walk run with the verdict switched off
+    path = str(tmp_path / f"{name}.json")
+    m = str(ENUMERATION_MAX_M)
+    assert run_cli(["zoo", "emit", "--name", name, "--m", m, "--out-mechanism", path])[0] == 0
+    for mode in ("axioms", "multisep"):
+        exit_code, _, err = run_cli(["check", "--mechanism", path, "--mode", mode])
+        assert (exit_code, err) == (code, ""), mode
+    mech = mechanisms.load_mechanism(path)
+    verdict = axioms._upper_set_verdict(mech)
+    monkeypatch.setattr(axioms, "_upper_set_verdict", lambda mech: False)
+    assert verdict == (not any(axioms.find_violations(mech).values())) == (code == 0)
 
 
 def test_table_over_the_size_bound_exits_3(tmp_path, monkeypatch):
