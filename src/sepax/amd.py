@@ -222,7 +222,7 @@ def objective_from_json(data: object, m: int) -> dict[int, Fraction]:
 
 
 def load_objective(path: str, m: int) -> dict[int, Fraction]:
-    return objective_from_json(read_json(path, "objective file not valid JSON"), m)
+    return objective_from_json(read_json(path, "not valid JSON"), m)
 
 
 def solve_design(

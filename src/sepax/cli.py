@@ -72,30 +72,32 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(f"{self.prog}: {message}")
 
 
-def _load_mechanism(path: str) -> mechanisms.MechanismTable:
-    if not os.path.exists(path):
-        raise _InputError(f"mechanism file not found: {path}")
+def _read_input(kind: str, load, path: str, *args):
+    """``load(path, *args)``, which reads and parses the ``kind`` file at
+    ``path``. Every reader's errors are worded here, so each names the
+    file's kind and path: a file that cannot be read, and one whose text
+    is not valid JSON or not valid input."""
     try:
-        return mechanisms.load_mechanism(path)
-    except mechanisms.MechanismFormatError as exc:
-        raise _InputError(f"bad mechanism file {path}: {exc}") from None
+        return load(path, *args)
+    except OSError as exc:
+        raise _InputError(f"cannot read {kind} file {path}: {exc.strerror}") from None
+    except (FormatError, mechanisms.MechanismFormatError) as exc:
+        raise _InputError(f"bad {kind} file {path}: {exc}") from None
 
 
 def _load_utility(path: str, m: int) -> UtilityFn:
-    if not os.path.exists(path):
-        raise _InputError(f"utility file not found: {path}")
-    data = core.read_json(path, f"utility file {path} not valid JSON", _InputError)
+    data = core.read_json(path, "not valid JSON")
     values = data.get("values") if isinstance(data, dict) else None
     if not isinstance(values, list) or len(values) != m:
-        raise _InputError(f"utility file {path} must hold {m} values")
+        raise FormatError(f"must hold {m} values")
     try:
         parsed = tuple(parse_rational(v) for v in values)
     except FormatError:
-        raise _InputError(f"utility file {path}: values must be \"p/q\" rationals")
+        raise FormatError('values must be "p/q" rationals') from None
     try:
         return UtilityFn(m, parsed)
     except ValueError as exc:
-        raise _InputError(f"utility file {path}: {exc}") from None
+        raise FormatError(str(exc)) from None
 
 
 def _parse_order(text: str) -> WeakOrder:
@@ -106,7 +108,7 @@ def _parse_order(text: str) -> WeakOrder:
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
-    mech = _load_mechanism(args.mechanism)
+    mech = _read_input("mechanism", mechanisms.load_mechanism, args.mechanism)
 
     if args.mode == "axioms":
         report = axioms.check_all_axioms(
@@ -160,8 +162,11 @@ def cmd_path(args: argparse.Namespace) -> tuple[dict, int]:
         raise _InputError("orders must cover the same alternatives")
     if start.m > PATH_MAX_M:
         raise _InputError(f"paths are capped at m={PATH_MAX_M}, not m={start.m}")
-    u = _load_utility(args.utilities_from, start.m) if args.utilities_from else None
-    v = _load_utility(args.utilities_to, end.m) if args.utilities_to else None
+    u = v = None
+    if args.utilities_from:
+        u = _read_input("utility", _load_utility, args.utilities_from, start.m)
+    if args.utilities_to:
+        v = _read_input("utility", _load_utility, args.utilities_to, end.m)
     try:
         result = paths.refinement_path(start, end, u, v)
     except ValueError as exc:
@@ -186,12 +191,7 @@ def cmd_amd(args: argparse.Namespace) -> tuple[dict, int]:
         raise _InputError(f"LP design beyond m={AMD_MAX_M} is unreasonably large")
     if not args.objective:
         raise _InputError("amd needs --objective FILE")
-    try:
-        objective = amd_mod.load_objective(args.objective, m)
-    except FormatError as exc:
-        raise _InputError(str(exc)) from None
-    except OSError as exc:
-        raise _InputError(f"cannot read objective file: {exc}") from None
+    objective = _read_input("objective", amd_mod.load_objective, args.objective, m)
 
     solution, mech = amd_mod.solve_design(m, objective)
     violation = verify.check_sp_bruteforce(mech)

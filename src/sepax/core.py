@@ -11,7 +11,9 @@ package touches floating point.
 Every scan, loader and table builder runs on `order_classes(m)`, the class
 tuples of all orders in canonical order, and builds a `WeakOrder` only for
 an order it reports; `enumerate_weak_orders` is the same domain as
-`WeakOrder`s, for callers.
+`WeakOrder`s, for callers. Classes that are canonical by construction, as
+these are, become an order through `WeakOrder._checked`, which checks
+nothing again; the constructor checks every order from outside.
 
 Every record is a `Record`: one constructor binds its fields, and one
 encoder, `Record.to_json`, writes them by name through `json_value`, which
@@ -235,12 +237,22 @@ class WeakOrder(FrozenRecord):
             if seen != set(range(m)):
                 raise ValueError(f"classes do not partition 0..{m - 1}")
             classes = tuple(map(tuple, classes))
-        # the slots' own setters, not super().__init__: every order of
-        # `enumerate_weak_orders` is built here, and that call would cost
+        # the slots' own setters, not super().__init__, which would cost
         # about 0.5 us more per order
         set_m, set_classes = self._setters
         set_m(self, m)
         set_classes(self, classes)
+
+    @classmethod
+    def _checked(cls, m: int, classes: Classes) -> "WeakOrder":
+        """The order with these classes, which the caller has built as the
+        constructor would store them: a tuple of sorted tuples that
+        partition 0..m-1. Nothing is checked again."""
+        order = cls.__new__(cls)
+        set_m, set_classes = cls._setters
+        set_m(order, m)
+        set_classes(order, classes)
+        return order
 
     @staticmethod
     def parse(text: str) -> "WeakOrder":
@@ -367,8 +379,11 @@ def order_classes(m: int) -> tuple[Classes, ...]:
 @lru_cache(maxsize=8)
 def enumerate_weak_orders(m: int) -> tuple[WeakOrder, ...]:
     """All weak orders on m alternatives, as `WeakOrder`s in the canonical
-    order of `order_classes`."""
-    return tuple(WeakOrder(m, classes) for classes in order_classes(m))
+    order of `order_classes`, whose class tuples are canonical by
+    construction, so each order is built by `WeakOrder._checked`, which
+    checks nothing again."""
+    checked = WeakOrder._checked
+    return tuple([checked(m, classes) for classes in order_classes(m)])
 
 
 @lru_cache(maxsize=8)

@@ -144,7 +144,7 @@ def enumerate_multiway_separations(
     for k, cls in enumerate(classes):
         for parts in ordered_set_partitions(cls):
             if len(parts) > 1:
-                fine = WeakOrder(coarse.m, classes[:k] + parts + classes[k + 1 :])
+                fine = WeakOrder._checked(coarse.m, classes[:k] + parts + classes[k + 1 :])
                 yield MultiwaySeparation(coarse, fine, k + 1, parts)
 
 
@@ -152,7 +152,7 @@ def enumerate_refinements(coarse: WeakOrder) -> Iterator[Refinement]:
     """All refinements of ``coarse``, the identity among them: the product
     of ordered partitions of each class."""
     for blocks, fine in _refinement_moves(coarse.classes):
-        yield Refinement(coarse, WeakOrder(coarse.m, fine), blocks)
+        yield Refinement(coarse, WeakOrder._checked(coarse.m, fine), blocks)
 
 
 def split_chain(

@@ -76,8 +76,8 @@ def _sp_violation(
     domain = order_classes(mech.m)
     witness, cum_t, cum_o = gap
     return SPViolation(
-        WeakOrder(mech.m, domain[truth]),
-        WeakOrder(mech.m, domain[misreport]),
+        WeakOrder._checked(mech.m, domain[truth]),
+        WeakOrder._checked(mech.m, domain[misreport]),
         witness,
         Fraction(cum_t, mech.denominator),
         Fraction(cum_o, mech.denominator),

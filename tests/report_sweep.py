@@ -13,10 +13,10 @@ moves an entry.
 
 A change that moves report bytes on purpose regenerates the file and
 names the moved entries in its description. The crafted input files of
-the sweep's last entries are defined here, and `tests/test_cli.py` runs
-them too. Only the stdlib, sepax and
-`tests.oracles` are used, so the check runs on an interpreter with no
-third-party package.
+the sweep's last entries, and its files holding an over-long integer
+literal, are defined here, and `tests/test_cli.py` runs them too. Only
+the stdlib, sepax and `tests.oracles` are used, so the check runs on an
+interpreter with no third-party package.
 """
 
 from __future__ import annotations
@@ -103,6 +103,33 @@ CRAFTED_FILES |= {
     ),
 }
 CRAFTED_FILES |= {f"{reader}-directory": (reader, None) for reader in READERS}
+
+# one digit past the interpreter's default limit on turning text into an
+# int, which json applies to every integer literal it reads
+LONG_LITERAL = "9" * 4301
+
+# JSON files holding that literal, as (command line, text); each command
+# line ends with the name it reads the file by
+LONG_LITERAL_FILES = {
+    "mechanism-m": (
+        ["check", "--mechanism", "long-m.json"], f'{{"m": {LONG_LITERAL}, "entries": []}}'
+    ),
+    "mechanism-entry": (
+        ["check", "--mechanism", "long-entry.json"],
+        f'{{"m": 1, "entries": [{{"order": "0", "lottery": [{LONG_LITERAL}]}}]}}',
+    ),
+    "mechanism-extra-key": (
+        ["check", "--mechanism", "long-extra-key.json"],
+        f'{{"m": 3, "entries": [], "pad": {LONG_LITERAL}}}',
+    ),
+    "objective-term": (
+        ["amd", "--m", "3", "--objective", "long-term.json"],
+        f'{{"terms": [{{"order": "0>1>2", "alt": {LONG_LITERAL}, "coef": "1"}}]}}',
+    ),
+    "utility-value": (
+        reader_argv("utilities", "long-value.json"), f'{{"values": [{LONG_LITERAL}, "0"]}}'
+    ),
+}
 
 # valid files in a crafted spelling, as (reader, text, plain spelling): a
 # repeated key keeps its last value, and -0 reads as 0
@@ -202,15 +229,8 @@ def sweep_argvs() -> list[list[str]]:
     Path("bad-json.json").write_text('{"m": 1, "entries": [', encoding="utf-8")
     _write_json("bad-token.json", {"m": 1, "entries": [{"order": "0", "lottery": ["x"]}]})
     _write_json("too-large.json", {"m": 8, "entries": []})
-    # an integer literal one digit past the interpreter's default limit
-    long = "9" * 4301
-    for name, text in (
-        ("long-m.json", f'{{"m": {long}, "entries": []}}'),
-        ("long-entry.json", f'{{"m": 1, "entries": [{{"order": "0", "lottery": [{long}]}}]}}'),
-        ("long-term.json", f'{{"terms": [{{"order": "0>1>2", "alt": {long}, "coef": "1"}}]}}'),
-        ("long-value.json", f'{{"values": [{long}, "0"]}}'),
-    ):
-        Path(name).write_text(text, encoding="utf-8")
+    for argv, text in LONG_LITERAL_FILES.values():
+        Path(argv[-1]).write_text(text, encoding="utf-8")
     argvs += [
         ["check", "--mechanism", "missing.json"],
         ["check", "--mechanism", "bad-json.json"],
@@ -221,11 +241,8 @@ def sweep_argvs() -> list[list[str]]:
         ["enumerate", "--m", "501", "--what", "counts"],
         ["amd", "--m", "7", "--objective", "objective-welfare-m2.json"],
         ["zoo", "emit", "--name", "nonesuch", "--m", "3"],
-        ["check", "--mechanism", "long-m.json"],
-        ["check", "--mechanism", "long-entry.json"],
-        ["amd", "--m", "3", "--objective", "long-term.json"],
-        ["path", "--from", "0>1", "--to", "1>0", "--utilities-from", "long-value.json"],
     ]
+    argvs += [argv for argv, _ in LONG_LITERAL_FILES.values()]
     return argvs + _crafted_argvs()
 
 

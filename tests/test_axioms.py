@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from sepax.core import Lottery, WeakOrder, enumerate_weak_orders
+from sepax.core import Lottery, WeakOrder, enumerate_weak_orders, order_classes
 from sepax.axioms import (
     AXIOMS,
+    Separation,
+    _split_moves,
     all_separations,
     check_all_axioms,
     enumerate_separations,
@@ -80,6 +82,42 @@ def test_enumerate_separations_per_order():
                 assert sep.coarse == order
                 assert as_separation(sep.coarse, sep.fine) == sep
             assert len(set((s.kappa, s.upper_part) for s in seps)) == len(seps)
+
+
+def _validated_separations(m, domain):
+    """The separations of each order of ``domain`` in turn, each order
+    built by the checking constructor and each separation bound by the
+    generic `Record.__init__`."""
+    return [
+        Separation(WeakOrder(m, coarse), WeakOrder(m, fine), k + 1, upper, lower)
+        for coarse in domain
+        for k, upper, lower, fine in _split_moves(coarse)
+    ]
+
+
+def test_enumerate_separations_equals_validated_construction():
+    for m in range(1, 5):
+        for order in enumerate_weak_orders(m):
+            assert list(enumerate_separations(order)) == _validated_separations(
+                m, [order.classes]
+            )
+
+
+def test_all_separations_equals_validated_construction():
+    for m in range(1, 7):
+        seps = all_separations(m)
+        assert list(seps) == _validated_separations(m, order_classes(m))
+        # on the very order instances of enumerate_weak_orders
+        orders = {id(order) for order in enumerate_weak_orders(m)}
+        assert all(id(s.coarse) in orders and id(s.fine) in orders for s in seps)
+    # m=7: the length, and the separations of the first and last 40 orders,
+    # without keeping the 201,978 separations in the cache
+    domain = order_classes(7)
+    seps = all_separations.__wrapped__(7)
+    assert len(seps) == sum(split_count(list(map(len, c))) for c in domain)
+    head = _validated_separations(7, domain[:40])
+    tail = _validated_separations(7, domain[-40:])
+    assert list(seps[: len(head)]) == head and list(seps[-len(tail) :]) == tail
 
 
 def test_all_separations_totals():

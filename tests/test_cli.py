@@ -29,6 +29,7 @@ from sepax.paths import refinement_path
 from tests.oracles import objective_to_json, saved_layout_fault, weak_order_count
 from tests.report_sweep import (
     CRAFTED_FILES,
+    LONG_LITERAL_FILES,
     READERS,
     RESPELLED_FILES,
     UNREADABLE_FILES,
@@ -133,11 +134,12 @@ def test_internal_disagreement_exit_code(zoo_files, monkeypatch):
 
 
 def test_missing_mechanism_file(tmp_path):
-    code, report, err = run_cli(
-        ["check", "--mechanism", str(tmp_path / "nope.json")]
-    )
+    path = tmp_path / "nope.json"
+    code, report, err = run_cli(["check", "--mechanism", str(path)])
     assert code == 3
-    assert "not found" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == (
+        f"cannot read mechanism file {path}: No such file or directory"
+    )
 
 
 def test_malformed_mechanism_file(tmp_path):
@@ -601,31 +603,14 @@ def test_unreadable_input_file_exits_3(tmp_path, reader, content):
     assert "not valid JSON" in json.loads(err)["error"]
 
 
-# one digit past the default limit on turning text into an int, which json
-# applies to every integer literal it reads
-LONG_LITERAL = "9" * 4301
-
-OVER_LONG_LITERALS = {
-    "mechanism-m": ("mechanism", f'{{"m": {LONG_LITERAL}, "entries": []}}'),
-    "mechanism-entry": (
-        "mechanism", f'{{"m": 1, "entries": [{{"order": "0", "lottery": [{LONG_LITERAL}]}}]}}'
-    ),
-    "mechanism-extra-key": ("mechanism", f'{{"m": 3, "entries": [], "pad": {LONG_LITERAL}}}'),
-    "objective-term": (
-        "objective", f'{{"terms": [{{"order": "0>1", "alt": {LONG_LITERAL}, "coef": "1"}}]}}'
-    ),
-    "utility-value": ("utilities", f'{{"values": [{LONG_LITERAL}, "0"]}}'),
-}
-
-
-@pytest.mark.parametrize("case", sorted(OVER_LONG_LITERALS))
+@pytest.mark.parametrize("case", sorted(LONG_LITERAL_FILES))
 def test_integer_literal_past_the_digit_limit_exits_3(tmp_path, case):
     # bad input in sepax's own words, the same on every interpreter, not an
     # internal fault carrying the interpreter's message
-    reader, text = OVER_LONG_LITERALS[case]
-    path = tmp_path / "input.json"
+    argv, text = LONG_LITERAL_FILES[case]
+    path = tmp_path / argv[-1]
     path.write_text(text, encoding="utf-8")
-    code, report, err = run_cli(reader_argv(reader, str(path)))
+    code, report, err = run_cli(argv[:-1] + [str(path)])
     assert code == 3
     assert report is None
     assert err.count("\n") == 1

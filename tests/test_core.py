@@ -219,6 +219,21 @@ def test_order_classes_is_the_canonical_domain():
             order_classes(bad)
 
 
+@pytest.mark.parametrize("m", range(1, ENUMERATION_MAX_M + 1))
+def test_checked_order_equals_the_validated_one(m):
+    # _checked runs no check, so on every canonical class tuple it must
+    # build the very order the checking constructor builds
+    for classes in order_classes(m):
+        fast, checked = WeakOrder._checked(m, classes), WeakOrder(m, classes)
+        assert type(fast) is WeakOrder and fast == checked
+        assert hash(fast) == hash(checked)
+        assert fast.text == checked.text
+        assert fast._class_index == checked._class_index
+        assert repr(fast) == repr(checked)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        fast.m = m
+
+
 def test_enumeration_counts_match_independent_oracle():
     for m in range(1, 7):
         orders = enumerate_weak_orders(m)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from sepax.core import (
     classes_index,
     enumerate_weak_orders,
     order_from_utility,
+    ordered_set_partitions,
     strictly_consistent,
 )
 from sepax import axioms
@@ -37,6 +39,8 @@ from sepax.mechanisms import (
 from sepax import paths
 from sepax.paths import (
     SPLIT_CHAIN_STYLES,
+    MultiwaySeparation,
+    Refinement,
     _refinement_moves,
     _refinement_walk,
     as_multiway_separation,
@@ -100,6 +104,27 @@ def test_two_way_multiway_agrees_with_separation():
                     sep = as_separation(multi.coarse, multi.fine)
                     assert sep is not None
                     assert (sep.upper_part, sep.lower_part) == multi.parts
+
+
+def test_multiway_separations_and_refinements_equal_validated_construction():
+    # each fine order built by the checking constructor
+    for m in range(1, 5):
+        for coarse in enumerate_weak_orders(m):
+            classes = coarse.classes
+            multis = [
+                MultiwaySeparation(
+                    coarse, WeakOrder(m, classes[:k] + parts + classes[k + 1 :]), k + 1, parts
+                )
+                for k, cls in enumerate(classes)
+                for parts in ordered_set_partitions(cls)
+                if len(parts) > 1
+            ]
+            assert list(enumerate_multiway_separations(coarse)) == multis
+            refinements = [
+                Refinement(coarse, WeakOrder(m, sum(blocks, ())), blocks)
+                for blocks in product(*map(ordered_set_partitions, classes))
+            ]
+            assert list(enumerate_refinements(coarse)) == refinements
 
 
 def test_enumerate_refinements_counts():
