@@ -22,7 +22,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, gcd, lcm
 
 from sepax.amd import variable_names
@@ -522,6 +522,36 @@ def upper_set_condition_oracle(mech) -> tuple[bool, bool]:
         same = same and len(held) == 1
         below = below and all(_mass(probs[i], alts) <= min(held) for i in weak[S])
     return same, below
+
+
+def strict_lotteries(mech) -> dict[tuple[int, ...], tuple]:
+    """A table's lottery at each strict order, keyed by the order's
+    alternatives, most preferred first."""
+    return {
+        tuple(cls[0] for cls in order.classes): lottery.probs
+        for order, lottery in mech.items()
+        if len(order.classes) == mech.m
+    }
+
+
+def strict_swap_failures(m: int, lottery_of) -> list[tuple[tuple[int, ...], int]]:
+    """Mennle and Seuken's decomposition of strategyproofness on strict
+    preferences, as one row per strict order R and adjacent pair a directly
+    above b in R. With R' the order R with a and b swapped, every other
+    alternative keeps its probability (upper and lower invariance) and b's
+    probability does not fall (swap monotonicity). ``lottery_of`` maps each
+    strict order, a tuple of alternatives most preferred first, to its
+    probabilities. Returns every (R, position of a) whose row fails, with R
+    in lexicographic order."""
+    failures = []
+    for order in permutations(range(m)):
+        p = lottery_of[order]
+        for i in range(m - 1):
+            a, b = order[i], order[i + 1]
+            q = lottery_of[order[:i] + (b, a) + order[i + 2 :]]
+            if q[b] < p[b] or any(p[c] != q[c] for c in range(m) if c not in (a, b)):
+                failures.append((order, i))
+    return failures
 
 
 def fosd_oracle_utilities(x, y, order) -> bool:

@@ -8,15 +8,19 @@ the exact stdout and stderr bytes, with the ``timing_s`` value replaced
 by a fixed token. A change to any report byte, its formatting included,
 moves an entry.
 
-    python -m tests.report_sweep --check   # name every entry that moved
+    python -m tests.report_sweep --check   # name every entry that moved, then audit
     python -m tests.report_sweep --write   # regenerate the digest file
+
+One run of the sweep also hands each report and the input files it read
+to `tests.report_audit`, which re-checks every claim in the report with
+the benchmark's exact arithmetic; ``--check`` runs both.
 
 A change that moves report bytes on purpose regenerates the file and
 names the moved entries in its description. The crafted input files of
 the sweep's last entries, and its files holding an over-long integer
 literal, are defined here, and `tests/test_cli.py` runs them too. Only
-the stdlib, sepax and `tests.oracles` are used, so the check runs on an
-interpreter with no third-party package.
+the stdlib, sepax, `tests.oracles` and `bench/exact.py` are used, so the
+check runs on an interpreter with no third-party package.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 from sepax import cli
 from sepax.amd import random_objective, top_class_welfare_objective
@@ -43,7 +48,9 @@ from sepax.mechanisms import (
     save_mechanism,
     top_class_uniform,
 )
+from bench.exact import CheckFailed
 from tests.oracles import objective_to_json, perturbed
+from tests.report_audit import audit_sweep
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 
@@ -250,28 +257,44 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(argv: list[str]) -> dict:
+def _run(argv: list[str]) -> tuple[dict, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    stdout = _TIMING.sub(_TIMING_TOKEN, out.getvalue().encode("utf-8"))
-    return {
+    stdout = out.getvalue()
+    entry = {
         "exit": code,
-        "stdout": _digest(stdout),
+        "stdout": _digest(_TIMING.sub(_TIMING_TOKEN, stdout.encode("utf-8"))),
         "stderr": _digest(err.getvalue().encode("utf-8")),
     }
+    return entry, stdout
 
 
-def run_sweep() -> dict[str, dict]:
-    """Each command line of the sweep, joined by spaces, mapped to its exit
-    code and stream digests."""
+class Sweep(NamedTuple):
+    """One run of the sweep. ``entries`` maps each command line, joined by
+    spaces (no argument holds one), to its exit code and stream digests;
+    ``stdouts`` maps it to its stdout; ``files`` maps each input file's
+    name to its bytes."""
+
+    entries: dict[str, dict]
+    stdouts: dict[str, str]
+    files: dict[str, bytes]
+
+
+def run_sweep() -> Sweep:
+    """Run every command line of the sweep in a temporary directory."""
     cwd = os.getcwd()
+    entries, stdouts = {}, {}
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)
         try:
-            return {" ".join(argv): _run(argv) for argv in sweep_argvs()}
+            for argv in sweep_argvs():
+                key = " ".join(argv)
+                entries[key], stdouts[key] = _run(argv)
+            files = {path.name: path.read_bytes() for path in Path().iterdir() if path.is_file()}
         finally:
             os.chdir(cwd)
+    return Sweep(entries, stdouts, files)
 
 
 def load_digests() -> dict[str, dict]:
@@ -291,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     action.add_argument("--check", action="store_true", help="compare with the digest file")
     action.add_argument("--write", action="store_true", help="regenerate the digest file")
     args = parser.parse_args(argv)
-    actual = run_sweep()
+    sweep = run_sweep()
+    actual = sweep.entries
     if args.write:
         DIGESTS.write_text(json.dumps(actual, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {len(actual)} entries to {DIGESTS.name}")
@@ -300,6 +324,12 @@ def main(argv: list[str] | None = None) -> int:
     for key in moved:
         print(f"moved: {key}")
     print(f"{len(moved)} of {len(actual)} entries moved")
+    try:
+        tally = audit_sweep(sweep)
+    except CheckFailed as exc:
+        print(f"audit failed: {exc}")
+        return 1
+    print("audited:", ", ".join(f"{count} {name}" for name, count in sorted(tally.items())))
     return 1 if moved else 0
 
 

@@ -691,15 +691,17 @@ def test_zoo_emits_at_the_enumeration_cap(tmp_path):
 
 @pytest.mark.parametrize("name, code", [("rank_score", 0), ("k_sensitive_boost", 1)])
 def test_local_checks_at_the_enumeration_cap(tmp_path, monkeypatch, name, code):
-    # rank_score passes the upper-set verdict, which settles both modes with
-    # no walk; k_sensitive_boost fails it, so each mode walks. The verdict
-    # is then held to the separation walk run with the verdict switched off
+    # rank_score passes the upper-set verdict, which settles the axiom and
+    # multisep modes with no walk; k_sensitive_boost fails it, so each mode
+    # walks. theorem1 exits 0 on both, because both routes agree. The
+    # verdict is then held to the separation walk run with the verdict
+    # switched off
     path = str(tmp_path / f"{name}.json")
     m = str(ENUMERATION_MAX_M)
     assert run_cli(["zoo", "emit", "--name", name, "--m", m, "--out-mechanism", path])[0] == 0
-    for mode in ("axioms", "multisep"):
+    for mode, mode_code in (("axioms", code), ("multisep", code), ("sp", code), ("theorem1", 0)):
         exit_code, _, err = run_cli(["check", "--mechanism", path, "--mode", mode])
-        assert (exit_code, err) == (code, ""), mode
+        assert (exit_code, err) == (mode_code, ""), mode
     mech = mechanisms.load_mechanism(path)
     verdict = axioms._upper_set_verdict(mech)
     monkeypatch.setattr(axioms, "_upper_set_verdict", lambda mech: False)

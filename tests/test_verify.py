@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,8 @@ from tests.oracles import (
     replace,
     separation_axiom_oracle,
     sp_pairwise_oracle,
+    strict_lotteries,
+    strict_swap_failures,
     upper_set_holders_oracle,
     weak_order_count,
 )
@@ -368,3 +371,65 @@ def test_deterministic_scan_m2_with_full_cross_check():
     report = scan_deterministic_decomposition(2, 200, 3, cross_check=200)
     assert report.all_agree
     assert report.cross_checked == 200
+
+
+# Mennle and Seuken's decomposition on strict preferences, which the
+# paper extends: strategyproof iff swap monotonic, upper invariant and
+# lower invariant, one row per strict order and adjacent pair
+SP_RULES = (uniform_lottery, top_class_uniform, min_top_dictator, rank_score)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_sp_tables_satisfy_the_strict_decomposition(m):
+    # restriction: a table SP on weak orders is SP on strict ones, so its
+    # strict rows satisfy the system; SP tables are closed under mixing
+    tables = [strict_lotteries(rule(m)) for rule in SP_RULES]
+    for lotteries in tables:
+        assert strict_swap_failures(m, lotteries) == []
+    rng = random.Random(m)
+    for _ in range(3):
+        weights = [Fraction(rng.randint(1, 9)) for _ in tables]
+        weights = [w / sum(weights) for w in weights]
+        mixture = {
+            order: tuple(
+                sum(w * lotteries[order][a] for w, lotteries in zip(weights, tables))
+                for a in range(m)
+            )
+            for order in tables[0]
+        }
+        assert strict_swap_failures(m, mixture) == []
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_strict_decomposition_misses_violations_that_need_indifference(m):
+    # not the converse: k_sensitive_boost passes every strict row, yet it
+    # is not SP, and its violation has a class of two or more alternatives
+    mech = k_sensitive_boost(m)
+    assert strict_swap_failures(m, strict_lotteries(mech)) == []
+    violation = check_sp_bruteforce(mech)
+    assert violation is not None
+    assert max(map(len, violation.truth.classes + violation.misreport.classes)) >= 2
+
+
+@pytest.mark.parametrize("rule", SP_RULES, ids=lambda rule: rule.__name__)
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_strict_decomposition_catches_mass_moved_down(m, rule):
+    # a third of one strict order's top-alternative mass moved to its
+    # bottom alternative breaks a row
+    lotteries = strict_lotteries(rule(m))
+    order = tuple(range(m))
+    probs = list(lotteries[order])
+    moved = probs[order[0]] / 3
+    probs[order[0]] -= moved
+    probs[order[-1]] += moved
+    lotteries[order] = tuple(probs)
+    assert strict_swap_failures(m, lotteries) != []
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_strict_decomposition_catches_a_reversed_table(m):
+    # each strict order given rank_score's lottery at its reverse keeps both
+    # invariances, but every swap that moves b up lowers b's probability
+    lotteries = strict_lotteries(rank_score(m))
+    reversed_table = {order: lotteries[order[::-1]] for order in lotteries}
+    assert len(strict_swap_failures(m, reversed_table)) == len(lotteries) * (m - 1)
